@@ -8,15 +8,20 @@ import resource
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from metrics import median, tail
 
-#: set-up is repeated this many times per run and reported as a median
-SETUP_REPEATS = 5
-#: repetitions every run makes, however long they take; tails pool
-#: exactly these, so their level is the same on every run
-MIN_REPS = 3
+#: set-up is timed this many times before every repetition;
+#: ``setup_s`` is the median of them all
+SETUP_SAMPLES = 3
+#: input orders per run: repetition ``r`` runs order ``r % ORDERS``,
+#: so a run's timings pool several orders of its seed's input and no
+#: single order's quirks (which step lands on a percentile) decide them
+ORDERS = 2
+#: repetitions every run makes, however long they take: each order is
+#: timed at least twice
+MIN_REPS = 2 * ORDERS
 
 
 @dataclass
@@ -47,40 +52,96 @@ def self_peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def timed_median(action: Callable[[], object], repeats: int = SETUP_REPEATS) -> float:
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        action()
-        samples.append(time.perf_counter() - start)
-    return median(samples)
+def timed(action: Callable[[], object]) -> float:
+    start = time.perf_counter()
+    action()
+    return time.perf_counter() - start
 
 
-def wait_metrics(per_rep_waits: Sequence[Sequence[float]]) -> Dict[str, float]:
-    """The median over repetitions of each repetition's median wait,
-    and the tail of the first :data:`MIN_REPS` repetitions' waits
-    pooled, so the tail's level and sample count do not depend on how
-    many repetitions fit in the run (seconds in, milliseconds out)."""
-    pooled = [w for waits in per_rep_waits[:MIN_REPS] for w in waits]
-    level, value, samples = tail(pooled)
+def fastest(per_rep: Sequence[Sequence[float]]) -> List[float]:
+    """Step by step, the fastest of the repetitions' timings.
+
+    The repetitions of a run do identical work, so the i-th timing of
+    each times the same step.  On a shared machine interference only
+    ever adds time, and the fastest reading of each step is the
+    steadiest estimate of its cost: a burst of load slows some steps of
+    one repetition, not the same step of all of them.
+    """
+    lengths = {len(steps) for steps in per_rep}
+    if len(lengths) != 1:
+        raise ValueError(f"repetitions differ in step count: {sorted(lengths)}")
+    return [min(step) for step in zip(*per_rep)]
+
+
+def alike_per_order(
+    outcome: Outcome,
+    results: Sequence[object],
+    signature: Callable[[object], object],
+    size: Callable[[object], int],
+    problems: Callable[[object], List[str]],
+) -> List[List[object]]:
+    """Check every repetition and return, per input order, those that
+    did the same work as the order's first.
+
+    A deterministic program publishes the same model every time it
+    reads the same input, so a repetition whose ``signature`` differs
+    fails the run, as does one with ``problems``.  ``size`` is the work
+    a repetition attempted (questions, records).
+    """
+    groups = []
+    for k in range(ORDERS):
+        runs = results[k::ORDERS]
+        alike = []
+        for result in runs:
+            found = list(problems(result))
+            if signature(result) == signature(runs[0]):
+                alike.append(result)
+            else:
+                found.append(f"order {k}: a repetition published another model")
+            outcome.attempted += size(result)
+            if found:
+                outcome.failed += size(result)
+                outcome.problems.extend(found)
+        groups.append(alike)
+    return groups
+
+
+def wait_metrics(waits: Sequence[float]) -> Dict[str, float]:
+    """The median and the tail of a profile of waits (seconds in,
+    milliseconds out), with the tail's level and sample count."""
+    level, value, samples = tail(waits)
     return {
-        "wait_p50_ms": median([median(w) for w in per_rep_waits]) * 1000.0,
+        "wait_p50_ms": median(waits) * 1000.0,
         "wait_tail_ms": value * 1000.0,
         "wait_tail_pct": level,
         "wait_samples": samples,
     }
 
 
-def repeat_for(seconds: float, once: Callable[[int], object]) -> List[object]:
+def repeat_for(
+    seconds: float,
+    once: Callable[[int], object],
+    setup: Callable[[], object],
+) -> Tuple[List[object], float]:
     """Call ``once(rep)`` for rep 0, 1, ... until at least
-    :data:`MIN_REPS` calls are done and ``seconds`` have passed.  The
-    garbage of one repetition is collected before the next starts."""
+    :data:`MIN_REPS` calls are done and ``seconds`` have passed, and
+    return the results with the median time of ``setup``.
+
+    Set-up is timed :data:`SETUP_SAMPLES` times before each
+    repetition, so its median spans the run: samples taken together
+    within one second all read the machine's speed in that second,
+    which on a shared machine moved a 40 ms set-up between 35 and
+    60 ms from run to run.  The garbage of one repetition is collected
+    before the next starts.
+    """
+    setups: List[float] = []
     results: List[object] = []
     start = time.perf_counter()
     while len(results) < MIN_REPS or time.perf_counter() - start < seconds:
+        setups.extend(timed(setup) for _ in range(SETUP_SAMPLES))
         gc.collect()
         results.append(once(len(results)))
-    return results
+    return results, median(setups)
 
 
 class Stopwatch:

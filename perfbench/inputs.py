@@ -2,25 +2,24 @@
 
 The *content* of each workload's data is pinned (fixed generator
 seeds below); ``--seed`` decides the *order* it arrives in: which
-cluster comes first, which row of a cluster comes first, how a stream
-is shuffled into batches, and which values the serving clients ask for
-and when.  Measured on this code, regenerating content per seed moved
-one-shot learning time by up to +-30% between seeds (a few long
-addresses dominate pivot search), more than any regression bound could
-absorb; reordering fixed content exercises the order-dependent paths
-(tie-breaks, visit order, cluster slots, memo warmth) while keeping
-runs comparable.  The golden stream keeps even its batch composition
-pinned and reorders records within each batch (see
-:func:`stream_batches`).  The program only ever sees the generated tables,
-batches and requests.
+cluster comes first, which row of a cluster comes first, and in what
+order the records of each stream batch arrive.  Measured on this code,
+regenerating content per seed moved one-shot learning time by up to
++-30% between seeds (a few long addresses dominate pivot search), more
+than any regression bound could absorb; reordering fixed content
+exercises the order-dependent paths (tie-breaks, visit order, cluster
+slots, memo warmth) while keeping runs comparable.  The golden stream
+keeps even its batch composition pinned (see :func:`stream_batches`).
+A run draws a few orders from its seed and repeats each; repetitions
+of one order do identical work.  The program only ever sees the generated tables and
+batches.
 """
 
 from __future__ import annotations
 
-import bisect
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.data.table import CellRef, ClusterTable, Record
 from repro.datagen import address_dataset, golden_stream
@@ -37,19 +36,11 @@ STREAM_BUDGET = 5
 STREAM_DATA_SEED = 21
 STREAM_KEY_ATTRIBUTE = "address"
 
-# -- serve_mixed -----------------------------------------------------------
-SERVE_TRAIN_SCALE = 0.15
-SERVE_TRAIN_SEED = 7
-SERVE_BUDGET = 40
-SERVE_UNIVERSE_SCALE = 4.0
-SERVE_UNIVERSE_SEED = 1013
-SERVE_BATCH_VALUES = 64
-SERVE_ZIPF_S = 1.1
 
-
-def order_rng(seed: int, rep: int = 0, stream: str = "") -> random.Random:
-    """The RNG that orders repetition ``rep`` of a run with ``seed``."""
-    return random.Random(f"perfbench:{stream}:{seed}:{rep}")
+def order_rng(seed: int, stream: str = "", order: int = 0) -> random.Random:
+    """The RNG behind input order ``order`` of ``stream`` in a run with
+    ``seed``."""
+    return random.Random(f"perfbench:{stream}:{seed}:{order}")
 
 
 @dataclass
@@ -133,94 +124,3 @@ def stream_batches(
         cut.append(batch)
         start = end
     return cut
-
-
-@dataclass
-class ServeUniverse:
-    """Held-out Address values: the serving clients' vocabulary."""
-
-    clustered: ClusteredInput
-    #: distinct values in first-seen order
-    values: List[str]
-    #: distinct value -> canonical string of the entity it denotes
-    canonical: Dict[str, str]
-
-    @property
-    def variants(self) -> List[Tuple[str, str]]:
-        """``(variant, canonical)`` for every non-canonical value."""
-        return [(v, c) for v, c in self.canonical.items() if v != c]
-
-
-def serve_universe() -> ServeUniverse:
-    clustered = address_input(SERVE_UNIVERSE_SCALE, SERVE_UNIVERSE_SEED)
-    canonical: Dict[str, str] = {}
-    for cluster in clustered.table.clusters:
-        for record in cluster.records:
-            value = record.values[clustered.column]
-            canonical.setdefault(value, clustered.canonical_by_rid[record.rid])
-    return ServeUniverse(clustered, list(canonical), canonical)
-
-
-class ZipfRequests:
-    """Endless ``apply`` batches: values drawn Zipf-skewed over a
-    seed-permuted ranking of the universe, so a few values are hot and
-    most are drawn rarely (cold in every fresh engine memo)."""
-
-    def __init__(
-        self,
-        values: Sequence[str],
-        rng: random.Random,
-        batch_values: int = SERVE_BATCH_VALUES,
-        s: float = SERVE_ZIPF_S,
-    ) -> None:
-        self.ranked = list(values)
-        rng.shuffle(self.ranked)
-        self.rng = rng
-        self.batch_values = batch_values
-        total = 0.0
-        self.cumulative: List[float] = []
-        for rank in range(len(self.ranked)):
-            total += 1.0 / (rank + 1) ** s
-            self.cumulative.append(total)
-
-    def batch(self) -> List[str]:
-        top = self.cumulative[-1]
-        return [
-            self.ranked[
-                min(
-                    bisect.bisect_left(
-                        self.cumulative, self.rng.random() * top
-                    ),
-                    len(self.ranked) - 1,
-                )
-            ]
-            for _ in range(self.batch_values)
-        ]
-
-    def __iter__(self) -> Iterator[List[str]]:
-        while True:
-            yield self.batch()
-
-
-def rule_slices(
-    variants: Sequence[Tuple[str, str]],
-    rng: random.Random,
-    slices: int,
-    per_slice: int,
-) -> List[List[Tuple[str, str]]]:
-    """``slices`` disjoint slices of curated variant -> canonical
-    rules, in a seed-chosen order."""
-    pool = list(variants)
-    rng.shuffle(pool)
-    if slices * per_slice > len(pool):
-        raise ValueError(
-            f"{slices} x {per_slice} rules wanted, {len(pool)} available"
-        )
-    return [
-        pool[i * per_slice:(i + 1) * per_slice] for i in range(slices)
-    ]
-
-
-def open_loop_schedule(start: float, rate: float, count: int) -> List[float]:
-    """Due times of ``count`` requests sent at ``rate`` per second."""
-    return [start + i / rate for i in range(count)]

@@ -1,18 +1,20 @@
-"""Every number the benchmark reports, declared once, plus the
-statistics used to reduce samples to those numbers.
+"""Every number the benchmark reports, plus the statistics used to
+reduce samples to those numbers.
 
 Each metric declares its unit and its direction explicitly: ``higher``
 or ``lower`` is better, or ``info`` for workload constants and
 provenance that are recorded but never gated.  Nothing is inferred
-from a metric's name.  ``BENCHMARK.json`` is checked against these
-tables by ``perfbench/tests/test_declarations.py``.
+from a metric's name.  Gated metrics are read from ``BENCHMARK.json``;
+the ``info`` fields, which it has no key for, are declared here.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import statistics
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
 HIGHER = "higher"
@@ -30,90 +32,21 @@ class Metric:
     bound: Optional[float] = None
 
 
-#: Reported by every workload's untraced run.  Each has one reading per
-#: workload; perfbench/README.md gives the per-workload definitions.
-END_TO_END: Tuple[Metric, ...] = (
-    Metric("setup_s", "s", LOWER, 0.25),
-    Metric("peak_rss_mb", "MB", LOWER, 0.1),
-    Metric("throughput_per_s", "1/s", HIGHER, 0.25),
-    Metric("wait_p50_ms", "ms", LOWER, 0.25),
-    Metric("wait_tail_ms", "ms", LOWER, 0.25),
-    Metric("first_result_s", "s", LOWER, 0.25),
-    Metric("questions", "count", LOWER, 0.1),
-    Metric("precision", "ratio", HIGHER, 0.1),
-    Metric("recall", "ratio", HIGHER, 0.1),
-    Metric("golden_precision", "ratio", HIGHER, 0.1),
-)
-
-#: Reported by every workload's traced run; a layer a workload never
-#: calls reads 0 there.  Times named ``<layer>.*_s`` are self times
-#: (span duration minus the time its child spans cover), except the
+#: The catalogue lives in BENCHMARK.json at the repository root: the
+#: workloads, and every gated metric with its unit, direction and (for
+#: end-to-end metrics) bound.  A layer a workload never calls reads 0
+#: in its traced run.  Times named ``<layer>.*_s`` are self times (span
+#: duration minus the time its child spans cover), except the
 #: ``stream.*_s`` stage times, which are inclusive so they can be
 #: cross-checked against the consolidator's own stage clock.
-PER_LAYER: Tuple[Metric, ...] = (
-    Metric("align.calls", "count", LOWER),
-    Metric("align.s", "s", LOWER),
-    Metric("candidates.replacements", "count", LOWER),
-    Metric("candidates.generate_s", "s", LOWER),
-    Metric("candidates.ingest_s", "s", LOWER),
-    Metric("candidates.apply_s", "s", LOWER),
-    Metric("candidates.cells_changed", "count", HIGHER),
-    Metric("candidates.dead", "count", LOWER),
-    Metric("core.feed_init_s", "s", LOWER),
-    Metric("core.graph_build_s", "s", LOWER),
-    Metric("core.graph_builds", "count", LOWER),
-    Metric("core.graphs", "count", LOWER),
-    Metric("core.pivot_s", "s", LOWER),
-    Metric("core.pivot_searches", "count", LOWER),
-    Metric("core.pivot_expansions", "count", LOWER),
-    Metric("core.pivot_prunes", "count", HIGHER),
-    Metric("core.pivot_completions", "count", LOWER),
-    Metric("core.next_group_s", "s", LOWER),
-    Metric("core.groups", "count", LOWER),
-    Metric("core.groups_per_search", "ratio", HIGHER),
-    Metric("pipeline.oracle_s", "s", LOWER),
-    Metric("pipeline.questions", "count", LOWER),
-    Metric("pipeline.approved", "count", HIGHER),
-    Metric("pipeline.approve_ratio", "ratio", HIGHER),
-    Metric("resolution.add_batch_s", "s", LOWER),
-    Metric("resolution.pairs_compared", "count", LOWER),
-    Metric("resolution.merges", "count", HIGHER),
-    Metric("resolution.new_clusters", "count", LOWER),
-    Metric("resolution.merges_per_pair", "ratio", HIGHER),
-    Metric("stream.engine_s", "s", LOWER),
-    Metric("stream.resolve_s", "s", LOWER),
-    Metric("stream.derive_s", "s", LOWER),
-    Metric("stream.replay_s", "s", LOWER),
-    Metric("stream.learn_s", "s", LOWER),
-    Metric("stream.fuse_s", "s", LOWER),
-    Metric("stream.publish_s", "s", LOWER),
-    Metric("stream.novel_candidates", "count", LOWER),
-    Metric("stream.reused_replacements", "count", HIGHER),
-    Metric("stream.rejected_skips", "count", HIGHER),
-    Metric("stream.explained_cells", "count", HIGHER),
-    Metric("stream.unmatched_cells", "count", LOWER),
-    Metric("fusion.s", "s", LOWER),
-    Metric("fusion.clusters_refused", "count", LOWER),
-    Metric("fusion.clusters_live", "count", LOWER),
-    Metric("fusion.refuse_ratio", "ratio", LOWER),
-    Metric("serve.publish_s", "s", LOWER),
-    Metric("serve.reload_s", "s", LOWER),
-    Metric("serve.compile_s", "s", LOWER),
-    Metric("serve.exact_us", "us", LOWER),
-    Metric("serve.program_us", "us", LOWER),
-    Metric("serve.token_us", "us", LOWER),
-    Metric("serve.passthrough_us", "us", LOWER),
-    Metric("serve.exact_hits", "count", HIGHER),
-    Metric("serve.program_hits", "count", HIGHER),
-    Metric("serve.token_hits", "count", HIGHER),
-    Metric("serve.misses", "count", LOWER),
-    Metric("serve.intern_hit_ratio", "ratio", HIGHER),
-    Metric("serve.request_server_p50_ms", "ms", LOWER),
-    Metric("serve.reloads", "count", LOWER),
-    Metric("serve.sidecar_loads", "count", HIGHER),
-    Metric("loadgen.lag_p99_ms", "ms", LOWER),
-    Metric("trace.overhead_ratio", "ratio", LOWER),
+BENCHMARK = json.loads(
+    (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text()
 )
+WORKLOADS: Tuple[str, ...] = tuple(w["name"] for w in BENCHMARK["workloads"])
+END_TO_END: Tuple[Metric, ...] = tuple(
+    Metric(**m) for m in BENCHMARK["end_to_end"]
+)
+PER_LAYER: Tuple[Metric, ...] = tuple(Metric(**m) for m in BENCHMARK["per_layer"])
 
 #: Printed on the line before the result, never gated: workload
 #: constants, provenance, and the sample counts behind percentiles.
@@ -124,17 +57,9 @@ INFO_FIELDS: Tuple[Metric, ...] = (
     Metric("records", "count", INFO),
     Metric("batches", "count", INFO),
     Metric("budget", "count", INFO),
-    Metric("batch_values", "count", INFO),
-    Metric("connections", "count", INFO),
-    Metric("rate_per_s", "1/s", INFO),
-    Metric("rules_per_publish", "count", INFO),
     Metric("wait_samples", "count", INFO),
     Metric("wait_tail_pct", "%", INFO),
     Metric("model_sha256", "hex", INFO),
-    Metric("serve.publishes", "count", INFO),
-    Metric("serve.exact_rules", "count", INFO),
-    Metric("serve.token_rules", "count", INFO),
-    Metric("serve.programs", "count", INFO),
 )
 
 #: Percentile levels a tail may be reported at, lowest first.

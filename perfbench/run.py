@@ -3,7 +3,7 @@
 Run from the root of a checkout::
 
     python3 perfbench/run.py --workload oneshot_address --seed 1 \\
-        --seconds 40 --trace 0
+        --seconds 50 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics; ``--trace 1`` is a
 separate run that wraps each layer's public calls in spans and reports
@@ -23,22 +23,16 @@ import sys
 import tempfile
 from pathlib import Path
 
+from metrics import END_TO_END, INFO_FIELDS, PER_LAYER, WORKLOADS, result_line
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 
-#: the workloads BENCHMARK.json lists
-WORKLOADS = ("oneshot_address", "golden_stream")
-#: runnable by hand only: on a shared 2-CPU machine its closed-loop
-#: throughput moved up to 3x from run to run (see README.md)
-MANUAL_WORKLOADS = ("serve_mixed",)
-
 
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--workload", required=True, choices=WORKLOADS + MANUAL_WORKLOADS
-    )
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -46,8 +40,8 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def stop_on_sigterm(signum, frame) -> None:
-    # Unwind through the workloads' ``finally`` blocks, which stop
-    # and wait for every child process they started.
+    # Unwind through the ``finally`` blocks, which remove the run's
+    # scratch directory.
     raise SystemExit(128 + signum)
 
 
@@ -61,15 +55,12 @@ def main(argv=None) -> int:
 
     # Imported after the path is set: they import the program.
     from common import RunContext
-    from metrics import END_TO_END, INFO_FIELDS, PER_LAYER, result_line
     import workload_oneshot
-    import workload_serve
     import workload_stream
 
     runner = {
         "oneshot_address": workload_oneshot.run,
         "golden_stream": workload_stream.run,
-        "serve_mixed": workload_serve.run,
     }[args.workload]
     state = ROOT / ".perfbench"
     state.mkdir(exist_ok=True)

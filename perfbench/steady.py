@@ -5,11 +5,15 @@ each end-to-end metric's median and spread (the distance between the
 first and third quartile as a share of the median) next to its bound::
 
     python3 perfbench/steady.py --workload golden_stream \\
-        --seeds 1 2 3 4 5 --seconds 30
+        --seeds 1 2 3 4 5 --seconds 50
 
-A metric is flagged when its spread reaches a third of its bound
-(``setup_s`` is exempt from the spread rule, as in the acceptance
-check).  Exits 1 when any run fails or any metric is flagged.
+A metric fails when its spread reaches its bound, the share by which
+it may worsen before a change counts as a regression (``setup_s`` is
+exempt from the spread rule, as in the acceptance check).  A spread
+above a third of its bound passes but is marked: it leaves little room
+to tell a regression from noise.  Repeating one seed
+(``--seeds 1 1 1 1 1``) separates the machine's noise from the seeds'
+effect.  Exits 1 when any run fails or any metric fails.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=50.0)
     args = parser.parse_args(argv)
 
     values = {metric.name: [] for metric in END_TO_END}
@@ -68,12 +72,16 @@ def main(argv=None) -> int:
     for metric in END_TO_END:
         series = values[metric.name]
         share = spread(series)
-        flagged = metric.name != "setup_s" and share >= metric.bound / 3
-        ok = ok and not flagged
+        gated = metric.name != "setup_s"
+        note = ""
+        if gated and share >= metric.bound:
+            ok = False
+            note = "  <-- FAIL: at or over its bound"
+        elif gated and share >= metric.bound / 3:
+            note = "  <-- over a third of its bound"
         print(
             f"{metric.name:18s} median={median(series):<12.5g} "
-            f"spread={share:7.2%} bound={metric.bound:.2f}"
-            + ("  <-- over a third of its bound" if flagged else "")
+            f"spread={share:7.2%} bound={metric.bound:.2f}{note}"
         )
     return 0 if ok else 1
 

@@ -1,15 +1,11 @@
-import itertools
 import json
 
 from inputs import (
     ONESHOT_DATA_SEED,
-    ZipfRequests,
     address_input,
     golden_base,
     order_rng,
     permuted,
-    rule_slices,
-    serve_universe,
     stream_batches,
 )
 
@@ -20,9 +16,9 @@ def serialized(rows) -> bytes:
     return json.dumps(rows, ensure_ascii=False, sort_keys=True).encode()
 
 
-def oneshot_bytes(seed, rep=0):
+def oneshot_bytes(seed):
     base = address_input(SCALE, ONESHOT_DATA_SEED)
-    data = permuted(base, order_rng(seed, rep, "oneshot"))
+    data = permuted(base, order_rng(seed, "oneshot"))
     return serialized(
         [
             [cluster.key, [[r.rid, r.values, r.source] for r in cluster.records]]
@@ -34,7 +30,6 @@ def oneshot_bytes(seed, rep=0):
 def test_oneshot_table_is_a_function_of_the_seed():
     assert oneshot_bytes(3) == oneshot_bytes(3)
     assert oneshot_bytes(3) != oneshot_bytes(4)
-    assert oneshot_bytes(3, rep=0) != oneshot_bytes(3, rep=1)
 
 
 def test_reordering_keeps_content_and_truth():
@@ -66,26 +61,3 @@ def test_stream_batches_are_a_function_of_the_seed():
     assert sorted(r.rid for b in batches for r in b) == sorted(
         r.rid for r in records
     )
-
-
-def test_requests_and_rules_are_a_function_of_the_seed():
-    universe = serve_universe()
-
-    def draw(seed):
-        requests = ZipfRequests(universe.values, order_rng(seed, 0, "serve"))
-        return list(itertools.islice(requests, 50))
-
-    assert draw(5) == draw(5)
-    assert draw(5) != draw(6)
-    drawn = [v for batch in draw(5) for v in batch]
-    # Zipf skew: far fewer distinct values than draws.
-    assert len(set(drawn)) < len(drawn) / 2
-
-    def rules(seed):
-        return rule_slices(universe.variants, order_rng(seed, 0, "rules"), 3, 10)
-
-    assert rules(5) == rules(5)
-    assert rules(5) != rules(6)
-    flat = [rule for piece in rules(5) for rule in piece]
-    assert len(set(flat)) == 30
-    assert all(universe.canonical[lhs] == rhs != lhs for lhs, rhs in flat)

@@ -4,8 +4,10 @@ A :class:`~repro.pipeline.standardize.Standardizer` with its default
 incremental feed asks a ground-truth oracle ``ONESHOT_BUDGET``
 questions about one Address table.  ``core`` (graph build and pivot
 search) does nearly all the work; no resolution, fusion or serving code
-runs.  Repetitions reorder the same table (see :mod:`inputs`) until
-the run's seconds are spent; timings are medians over repetitions.
+runs.  Repetitions learn from a few seed-chosen orders of the same
+table, in turn, until the run's seconds are spent; each question's
+wait is the fastest of its order's repetitions (see
+:func:`common.fastest`), and the waits of all orders are pooled.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ from repro.pipeline.standardize import Standardizer
 from repro.serve import ModelReplayer, build_model
 
 from common import (
+    ORDERS,
     Outcome,
     RunContext,
     Stopwatch,
+    alike_per_order,
+    fastest,
     repeat_for,
     self_peak_rss_mb,
-    timed_median,
     wait_metrics,
 )
 from inputs import (
@@ -65,10 +69,12 @@ class Repetition:
 @dataclass
 class Summary:
     questions: int
-    learn_s: float
-    waits: List[float]
+    #: machine time before each question, then from the last answer to
+    #: the end of learning (oracle excluded)
+    steps: List[float]
     #: cells where the replayed model disagrees with the learner
     mismatches: int
+    model_sha256: str
 
 
 def learn(data: ClusteredInput) -> Repetition:
@@ -98,15 +104,18 @@ def learn(data: ClusteredInput) -> Repetition:
     )
 
 
-def replay_mismatches(rep: Repetition) -> int:
-    """Cells where replaying the learned model on a fresh copy of the
-    input disagrees with the learner's own table."""
-    model = build_model(
+def model_of(rep: Repetition):
+    return build_model(
         rep.log,
         rep.data.column,
         config=rep.standardizer.config,
         vocabulary=rep.standardizer.vocabulary,
     )
+
+
+def replay_mismatches(rep: Repetition, model) -> int:
+    """Cells where replaying the learned model on a fresh copy of the
+    input disagrees with the learner's own table."""
     fresh = rep.data.fresh()
     ModelReplayer(model).apply(fresh, rep.data.column)
     learned = values_by_rid(rep.table, rep.data.column)
@@ -125,69 +134,70 @@ def quality(rep: Repetition) -> dict:
         expected.append(
             majority(data.canonical_by_rid[r.rid] for r in cluster.records)
         )
-    model = build_model(
-        rep.log,
-        data.column,
-        config=rep.standardizer.config,
-        vocabulary=rep.standardizer.vocabulary,
-    )
     return {
         "questions": rep.log.groups_confirmed,
         "precision": precision,
         "recall": recall,
         "golden_precision": golden_precision(golden, expected),
-        "model_sha256": fingerprint(model.to_dict()),
     }
 
 
 def run(ctx: RunContext) -> Outcome:
     base = address_input(ONESHOT_SCALE, ONESHOT_DATA_SEED)
-    first = permuted(base, order_rng(ctx.seed, 0, "oneshot"))
+    orders = [
+        permuted(base, order_rng(ctx.seed, "oneshot", k)) for k in range(ORDERS)
+    ]
+    first = orders[0]
 
     def setup():
         Standardizer(first.fresh(), first.column).default_feed()
 
-    setup_s = timed_median(setup)
     if ctx.trace:
         return traced(ctx, first)
 
     measured = {}
 
     def once(rep: int) -> Summary:
-        data = permuted(base, order_rng(ctx.seed, rep, "oneshot")) if rep else first
-        learned = learn(data)
+        learned = learn(orders[rep % ORDERS])
         if not rep:
             measured.update(quality(learned))
+        model = model_of(learned)
         # Only the summary outlives the repetition, so retained tables
         # and stores do not slow the next repetitions' collector.
         return Summary(
             learned.log.groups_confirmed,
-            learned.learn_s,
-            learned.waits,
-            replay_mismatches(learned),
+            learned.waits + [learned.learn_s - sum(learned.waits)],
+            replay_mismatches(learned, model),
+            fingerprint(model.to_dict()),
         )
 
-    reps: List[Summary] = repeat_for(ctx.seconds, once)
-    outcome = Outcome(metrics={}, attempted=0)
-    for rep in reps:
-        outcome.attempted += rep.questions
+    def problems(rep: Summary) -> List[str]:
         if rep.mismatches:
-            outcome.failed += rep.questions
-            outcome.problems.append(
-                f"replay differs from the learner in {rep.mismatches} cells"
-            )
-    waits = wait_metrics([rep.waits for rep in reps])
+            return [f"replay differs from the learner in {rep.mismatches} cells"]
+        return []
+
+    reps, setup_s = repeat_for(ctx.seconds, once, setup)
+    outcome = Outcome(metrics={})
+    groups = alike_per_order(
+        outcome,
+        reps,
+        signature=lambda rep: (rep.model_sha256, len(rep.steps)),
+        size=lambda rep: rep.questions,
+        problems=problems,
+    )
+    # Per order: the fastest wait before each question, then the
+    # fastest stretch from the last answer to the end of learning.
+    profiles = [fastest([rep.steps for rep in group]) for group in groups]
+    waits = wait_metrics([w for steps in profiles for w in steps[:-1]])
     outcome.metrics = {
         "setup_s": setup_s,
         "peak_rss_mb": self_peak_rss_mb(),
-        "throughput_per_s": median([rep.questions / rep.learn_s for rep in reps]),
+        "throughput_per_s": sum(group[0].questions for group in groups)
+        / sum(sum(steps) for steps in profiles),
         "wait_p50_ms": waits["wait_p50_ms"],
         "wait_tail_ms": waits["wait_tail_ms"],
-        "first_result_s": median([rep.waits[0] for rep in reps]),
-        "questions": measured["questions"],
-        "precision": measured["precision"],
-        "recall": measured["recall"],
-        "golden_precision": measured["golden_precision"],
+        "first_result_s": median([steps[0] for steps in profiles]),
+        **measured,
     }
     outcome.info = {
         "repetitions": len(reps),
@@ -195,7 +205,7 @@ def run(ctx: RunContext) -> Outcome:
         "budget": ONESHOT_BUDGET,
         "wait_samples": waits["wait_samples"],
         "wait_tail_pct": waits["wait_tail_pct"],
-        "model_sha256": measured["model_sha256"],
+        "model_sha256": reps[0].model_sha256,
     }
     return outcome
 
@@ -217,7 +227,7 @@ def traced(ctx: RunContext, data: ClusteredInput) -> Outcome:
     tracer.write(ctx.trace_dir / f"oneshot_address-{ctx.seed}.jsonl")
     plain.append(learn(data).wall_s)
     outcome = Outcome(metrics={}, attempted=rep.log.groups_confirmed)
-    bad = replay_mismatches(rep)
+    bad = replay_mismatches(rep, model_of(rep))
     if bad:
         outcome.failed = rep.log.groups_confirmed
         outcome.problems.append(f"replay differs from the learner in {bad} cells")

@@ -7,8 +7,9 @@ a bundle to a registry every batch that approves something, and
 standardizes arrivals with the published engine first.  It is the only
 workload that runs ``resolution``, incremental ``fusion``, bundle
 publishing and in-place engine reloads.  Each pass streams the same
-records in a seed-chosen order into a fresh registry; timings are
-medians over passes.
+records, in one of a few seed-chosen orders taken in turn, into a fresh
+registry; each batch's time is the fastest of its order's passes (see
+:func:`common.fastest`), and the batches of all orders are pooled.
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ from repro.stream import (
 )
 
 from common import (
+    ORDERS,
     Outcome,
     RunContext,
+    alike_per_order,
+    fastest,
     repeat_for,
     self_peak_rss_mb,
-    timed_median,
     wait_metrics,
 )
 from inputs import (
@@ -50,8 +53,6 @@ from quality import cell_quality, fingerprint, golden_precision, majority
 from spans import Tracer
 
 BUNDLE = "golden"
-#: set-up is sub-millisecond, so it is sampled more often than elsewhere
-SETUP_REPEATS = 25
 
 
 def consolidator(base, registry: Path) -> GoldenStreamConsolidator:
@@ -85,6 +86,16 @@ class Pass:
     quality: Dict[str, float]
     bundle_sha256: Optional[str]
     engine_stats: Dict[str, Dict]
+
+    @property
+    def signature(self):
+        """What identical passes share: the bundle and the step counts."""
+        return (
+            self.bundle_sha256,
+            len(self.machine),
+            len(self.publishes),
+            self.questions,
+        )
 
 
 def stream_pass(base, batches, registry: Path, probe=None) -> Pass:
@@ -165,50 +176,59 @@ def pass_quality(base, batches, c) -> Dict[str, float]:
 
 def run(ctx: RunContext) -> Outcome:
     base = golden_base()
-    records = base.records
-    first = stream_batches(records, order_rng(ctx.seed, 0, "stream"), STREAM_BATCHES)
+
+    def arrivals(order: int):
+        # Fresh copies for every pass.
+        return stream_batches(
+            base.records, order_rng(ctx.seed, "stream", order), STREAM_BATCHES
+        )
+
     setups = iter(range(10 ** 6))
 
     def setup():
         # Construction plus the lazy wiring of the resolver, the
         # per-column standardizers and the oracles (an empty batch).
-        path = ctx.work / f"setup-{next(setups)}"
-        with consolidator(base, path) as c:
+        # The registries are removed with the run's scratch directory.
+        with consolidator(base, ctx.work / f"setup-{next(setups)}") as c:
             c.process_batch([])
-        shutil.rmtree(path, ignore_errors=True)
 
-    setup_s = timed_median(setup, SETUP_REPEATS)
     if ctx.trace:
-        return traced(ctx, base, first)
+        return traced(ctx, base, lambda: arrivals(0))
 
     def once(rep: int) -> Pass:
-        batches = first if not rep else stream_batches(
-            records, order_rng(ctx.seed, rep, "stream"), STREAM_BATCHES
-        )
         path = ctx.work / f"pass-{rep}"
         try:
-            return stream_pass(base, batches, path)
+            return stream_pass(base, arrivals(rep % ORDERS), path)
         finally:
             shutil.rmtree(path, ignore_errors=True)
 
-    passes: List[Pass] = repeat_for(ctx.seconds, once)
+    def problems(p: Pass) -> List[str]:
+        if p.golden_ok:
+            return []
+        return ["maintained golden records differ from full_refusion()"]
+
+    passes, setup_s = repeat_for(ctx.seconds, once, setup)
     outcome = Outcome(metrics={})
-    for p in passes:
-        outcome.attempted += p.records
-        if not p.golden_ok:
-            outcome.failed += p.records
-            outcome.problems.append(
-                "maintained golden records differ from full_refusion()"
-            )
+    groups = alike_per_order(
+        outcome,
+        passes,
+        signature=lambda p: p.signature,
+        size=lambda p: p.records,
+        problems=problems,
+    )
+    # Per order: each batch's and each publish's fastest time.
+    machine = [fastest([p.machine for p in group]) for group in groups]
+    publishes = [fastest([p.publishes for p in group]) for group in groups]
     head = passes[0]
-    waits = wait_metrics([p.machine for p in passes])
+    waits = wait_metrics([s for steps in machine for s in steps])
     outcome.metrics = {
         "setup_s": setup_s,
         "peak_rss_mb": self_peak_rss_mb(),
-        "throughput_per_s": median([p.records / sum(p.machine) for p in passes]),
+        "throughput_per_s": ORDERS * head.records
+        / sum(sum(steps) for steps in machine),
         "wait_p50_ms": waits["wait_p50_ms"],
         "wait_tail_ms": waits["wait_tail_ms"],
-        "first_result_s": median([s for p in passes for s in p.publishes]),
+        "first_result_s": median([s for steps in publishes for s in steps]),
         "questions": head.questions,
         **head.quality,
     }
@@ -238,20 +258,21 @@ def tier_costs(registry: Path, batches) -> Dict[str, float]:
     return clock.metrics()
 
 
-def traced(ctx: RunContext, base, batches) -> Outcome:
+def traced(ctx: RunContext, base, arrivals) -> Outcome:
     """A traced pass between two untraced ones over the same batches:
     the traced one gives the per-layer metrics, its wall time over the
     untraced mean the overhead."""
-    plain = [stream_pass(base, batches, ctx.work / "plain-0").wall_s]
+    plain = [stream_pass(base, arrivals(), ctx.work / "plain-0").wall_s]
     tracer = Tracer(f"golden_stream:{ctx.seed}")
     probe = LayerProbe(tracer)
     probe.install()
+    batches = arrivals()
     try:
         traced_pass = stream_pass(base, batches, ctx.work / "traced", probe)
     finally:
         tracer.restore()
     tracer.write(ctx.trace_dir / f"golden_stream-{ctx.seed}.jsonl")
-    plain.append(stream_pass(base, batches, ctx.work / "plain-1").wall_s)
+    plain.append(stream_pass(base, arrivals(), ctx.work / "plain-1").wall_s)
 
     outcome = Outcome(metrics={}, attempted=traced_pass.records)
     if not traced_pass.golden_ok:
