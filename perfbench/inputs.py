@@ -25,12 +25,23 @@ from repro.data.table import CellRef, ClusterTable, Record
 from repro.datagen import address_dataset, golden_stream
 
 # -- oneshot_address -------------------------------------------------------
-ONESHOT_SCALE = 0.3
+#: Small enough that a repetition takes about a second, so a run
+#: repeats each of its orders some ten times.
+ONESHOT_SCALE = 0.15
 ONESHOT_DATA_SEED = 7
 ONESHOT_BUDGET = 100
+#: Input orders a run pools.  The orders differ in work: over 64 of
+#: them the first question's wait ranged 162-299 ms, and each order's
+#: handful of long graph builds differs.  The mean over eight orders
+#: spread 5% between groups of orders, over four 10%.
+ONESHOT_ORDERS = 8
 
 # -- golden_stream ---------------------------------------------------------
-STREAM_ENTITIES = 400
+#: A pass takes about 1.5 s, so a run times each batch some 25 times.
+STREAM_ENTITIES = 200
+#: One order per run: the stream's orders differed by 3% at most in
+#: total, median and tail batch time.
+STREAM_ORDERS = 1
 STREAM_BATCHES = 40
 STREAM_BUDGET = 5
 STREAM_DATA_SEED = 21

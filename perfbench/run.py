@@ -3,7 +3,7 @@
 Run from the root of a checkout::
 
     python3 perfbench/run.py --workload oneshot_address --seed 1 \\
-        --seconds 50 --trace 0
+        --seconds 55 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics; ``--trace 1`` is a
 separate run that wraps each layer's public calls in spans and reports

@@ -5,7 +5,7 @@ each end-to-end metric's median and spread (the distance between the
 first and third quartile as a share of the median) next to its bound::
 
     python3 perfbench/steady.py --workload golden_stream \\
-        --seeds 1 2 3 4 5 --seconds 50
+        --seeds 1 2 3 4 5
 
 A metric fails when its spread reaches its bound, the share by which
 it may worsen before a change counts as a regression (``setup_s`` is
@@ -24,7 +24,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from metrics import END_TO_END, median, spread
+from metrics import BENCHMARK, END_TO_END, median, spread
 
 RUN = Path(__file__).resolve().with_name("run.py")
 
@@ -33,7 +33,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, default=50.0)
+    parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     args = parser.parse_args(argv)
 
     values = {metric.name: [] for metric in END_TO_END}
@@ -57,10 +57,11 @@ def main(argv=None) -> int:
             ok = False
             continue
         result = json.loads(lines[-1])
+        info = json.loads(lines[-2])["info"]
         for name, reading in result["metrics"].items():
             values[name].append(reading["value"])
         print(
-            f"seed {seed}: "
+            f"seed {seed}: slowdown={info['gauge_slowdown']:.3f} "
             + " ".join(
                 f"{name}={reading['value']:.4g}"
                 for name, reading in result["metrics"].items()

@@ -1,18 +1,18 @@
 import pytest
 
-from common import ORDERS, Outcome, alike_per_order, fastest, wait_metrics
+from common import Outcome, alike_per_order, mean_profile, wait_metrics
+
+ORDERS = 2
 
 
-def test_fastest_takes_each_steps_quickest_reading():
-    # A burst slows step 1 of the first repetition and step 0 of the
-    # second; neither reaches the profile.
-    assert fastest([[1.0, 9.0, 3.0], [8.0, 2.0, 3.5]]) == [1.0, 2.0, 3.0]
-    assert fastest([[4.0, 5.0]]) == [4.0, 5.0]
+def test_mean_profile_averages_each_step():
+    assert mean_profile([[1.0, 9.0, 3.0], [3.0, 1.0, 3.0]]) == [2.0, 5.0, 3.0]
+    assert mean_profile([[4.0, 5.0]]) == [4.0, 5.0]
 
 
-def test_fastest_refuses_repetitions_of_different_work():
+def test_mean_profile_refuses_repetitions_of_different_work():
     with pytest.raises(ValueError):
-        fastest([[1.0, 2.0], [1.0]])
+        mean_profile([[1.0, 2.0], [1.0]])
 
 
 def test_repetitions_are_grouped_by_order_and_checked():
@@ -23,6 +23,7 @@ def test_repetitions_are_grouped_by_order_and_checked():
     groups = alike_per_order(
         outcome,
         results,
+        ORDERS,
         signature=lambda r: r,
         size=lambda r: 10,
         problems=lambda r: [],
@@ -38,6 +39,7 @@ def test_a_repetition_with_problems_fails_once():
     alike_per_order(
         outcome,
         list(range(ORDERS)),
+        ORDERS,
         signature=lambda r: 0,
         size=lambda r: 5,
         problems=lambda r: ["a", "b"] if r == 1 else [],
@@ -50,5 +52,7 @@ def test_wait_metrics_report_milliseconds_with_the_tail_rule():
     waits = [i / 1000.0 for i in range(1, 101)]
     metrics = wait_metrics(waits)
     assert metrics["wait_p50_ms"] == pytest.approx(50.5)
-    assert metrics["wait_tail_ms"] == pytest.approx(90.0)
+    # The mean of the ten waits beyond p90 (91..100 ms).
+    assert metrics["wait_tail_ms"] == pytest.approx(95.5)
+    assert metrics["wait_tail_pctl_ms"] == pytest.approx(90.0)
     assert (metrics["wait_tail_pct"], metrics["wait_samples"]) == (90.0, 100)

@@ -10,6 +10,7 @@ from metrics import (
     spread,
     tail,
     tail_level,
+    tail_mean,
 )
 
 
@@ -51,6 +52,14 @@ def test_tail_reports_value_and_sample_count():
     assert (level, count) == (90.0, 100)
     assert value == 90.0
     assert sum(1 for s in samples if s > value) == 10
+
+
+def test_tail_mean_averages_the_samples_beyond_the_tail_percentile():
+    samples = [float(i) for i in range(200, 0, -1)]
+    # p95 of 200 leaves ten samples beyond it: 191..200.
+    assert tail_mean(samples) == pytest.approx(195.5)
+    assert tail_mean([3.0, 1.0, 2.0]) == 3.0
+    assert tail_mean([4.0]) == 4.0
 
 
 def test_nearest_rank_percentile():

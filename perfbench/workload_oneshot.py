@@ -6,15 +6,15 @@ questions about one Address table.  ``core`` (graph build and pivot
 search) does nearly all the work; no resolution, fusion or serving code
 runs.  Repetitions learn from a few seed-chosen orders of the same
 table, in turn, until the run's seconds are spent; each question's
-wait is the fastest of its order's repetitions (see
-:func:`common.fastest`), and the waits of all orders are pooled.
+wait is the mean of its order's repetitions, at the gauge's reference
+speed (see :mod:`gauge`), and the waits of all orders are pooled.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from repro.fusion.majority import majority_value
 from repro.pipeline.oracle import GroundTruthOracle
@@ -22,12 +22,11 @@ from repro.pipeline.standardize import Standardizer
 from repro.serve import ModelReplayer, build_model
 
 from common import (
-    ORDERS,
     Outcome,
     RunContext,
     Stopwatch,
     alike_per_order,
-    fastest,
+    mean_profile,
     repeat_for,
     self_peak_rss_mb,
     wait_metrics,
@@ -35,12 +34,14 @@ from common import (
 from inputs import (
     ONESHOT_BUDGET,
     ONESHOT_DATA_SEED,
+    ONESHOT_ORDERS,
     ONESHOT_SCALE,
     ClusteredInput,
     address_input,
     order_rng,
     permuted,
 )
+from gauge import Gauge
 from layers import LayerProbe
 from metrics import median
 from quality import (
@@ -77,7 +78,7 @@ class Summary:
     model_sha256: str
 
 
-def learn(data: ClusteredInput) -> Repetition:
+def learn(data: ClusteredInput, gauge: Optional[Gauge] = None) -> Repetition:
     table = data.fresh()
     start = time.perf_counter()
     standardizer = Standardizer(table, data.column)
@@ -90,6 +91,7 @@ def learn(data: ClusteredInput) -> Repetition:
             seed=ONESHOT_DATA_SEED,
         ),
         ready,
+        gauge,
     )
     log = standardizer.run(oracle, ONESHOT_BUDGET, feed=feed)
     end = time.perf_counter()
@@ -145,7 +147,8 @@ def quality(rep: Repetition) -> dict:
 def run(ctx: RunContext) -> Outcome:
     base = address_input(ONESHOT_SCALE, ONESHOT_DATA_SEED)
     orders = [
-        permuted(base, order_rng(ctx.seed, "oneshot", k)) for k in range(ORDERS)
+        permuted(base, order_rng(ctx.seed, "oneshot", k))
+        for k in range(ONESHOT_ORDERS)
     ]
     first = orders[0]
 
@@ -156,9 +159,10 @@ def run(ctx: RunContext) -> Outcome:
         return traced(ctx, first)
 
     measured = {}
+    gauge = Gauge()
 
     def once(rep: int) -> Summary:
-        learned = learn(orders[rep % ORDERS])
+        learned = learn(orders[rep % ONESHOT_ORDERS], gauge)
         if not rep:
             measured.update(quality(learned))
         model = model_of(learned)
@@ -176,18 +180,22 @@ def run(ctx: RunContext) -> Outcome:
             return [f"replay differs from the learner in {rep.mismatches} cells"]
         return []
 
-    reps, setup_s = repeat_for(ctx.seconds, once, setup)
+    reps, setup_s = repeat_for(ctx.seconds, once, setup, ONESHOT_ORDERS)
     outcome = Outcome(metrics={})
     groups = alike_per_order(
         outcome,
         reps,
+        ONESHOT_ORDERS,
         signature=lambda rep: (rep.model_sha256, len(rep.steps)),
         size=lambda rep: rep.questions,
         problems=problems,
     )
-    # Per order: the fastest wait before each question, then the
-    # fastest stretch from the last answer to the end of learning.
-    profiles = [fastest([rep.steps for rep in group]) for group in groups]
+    # Per order: the mean wait before each question, then the mean
+    # stretch from the last answer to the end of learning.
+    profiles = [
+        [gauge.scale(s) for s in mean_profile([rep.steps for rep in group])]
+        for group in groups
+    ]
     waits = wait_metrics([w for steps in profiles for w in steps[:-1]])
     outcome.metrics = {
         "setup_s": setup_s,
@@ -196,7 +204,7 @@ def run(ctx: RunContext) -> Outcome:
         / sum(sum(steps) for steps in profiles),
         "wait_p50_ms": waits["wait_p50_ms"],
         "wait_tail_ms": waits["wait_tail_ms"],
-        "first_result_s": median([steps[0] for steps in profiles]),
+        "first_result_s": sum(steps[0] for steps in profiles) / len(profiles),
         **measured,
     }
     outcome.info = {
@@ -205,6 +213,8 @@ def run(ctx: RunContext) -> Outcome:
         "budget": ONESHOT_BUDGET,
         "wait_samples": waits["wait_samples"],
         "wait_tail_pct": waits["wait_tail_pct"],
+        "wait_tail_pctl_ms": waits["wait_tail_pctl_ms"],
+        "gauge_slowdown": gauge.slowdown,
         "model_sha256": reps[0].model_sha256,
     }
     return outcome

@@ -7,9 +7,9 @@ a bundle to a registry every batch that approves something, and
 standardizes arrivals with the published engine first.  It is the only
 workload that runs ``resolution``, incremental ``fusion``, bundle
 publishing and in-place engine reloads.  Each pass streams the same
-records, in one of a few seed-chosen orders taken in turn, into a fresh
-registry; each batch's time is the fastest of its order's passes (see
-:func:`common.fastest`), and the batches of all orders are pooled.
+records, in the seed-chosen order (``STREAM_ORDERS`` orders, taken in
+turn), into a fresh registry; each batch's time is the mean of its
+order's passes, at the gauge's reference speed (see :mod:`gauge`).
 """
 
 from __future__ import annotations
@@ -29,11 +29,10 @@ from repro.stream import (
 )
 
 from common import (
-    ORDERS,
     Outcome,
     RunContext,
     alike_per_order,
-    fastest,
+    mean_profile,
     repeat_for,
     self_peak_rss_mb,
     wait_metrics,
@@ -43,10 +42,12 @@ from inputs import (
     STREAM_BUDGET,
     STREAM_DATA_SEED,
     STREAM_KEY_ATTRIBUTE,
+    STREAM_ORDERS,
     golden_base,
     order_rng,
     stream_batches,
 )
+from gauge import Gauge
 from layers import LayerProbe, TierClock
 from metrics import median
 from quality import cell_quality, fingerprint, golden_precision, majority
@@ -98,9 +99,12 @@ class Pass:
         )
 
 
-def stream_pass(base, batches, registry: Path, probe=None) -> Pass:
-    """Stream ``batches`` through a fresh consolidator, then check the
-    maintained golden records against a full re-fusion."""
+def stream_pass(
+    base, batches, registry: Path, probe=None, gauge: Optional[Gauge] = None
+) -> Pass:
+    """Stream ``batches`` through a fresh consolidator, sampling the
+    ``gauge`` between batches, then check the maintained golden records
+    against a full re-fusion."""
     tracer = probe.tracer if probe is not None else None
     c = consolidator(base, registry)
     if probe is not None:
@@ -115,6 +119,8 @@ def stream_pass(base, batches, registry: Path, probe=None) -> Pass:
             machine.append(report.seconds - report.stage_seconds.get("oracle", 0.0))
             if report.bundle_version is not None:
                 publishes.append(report.stage_seconds["publish"])
+            if gauge is not None:
+                gauge.sample(report.seconds)
         wall = time.perf_counter() - start
         if tracer is not None:
             tracer.active = False
@@ -195,36 +201,50 @@ def run(ctx: RunContext) -> Outcome:
     if ctx.trace:
         return traced(ctx, base, lambda: arrivals(0))
 
+    gauge = Gauge()
+
     def once(rep: int) -> Pass:
         path = ctx.work / f"pass-{rep}"
         try:
-            return stream_pass(base, arrivals(rep % ORDERS), path)
+            done = stream_pass(base, arrivals(rep % STREAM_ORDERS), path, gauge=gauge)
         finally:
             shutil.rmtree(path, ignore_errors=True)
+        # The batch reports carry each batch's golden changes; kept for
+        # every pass, they would grow the run's peak RSS with the
+        # number of passes, which follows the machine's speed.
+        done.reports = []
+        return done
 
     def problems(p: Pass) -> List[str]:
         if p.golden_ok:
             return []
         return ["maintained golden records differ from full_refusion()"]
 
-    passes, setup_s = repeat_for(ctx.seconds, once, setup)
+    passes, setup_s = repeat_for(ctx.seconds, once, setup, STREAM_ORDERS)
     outcome = Outcome(metrics={})
     groups = alike_per_order(
         outcome,
         passes,
+        STREAM_ORDERS,
         signature=lambda p: p.signature,
         size=lambda p: p.records,
         problems=problems,
     )
-    # Per order: each batch's and each publish's fastest time.
-    machine = [fastest([p.machine for p in group]) for group in groups]
-    publishes = [fastest([p.publishes for p in group]) for group in groups]
+    # Per order: each batch's and each publish's mean time.
+    machine = [
+        [gauge.scale(s) for s in mean_profile([p.machine for p in group])]
+        for group in groups
+    ]
+    publishes = [
+        [gauge.scale(s) for s in mean_profile([p.publishes for p in group])]
+        for group in groups
+    ]
     head = passes[0]
     waits = wait_metrics([s for steps in machine for s in steps])
     outcome.metrics = {
         "setup_s": setup_s,
         "peak_rss_mb": self_peak_rss_mb(),
-        "throughput_per_s": ORDERS * head.records
+        "throughput_per_s": STREAM_ORDERS * head.records
         / sum(sum(steps) for steps in machine),
         "wait_p50_ms": waits["wait_p50_ms"],
         "wait_tail_ms": waits["wait_tail_ms"],
@@ -239,6 +259,8 @@ def run(ctx: RunContext) -> Outcome:
         "budget": STREAM_BUDGET,
         "wait_samples": waits["wait_samples"],
         "wait_tail_pct": waits["wait_tail_pct"],
+        "wait_tail_pctl_ms": waits["wait_tail_pctl_ms"],
+        "gauge_slowdown": gauge.slowdown,
         "model_sha256": head.bundle_sha256,
     }
     return outcome
