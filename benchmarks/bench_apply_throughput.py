@@ -154,6 +154,15 @@ def test_apply_throughput(benchmark, apply_dataset):
 
     record_result(
         "apply_throughput",
+        directions={
+            "rows": "info",
+            "learn_seconds": "lower",
+            "replay_seconds": "lower",
+            "engine_seconds": "lower",
+            "engine_speedup": "higher",
+            "replay_speedup": "higher",
+            "steady_rows_per_sec": "higher",
+        },
         test="engine_vs_relearn",
         rows=len(values),
         learn_seconds=round(t_learn, 4),
@@ -274,6 +283,16 @@ def test_skewed_columnar_apply(benchmark, skewed_workload):
     # gate only builds series from rows without one.
     record_result(
         "apply_skewed",
+        directions={
+            "rows": "info",
+            "distinct": "info",
+            "per_row_seconds": "lower",
+            "memoized_seconds": "lower",
+            "columnar_seconds": "lower",
+            "skewed_speedup": "higher",
+            "memoized_speedup": "higher",
+            "columnar_rows_per_second": "higher",
+        },
         rows=len(values),
         distinct=distinct,
         per_row_seconds=round(t_per_row, 4),
@@ -351,6 +370,12 @@ def test_sidecar_reload(tmp_path):
 
     record_result(
         "apply_sidecar_reload",
+        directions={
+            "rules": "info",
+            "recompile_seconds": "lower",
+            "sidecar_seconds": "lower",
+            "reload_speedup": "higher",
+        },
         rules=SIDECAR_RULES,
         recompile_seconds=round(t_recompile, 4),
         sidecar_seconds=round(t_sidecar, 4),

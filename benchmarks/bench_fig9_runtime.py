@@ -18,7 +18,7 @@ import pytest
 from repro.evaluation import format_runtime, run_grouping_runtime
 from repro.datagen import address_dataset, authorlist_dataset, journaltitle_dataset
 
-from conftest import BASE_SCALES, SCALE, print_banner, report
+from conftest import BASE_SCALES, SCALE, print_banner, record_result, report
 
 #: Figure 9 runs on reduced slices: OneShot is exponential by design.
 FIG9_FACTOR = 0.35
@@ -53,6 +53,7 @@ def test_fig9_runtime(benchmark, fig9_datasets):
         rounds=1,
         iterations=1,
     )
+    learner = {}
     for name, curves in all_curves.items():
         print_banner(
             f"Figure 9 ({name}): cumulative seconds until k groups available"
@@ -66,7 +67,28 @@ def test_fig9_runtime(benchmark, fig9_datasets):
             f"earlyterm={first_early:.2f}s incremental={first_incr:.3f}s "
             f"(paper AuthorList: 4900 / 1800 / 1.6)"
         )
+        learner[name.lower()] = (first_incr, curves["incremental"][-1].seconds)
         # Shape assertions: incremental's first group is far cheaper
         # than either upfront partitioning.
         assert first_incr < first_oneshot
         assert first_incr < first_early
+    # The learner's gated series: the incremental grouper's time to its
+    # first group and to its MAX_GROUPS-th, summed over the datasets
+    # (one dataset's first group takes milliseconds, too little for a
+    # multiplicative gate on its own); per-dataset figures ride along.
+    fields = {
+        "first_group_seconds": round(sum(f for f, _ in learner.values()), 4),
+        "total_seconds": round(sum(t for _, t in learner.values()), 4),
+    }
+    for key, (first, total) in learner.items():
+        fields[f"{key}_first_group_seconds"] = round(first, 4)
+        fields[f"{key}_total_seconds"] = round(total, 4)
+    record_result(
+        "fig9_runtime",
+        directions={
+            field: "lower" if field in ("first_group_seconds", "total_seconds")
+            else "info"
+            for field in fields
+        },
+        **fields,
+    )

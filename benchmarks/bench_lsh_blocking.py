@@ -169,6 +169,16 @@ def test_lsh_blocking_speedup_and_pruning():
     )
     record_result(
         "lsh_blocking",
+        directions={
+            "records": "info",
+            "token_seconds": "lower",
+            "lsh_seconds": "lower",
+            "speedup": "higher",
+            "pairs_token": "info",
+            "pairs_lsh": "lower",
+            "recall_token": "higher",
+            "recall_lsh": "higher",
+        },
         test="speedup",
         records=n_records,
         token_seconds=round(t_token, 4),
@@ -253,6 +263,7 @@ def test_lsh_sharded_models_and_questions_identical(lsh_stream):
     )
     record_result(
         "lsh_blocking",
+        directions={"questions": "info", "groups": "info"},
         test="sharded_equivalence",
         questions=sum(q1),
         groups=len(g1),

@@ -125,6 +125,14 @@ def test_disabled_overhead_under_5_percent():
 
     record_result(
         "obs_overhead",
+        directions={
+            "rows": "info",
+            "disabled_seconds": "lower",
+            "enabled_seconds": "lower",
+            "hook_seconds_per_call": "lower",
+            "disabled_overhead": "lower",
+            "enabled_overhead": "lower",
+        },
         rows=rows,
         disabled_seconds=round(t_disabled, 6),
         enabled_seconds=round(t_enabled, 6),

@@ -181,6 +181,17 @@ def test_yield_order_equal_quality_fewer_questions(stream, discovery):
     )
     record_result(
         "oracle_budget",
+        directions={
+            "records": "info",
+            "columns": "info",
+            "batches": "info",
+            "discovery_questions": "lower",
+            "oracle_questions": "lower",
+            "cells_correct_discovery": "higher",
+            "cells_correct_yield": "higher",
+            "inferred_verdicts": "higher",
+            "questions_saved_ratio": "higher",
+        },
         comparison="yield_vs_discovery",
         records=stream.num_records,
         columns=len(stream.columns),

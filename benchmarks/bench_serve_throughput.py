@@ -188,6 +188,15 @@ def test_serve_throughput_under_hot_reload(
     )
     record_result(
         "serve_throughput",
+        directions={
+            "clients": "info",
+            "requests": "info",
+            "batch_values": "info",
+            "elapsed_seconds": "lower",
+            "requests_per_second": "higher",
+            "rows_per_second": "higher",
+            "reloads": "info",
+        },
         clients=CLIENTS,
         requests=total,
         batch_values=BATCH_VALUES,
@@ -269,6 +278,12 @@ def test_hot_swap_latency_with_sidecar(tmp_path):
 
     record_result(
         "serve_hot_swap",
+        directions={
+            "rules": "info",
+            "recompile_swap_seconds": "lower",
+            "sidecar_swap_seconds": "lower",
+            "swap_speedup": "higher",
+        },
         rules=SWAP_RULES,
         recompile_swap_seconds=round(t_recompile, 4),
         sidecar_swap_seconds=round(t_sidecar, 4),

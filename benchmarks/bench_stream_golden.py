@@ -133,6 +133,16 @@ def test_incremental_fusion_vs_full_per_batch_refusion(stream):
 
     record_result(
         "stream_golden",
+        directions={
+            "records": "info",
+            "columns": "info",
+            "batches": "info",
+            "full_ms": "lower",
+            "incremental_ms": "lower",
+            "speedup": "higher",
+            "work_ratio": "higher",
+            "questions": "lower",
+        },
         test="incremental_vs_full_refusion",
         records=stream.num_records,
         columns=len(stream.columns),

@@ -155,6 +155,13 @@ def test_stream_incremental_vs_full_relearn(stream):
 
     record_result(
         "stream_incremental",
+        directions={
+            "records": "info",
+            "full_seconds": "lower",
+            "incremental_seconds": "lower",
+            "speedup": "higher",
+            "agreement": "higher",
+        },
         test="incremental_vs_relearn",
         records=stream.num_records,
         full_seconds=round(t_full, 4),

@@ -149,6 +149,14 @@ def test_sharded_stream_speedup_and_equivalence(stream, tmp_path):
 
     record_result(
         "stream_sharded",
+        directions={
+            "shards": "info",
+            "records": "info",
+            "single_seconds": "lower",
+            "sharded_seconds": "lower",
+            "speedup": "higher",
+            "extra_questions": "lower",
+        },
         test="speedup",
         shards=SHARDS,
         cpus=cpus,
@@ -199,6 +207,11 @@ def test_restart_resume_zero_repeat_questions(stream, tmp_path):
     )
     record_result(
         "stream_sharded",
+        directions={
+            "first_questions": "lower",
+            "resume_questions": "lower",
+            "resume_seconds": "lower",
+        },
         test="restart_resume",
         first_questions=sum(q_first),
         resume_questions=sum(q_resume),
@@ -274,6 +287,13 @@ def test_shard_resident_state_ships_only_new_values():
     report(f"bytes shipped / batch   : {bytes_shipped}")
     record_result(
         "stream_sharded",
+        # Per-batch lists: recorded for the trajectory, not gated.
+        directions={
+            "batch_size": "info",
+            "pairs": "info",
+            "values_shipped": "info",
+            "bytes_shipped": "info",
+        },
         test="resident_bytes",
         batch_size=batch_size,
         pairs=pairs,

@@ -23,11 +23,12 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import pytest
 
 from repro.datagen import address_dataset, authorlist_dataset, journaltitle_dataset
+from repro.obs.baseline import DIRECTIONS
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
@@ -65,7 +66,9 @@ def _git_sha() -> Optional[str]:
     return _GIT_SHA
 
 
-def record_result(bench: str, **fields) -> dict:
+def record_result(
+    bench: str, directions: Optional[Dict[str, str]] = None, **fields
+) -> dict:
     """Append one result row to ``results/BENCH_<bench>.json``.
 
     Every row carries the timestamp, bench scale, interpreter, git
@@ -73,7 +76,20 @@ def record_result(bench: str, **fields) -> dict:
     stay comparable; ``fields`` adds the benchmark's own numbers
     (timings, sizes, speedups).  Rows are JSON-lines — one object per
     line, append-only.
+
+    ``directions`` declares, per field, ``"higher"`` or ``"lower"``
+    (which way the number improves) or ``"info"`` (workload constants:
+    recorded, never gated).  ``repro bench`` gates only the fields a
+    row declares ``higher``/``lower``.
     """
+    if directions is not None:
+        unknown = sorted(set(directions) - set(fields))
+        if unknown:
+            raise ValueError(f"{bench}: directions for unrecorded {unknown}")
+        invalid = sorted(n for n, way in directions.items() if way not in DIRECTIONS)
+        if invalid:
+            raise ValueError(f"{bench}: {invalid} not one of {DIRECTIONS}")
+        fields["directions"] = directions
     row = {
         "bench": bench,
         "timestamp": round(time.time(), 3),

@@ -119,29 +119,71 @@ def constant_whitelist(
     )
 
 
+#: Edges of built graphs, keyed so that a hit is exactly the graph a
+#: fresh ``build_graph`` would return (see :func:`graph_memo_key`).
+GraphMemo = Dict[Tuple, Dict[Tuple[int, int], Tuple]]
+
+
+def graph_memo_key(
+    replacement: Replacement, whitelist: Optional[frozenset]
+) -> Tuple:
+    """Memo key of one graph build within a structure group.
+
+    Vocabulary and config are fixed per group; the whitelist is not (it
+    is recomputed over the surviving members), so the key keeps the part
+    of it that can reach this graph.  ``_constant_admitted`` looks up
+    the tokens of *substrings* of ``rhs`` — a ``"2"`` cut from ``"12"``
+    counts — so that part is every whitelisted token occurring anywhere
+    in ``rhs``, not only ``rhs``'s own tokens.
+    """
+    if whitelist is not None:
+        whitelist = frozenset(t for t in whitelist if t in replacement.rhs)
+    return (replacement.lhs, replacement.rhs, whitelist)
+
+
 def build_graphs(
     replacements: Sequence[Replacement],
     vocabulary: TermVocabulary,
     config: Config,
+    stats: Optional[SearchStats] = None,
+    memo: Optional[GraphMemo] = None,
 ) -> Tuple[InvertedIndex, Dict[int, Replacement], List[Replacement]]:
     """Build graphs + inverted index for one structure group.
 
     Returns the index, the gid -> replacement mapping, and the list of
-    replacements that could not get a graph (oversized strings).
+    replacements that could not get a graph (oversized strings).  With
+    ``memo`` (owned by one structure group) a graph whose key was built
+    before is registered from its kept edges instead of being rebuilt;
+    ``stats`` counts ``graphs_built`` / ``graphs_reused``.
     """
     index = InvertedIndex()
     by_gid: Dict[int, Replacement] = {}
     graphless: List[Replacement] = []
     whitelist = constant_whitelist(replacements, config)
+    built = reused = 0
     for replacement in replacements:
-        graph = build_graph(
-            replacement.lhs, replacement.rhs, vocabulary, config, whitelist
-        )
-        if graph is None:
-            graphless.append(replacement)
+        key = edges = None
+        if memo is not None:
+            key = graph_memo_key(replacement, whitelist)
+            edges = memo.get(key)
+        if edges is None:
+            graph = build_graph(
+                replacement.lhs, replacement.rhs, vocabulary, config, whitelist
+            )
+            if graph is None:
+                graphless.append(replacement)
+                continue
+            if memo is not None:
+                memo[key] = graph.edges
+            built += 1
         else:
-            gid = index.add_graph(graph)
-            by_gid[gid] = replacement
+            # A fresh graph object: ``gid`` is per index.
+            graph = TransformationGraph(replacement.lhs, replacement.rhs, edges)
+            reused += 1
+        by_gid[index.add_graph(graph)] = replacement
+    if stats is not None:
+        stats.graphs_built += built
+        stats.graphs_reused += reused
     return index, by_gid, graphless
 
 
@@ -152,7 +194,9 @@ def _group_structure_bucket(
     stats: SearchStats,
 ) -> List[Group]:
     """Pivot-path grouping of one structure bucket (Algorithm 2 body)."""
-    index, by_gid, graphless = build_graphs(replacements, vocabulary, config)
+    index, by_gid, graphless = build_graphs(
+        replacements, vocabulary, config, stats
+    )
     groups: List[Group] = [singleton_group(r) for r in graphless]
     if not by_gid:
         return groups

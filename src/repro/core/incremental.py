@@ -22,6 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..config import DEFAULT_CONFIG, Config
 from .grouping import (
+    GraphMemo,
     Group,
     build_graphs,
     build_group_vocabulary,
@@ -60,6 +61,7 @@ class _Source:
         self.config = config
         self.stats = stats
         self.index: Optional[InvertedIndex] = None
+        self.memo: GraphMemo = {}
         self.by_gid: Dict[int, Replacement] = {}
         self.graphless: List[Replacement] = []
         self.live: Set[int] = set()
@@ -96,7 +98,7 @@ class _Source:
         if self.index is not None:
             return
         self.index, self.by_gid, self.graphless = build_graphs(
-            self.replacements, self.vocabulary, self.config
+            self.replacements, self.vocabulary, self.config, self.stats, self.memo
         )
         self.live = set(self.by_gid)
         for gid in self.live:
@@ -204,6 +206,10 @@ class _Source:
         what makes ``--shards N`` publish byte-identical models.
         Untouched sources keep their state: their (deterministic)
         build-plus-pop history is the same on every path.
+
+        The reset keeps the built graph edges (``memo``) of the
+        survivors: a memo hit is exactly the graph a fresh build would
+        return, so the rebuild costs only the index, not the graphs.
         """
         if self.index is None:
             self.replacements = [r for r in self.replacements if r not in dead]
@@ -214,6 +220,8 @@ class _Source:
         self.replacements = [
             r for r in self.replacements if r in alive and r not in dead
         ]
+        survivors = {(r.lhs, r.rhs) for r in self.replacements}
+        self.memo = {k: v for k, v in self.memo.items() if k[:2] in survivors}
         self.index = None
         self.by_gid = {}
         self.graphless = []

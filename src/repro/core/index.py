@@ -5,140 +5,131 @@ The posting list of a string function ``f`` holds every triple
 ``f``.  Intersections are *adjacency-aware*: an entry ``<G, i1, j1>``
 joins ``<G, i2, j2>`` only when ``j1 == i2``, producing ``<G, i1, j2>``.
 
-Because every path the pivot search maintains starts at node ``n1``,
-path states are stored compactly as ``{gid: frozenset(end_nodes)}``
-("which graphs contain the current path as a prefix from node 1, and at
-which end positions").
+Labels are interned once, when a graph is registered, into dense int
+ids: ``labels[id]`` is the label, ``keys[id]`` its
+:func:`~repro.core.functions.label_sort_key`, and ``ids`` maps back.
+Each graph's edges are kept as id tuples (``out_edges[gid]``), so the
+pivot search never hashes or re-keys a label object.
+
+A posting is ``{gid: {start: end_mask}}`` where bit ``j`` of
+``end_mask`` is set iff the label sits on edge ``(start, j)``.  Because
+every path the pivot search maintains starts at node ``n1``, a path
+state is ``{gid: end_mask}``: which graphs contain the current path as
+a prefix from node 1, with bit ``j`` set for every end position ``j``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .functions import StringFunction
+from .functions import StringFunction, label_sort_key
 from .graph import TransformationGraph
 
-#: ``gid -> start_node -> tuple(end_nodes)``
-Posting = Dict[int, Dict[int, Tuple[int, ...]]]
+#: ``gid -> start_node -> end_mask``
+Posting = Dict[int, Dict[int, int]]
 
-#: ``gid -> set(end_nodes)`` for paths anchored at node 1.
-PathState = Dict[int, FrozenSet[int]]
+#: ``gid -> end_mask`` for paths anchored at node 1.
+PathState = Dict[int, int]
+
+#: ``node -> [(end_node, label ids)]``, in the graph's edge order.
+IdEdges = Dict[int, List[Tuple[int, Tuple[int, ...]]]]
 
 
 class InvertedIndex:
-    """Index of edge labels across a collection of graphs."""
+    """Index of interned edge labels across a collection of graphs."""
 
     def __init__(self) -> None:
-        self._postings: Dict[StringFunction, Dict[int, Dict[int, List[int]]]] = {}
+        self.ids: Dict[StringFunction, int] = {}
+        self.labels: List[StringFunction] = []
+        self.keys: List[Tuple] = []
+        self.postings: List[Posting] = []
         self.graphs: Dict[int, TransformationGraph] = {}
         self.last_node: Dict[int, int] = {}
-        self._next_gid = 0
-        self._frozen: Dict[StringFunction, Posting] = {}
+        self.out_edges: Dict[int, IdEdges] = {}
 
     def add_graph(self, graph: TransformationGraph) -> int:
         """Register a graph; assigns and returns its gid."""
-        gid = self._next_gid
-        self._next_gid += 1
+        gid = len(self.graphs)
         graph.gid = gid
         self.graphs[gid] = graph
         self.last_node[gid] = graph.last_node
-        for (i, j), label in graph.all_labels():
-            by_graph = self._postings.setdefault(label, {})
-            by_graph.setdefault(gid, {}).setdefault(i, []).append(j)
-        self._frozen.clear()
+        ids = self.ids
+        postings = self.postings
+        out: IdEdges = {}
+        for i, targets in graph.out_edges.items():
+            row = out[i] = []
+            for j, labels in targets:
+                bit = 1 << j
+                edge_ids = []
+                for label in labels:
+                    lid = ids.get(label)
+                    if lid is None:
+                        lid = ids[label] = len(self.labels)
+                        self.labels.append(label)
+                        self.keys.append(label_sort_key(label))
+                        postings.append({})
+                    starts = postings[lid].setdefault(gid, {})
+                    starts[i] = starts.get(i, 0) | bit
+                    edge_ids.append(lid)
+                row.append((j, tuple(edge_ids)))
+        self.out_edges[gid] = out
         return gid
 
     def add_graphs(self, graphs: Iterable[TransformationGraph]) -> List[int]:
         return [self.add_graph(g) for g in graphs]
 
-    def posting(self, label: StringFunction) -> Posting:
-        """The (frozen) posting of ``label``; empty dict if unknown."""
-        frozen = self._frozen.get(label)
-        if frozen is None:
-            raw = self._postings.get(label)
-            if raw is None:
-                return {}
-            frozen = {
-                gid: {start: tuple(sorted(ends)) for start, ends in starts.items()}
-                for gid, starts in raw.items()
-            }
-            self._frozen[label] = frozen
-        return frozen
-
-    def posting_size(self, label: StringFunction) -> int:
-        """Number of distinct graphs whose edge sets contain ``label``."""
-        raw = self._postings.get(label)
-        return len(raw) if raw is not None else 0
-
-    def posting_size_live(
-        self, label: StringFunction, live: Optional[Set[int]]
-    ) -> int:
-        """Distinct *live* graphs containing ``label``."""
-        raw = self._postings.get(label)
-        if raw is None:
-            return 0
+    def posting_size_live(self, lid: int, live: Optional[Set[int]]) -> int:
+        """Distinct *live* graphs containing label ``lid``."""
+        posting = self.postings[lid]
         if live is None:
-            return len(raw)
-        return sum(1 for gid in raw if gid in live)
+            return len(posting)
+        return sum(1 for gid in posting if gid in live)
 
     def initial_state(
-        self, label: StringFunction, live: Optional[Set[int]] = None
+        self, lid: int, live: Optional[Set[int]] = None
     ) -> PathState:
-        """Path state for the single-label path ``[label]`` from node 1."""
+        """Path state for the single-label path ``[lid]`` from node 1."""
         state: PathState = {}
-        for gid, starts in self.posting(label).items():
+        for gid, starts in self.postings[lid].items():
             if live is not None and gid not in live:
                 continue
             ends = starts.get(1)
             if ends:
-                state[gid] = frozenset(ends)
+                state[gid] = ends
         return state
 
-    def extend_state(
-        self,
-        state: PathState,
-        label: StringFunction,
-        live: Optional[Set[int]] = None,
-    ) -> PathState:
-        """Adjacency-aware intersection: append ``label`` to the path."""
-        posting = self.posting(label)
+    def extend_state(self, state: PathState, lid: int) -> PathState:
+        """Adjacency-aware intersection: append label ``lid`` to the
+        path.  The new end mask of a graph ORs the follow masks of the
+        label's starts whose bit is set in the current end mask."""
+        posting = self.postings[lid]
         nxt: PathState = {}
         for gid, ends in state.items():
-            if live is not None and gid not in live:
-                continue
             starts = posting.get(gid)
             if starts is None:
                 continue
-            new_ends: Set[int] = set()
-            for end in ends:
-                follow = starts.get(end)
-                if follow:
-                    new_ends.update(follow)
-            if new_ends:
-                nxt[gid] = frozenset(new_ends)
+            mask = 0
+            for start, follow in starts.items():
+                if ends >> start & 1:
+                    mask |= follow
+            if mask:
+                nxt[gid] = mask
         return nxt
 
-    def complete_members(
-        self, state: PathState, live: Optional[Set[int]] = None
-    ) -> Tuple[int, ...]:
+    def complete_members(self, state: PathState) -> Tuple[int, ...]:
         """Graphs for which the path is a full transformation path.
 
         An entry ``<G, 1, j>`` is complete iff ``j`` is ``G``'s last
         node — the path spans ``G``'s entire output string.
         """
-        members = []
-        for gid, ends in state.items():
-            if live is not None and gid not in live:
-                continue
-            if self.last_node[gid] in ends:
-                members.append(gid)
-        return tuple(sorted(members))
-
-    def state_size(self, state: PathState, live: Optional[Set[int]] = None) -> int:
-        """Number of graphs containing the path as a prefix."""
-        if live is None:
-            return len(state)
-        return sum(1 for gid in state if gid in live)
+        last_node = self.last_node
+        return tuple(
+            sorted(
+                gid
+                for gid, ends in state.items()
+                if ends >> last_node[gid] & 1
+            )
+        )
 
     def __len__(self) -> int:
         return len(self.graphs)

@@ -110,12 +110,18 @@ class SearchStats:
     completions: int = 0
     prunes: int = 0
     searches: int = 0
+    #: graphs registered from a fresh ``build_graph`` vs. from edges
+    #: kept across a source reset (``built + reused`` = registered).
+    graphs_built: int = 0
+    graphs_reused: int = 0
 
     def merge(self, other: "SearchStats") -> None:
         self.expansions += other.expansions
         self.completions += other.completions
         self.prunes += other.prunes
         self.searches += other.searches
+        self.graphs_built += other.graphs_built
+        self.graphs_reused += other.graphs_reused
 
 
 def search_pivot(
@@ -175,11 +181,6 @@ def search_pivot(
     return best[1]
 
 
-def _state_key(state: PathState) -> Tuple:
-    """Hashable identity of a posting state (for sibling dedup)."""
-    return tuple(sorted((gid, ends) for gid, ends in state.items()))
-
-
 def _dfs(
     graph: TransformationGraph,
     index: InvertedIndex,
@@ -187,20 +188,20 @@ def _dfs(
     live: Optional[Set[int]],
     node: int,
     state: Optional[PathState],
-    path: List[StringFunction],
+    path: List[int],
     best: List,
     floor: int,
     bounds: Optional[GlobalBounds],
     stats: Optional[SearchStats],
     budget: List,
 ) -> None:
+    keys = index.keys
     if node == graph.last_node:
-        members = (
-            index.complete_members(state, live) if state is not None else ()
-        )
+        members = index.complete_members(state) if state is not None else ()
         if not members:
             return
-        if all(isinstance(f, ConstantStr) for f in path):
+        labels = tuple(index.labels[lid] for lid in path)
+        if all(isinstance(f, ConstantStr) for f in labels):
             # An input-independent program ("everything becomes T") is
             # not a transformation: grouping unrelated pairs under it
             # has no generalization value and the expert always rejects
@@ -208,10 +209,7 @@ def _dfs(
             members = (graph.gid,)
         count = len(members)
         candidate = PivotCandidate(
-            count,
-            tuple(label_sort_key(f) for f in path),
-            tuple(path),
-            members,
+            count, tuple(keys[lid] for lid in path), labels, members
         )
         if stats is not None:
             stats.completions += 1
@@ -230,17 +228,20 @@ def _dfs(
         return
 
     prune_local = config.local_threshold
+    postings = index.postings
     # Gather, dedupe, and order the extensions of this node before
     # recursing: exploring the widest-shared extension first raises the
     # local threshold quickly, which is what makes the pruning bite.
-    extensions: Dict[Tuple, Tuple[int, StringFunction, PathState]] = {}
+    # Siblings reaching the same node with the same posting state are
+    # one extension; the smallest label key represents them.
+    extensions: Dict[Tuple, Tuple[int, int, PathState]] = {}
     state_size = len(state) if state is not None else len(index)
-    for j, labels in graph.out_edges.get(node, ()):
-        for label in labels:
+    for j, lids in index.out_edges[graph.gid].get(node, ()):
+        for lid in lids:
             # Cheap pre-filter: a join can never exceed the label's own
             # posting size, so skip the join outright when it cannot
             # beat the thresholds.
-            cap = min(state_size, index.posting_size(label))
+            cap = min(state_size, len(postings[lid]))
             if prune_local and cap <= best[0]:
                 if stats is not None:
                     stats.prunes += 1
@@ -250,9 +251,9 @@ def _dfs(
                     stats.prunes += 1
                 continue
             if state is None:
-                nxt = index.initial_state(label, live)
+                nxt = index.initial_state(lid, live)
             else:
-                nxt = index.extend_state(state, label, live)
+                nxt = index.extend_state(state, lid)
             size = len(nxt)
             if size == 0:
                 continue
@@ -264,16 +265,16 @@ def _dfs(
                 if stats is not None:
                     stats.prunes += 1
                 continue
-            key = (j, _state_key(nxt))
+            key = (j, tuple(sorted(nxt.items())))
             held = extensions.get(key)
-            if held is None or label_sort_key(label) < label_sort_key(held[1]):
-                extensions[key] = (size, label, nxt)
+            if held is None or keys[lid] < keys[held[1]]:
+                extensions[key] = (size, lid, nxt)
 
     ordered = sorted(
         extensions.items(),
-        key=lambda item: (-item[1][0], label_sort_key(item[1][1])),
+        key=lambda item: (-item[1][0], keys[item[1][1]]),
     )
-    for (j, _skey), (size, label, nxt) in ordered:
+    for (j, _skey), (size, lid, nxt) in ordered:
         # Thresholds may have tightened while exploring siblings.
         if prune_local and size <= best[0]:
             if stats is not None:
@@ -284,7 +285,7 @@ def _dfs(
         budget[0] -= 1
         if stats is not None:
             stats.expansions += 1
-        path.append(label)
+        path.append(lid)
         _dfs(
             graph,
             index,
@@ -316,14 +317,13 @@ def initial_upper_bound(
     """
     n = len(graph.target)
     ub = [0] * (n + 1)  # 1-based positions 1..n
-    for (i, j), labels in graph.edges.items():
-        edge_max = 0
-        for label in labels:
-            size = index.posting_size_live(label, live)
-            if size > edge_max:
-                edge_max = size
-        for k in range(i, j):
-            if edge_max > ub[k]:
-                ub[k] = edge_max
+    for i, targets in index.out_edges[graph.gid].items():
+        for j, lids in targets:
+            edge_max = max(
+                (index.posting_size_live(lid, live) for lid in lids), default=0
+            )
+            for k in range(i, j):
+                if edge_max > ub[k]:
+                    ub[k] = edge_max
     positions = ub[1:] if n >= 1 else []
     return max(1, min(positions)) if positions else 1

@@ -12,8 +12,12 @@ This module closes the loop:
   timing and one per ``(bench, headline field)``;
 * :func:`build_baseline` — the committed reference: per-series median
   (robust to one noisy run) over the history, with the metric's
-  direction (``lower`` is better for seconds/overheads, ``higher`` for
-  speedups/throughputs) inferred from the field name;
+  direction.  A row declares each field's direction under
+  ``"directions"`` (``higher``, ``lower``, or ``info`` for workload
+  constants and other never-gated context), and only its declared
+  ``higher``/``lower`` fields become series.  Rows recorded before
+  declarations existed fall back to inferring the direction from the
+  field name (:func:`direction_of`);
 * :func:`check` — compare each series' *latest* value against the
   baseline with a multiplicative tolerance; a ``lower`` metric
   regresses when ``latest > baseline * tolerance``, a ``higher``
@@ -56,7 +60,12 @@ _NON_METRIC_FIELDS = {
     "scale",
     "timestamp",
     "rows",
+    "directions",
 }
+
+#: what a row may declare per field under ``"directions"``; ``info``
+#: fields are recorded context (config constants) and never gated.
+DIRECTIONS = ("higher", "lower", "info")
 
 #: headline-field name fragments that mean *higher* is better; every
 #: other numeric field (seconds, overheads, byte counts) gates as
@@ -65,7 +74,9 @@ _HIGHER_IS_BETTER = ("speedup", "throughput", "ratio", "per_second")
 
 
 def direction_of(field: str) -> str:
-    """``"higher"`` or ``"lower"`` — which way the metric improves."""
+    """``"higher"`` or ``"lower"`` — which way the metric improves,
+    guessed from the field name.  Only rows without declared
+    ``"directions"`` (recorded before declarations existed) use it."""
     lowered = field.lower()
     if any(marker in lowered for marker in _HIGHER_IS_BETTER):
         return "higher"
@@ -92,40 +103,61 @@ def _iter_rows(path: Path) -> Iterator[Row]:
             yield row
 
 
-def _series_of(bench: str, row: Row) -> List[Tuple[str, float]]:
-    """The ``(series key, value)`` points contributed by one row.
+def _series_of(bench: str, row: Row) -> List[Tuple[str, float, str]]:
+    """The ``(series key, value, direction)`` points of one row.
 
     Auto test rows (``test`` + ``seconds``) contribute their wall
     clock only when the test passed — a failed run's timing measures
     the failure, not the code.  Headline rows contribute every numeric
-    field that is not provenance.
+    field that is not provenance, with the direction the row declares
+    for it (``info`` when a declaring row leaves it out) or, in a row
+    without declarations, the one inferred from its name.
     """
-    points: List[Tuple[str, float]] = []
+    points: List[Tuple[str, float, str]] = []
     if "test" in row:
         if row.get("outcome") == "passed" and isinstance(
             row.get("seconds"), (int, float)
         ):
-            points.append((f"{bench}::{row['test']}", float(row["seconds"])))
+            points.append(
+                (f"{bench}::{row['test']}", float(row["seconds"]), "lower")
+            )
         return points
+    declared = row.get("directions")
     for field, value in row.items():
         if field in _NON_METRIC_FIELDS:
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             continue
-        points.append((f"{bench}:{field}", float(value)))
+        if isinstance(declared, dict):
+            direction = declared.get(field, "info")
+        else:
+            direction = direction_of(field)
+        points.append((f"{bench}:{field}", float(value), direction))
     return points
 
 
-def load_history(results_dir: PathLike) -> Dict[str, List[float]]:
-    """All series in a results directory, points in append order."""
+def _load(results_dir: PathLike) -> Tuple[Dict[str, List[float]], Dict[str, str]]:
+    """Every gated series' points in append order, and its direction.
+
+    The latest row decides a series' direction, so declaring a field
+    ``info`` retires the series its older, undeclared rows started.
+    """
     series: Dict[str, List[float]] = {}
+    directions: Dict[str, str] = {}
     root = Path(results_dir)
     for path in sorted(root.glob("BENCH_*.json")):
         bench = path.stem[len("BENCH_"):]
         for row in _iter_rows(path):
-            for key, value in _series_of(bench, row):
+            for key, value, direction in _series_of(bench, row):
                 series.setdefault(key, []).append(value)
-    return series
+                directions[key] = direction
+    gated = {k: v for k, v in series.items() if directions[k] != "info"}
+    return gated, directions
+
+
+def load_history(results_dir: PathLike) -> Dict[str, List[float]]:
+    """All series in a results directory, points in append order."""
+    return _load(results_dir)[0]
 
 
 def build_baseline(
@@ -142,7 +174,7 @@ def build_baseline(
     Series with non-positive values are excluded for the same reason —
     a multiplicative tolerance has no meaning at or below zero.
     """
-    series = load_history(results_dir)
+    series, directions = _load(results_dir)
     metrics: Dict[str, Dict[str, object]] = {}
     skipped: Dict[str, str] = {}
     for key, values in sorted(series.items()):
@@ -158,10 +190,9 @@ def build_baseline(
                 f"> {max_spread:g}x)"
             )
             continue
-        field = key.rsplit(":", 1)[-1] if "::" not in key else "seconds"
         metrics[key] = {
             "baseline": round(statistics.median(values), 9),
-            "direction": direction_of(field),
+            "direction": directions[key],
             "points": len(values),
         }
     return {

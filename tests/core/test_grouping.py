@@ -3,14 +3,20 @@
 import pytest
 
 from repro.config import Config
+from repro.core.graph import build_graph
 from repro.core.grouping import (
     Group,
+    build_graphs,
+    constant_whitelist,
+    graph_memo_key,
     group_sort_key,
     singleton_group,
     unsupervised_grouping,
 )
+from repro.core.pivot import SearchStats
 from repro.core.program import Program
 from repro.core.replacement import Replacement
+from repro.core.terms import DEFAULT_VOCABULARY
 
 
 @pytest.fixture
@@ -155,3 +161,65 @@ class TestGroupHelpers:
     def test_describe_lists_members(self):
         g = singleton_group(Replacement("x", "y"))
         assert "'x' -> 'y'" in g.describe()
+
+
+def built_graphs(replacements, config, memo=None, stats=None):
+    """``build_graphs`` as comparable data: per replacement its edges,
+    plus the graphless list."""
+    index, by_gid, graphless = build_graphs(
+        replacements, DEFAULT_VOCABULARY, config, stats, memo
+    )
+    return (
+        [(by_gid[gid], index.graphs[gid].edges) for gid in sorted(by_gid)],
+        graphless,
+    )
+
+
+class TestGraphMemo:
+    #: Unaligned constants let a "2" be cut out of "12".
+    CONFIG = Config(aligned_constants=False)
+    BUCKET = [
+        Replacement("12 Main Street", "12 Main"),
+        Replacement("2 Oak Street", "2 Oak"),
+        Replacement("2 Elm Street", "2 Elm"),
+        Replacement("Pine Street", "Pine"),
+    ]
+
+    def test_partial_token_of_rhs_is_in_the_key(self):
+        """``_constant_admitted`` tokenizes substrings of rhs, so a
+        whitelisted "2" reaches "12 Main" though it is none of its own
+        tokens: the graphs differ and so must the keys."""
+        target = self.BUCKET[0]
+        with_two, without = frozenset({"2", "Oak"}), frozenset({"Oak"})
+        graphs = [
+            build_graph(target.lhs, target.rhs, DEFAULT_VOCABULARY, self.CONFIG, w)
+            for w in (with_two, without)
+        ]
+        assert graphs[0].edges != graphs[1].edges
+        assert graph_memo_key(target, with_two) == ("12 Main Street", "12 Main", {"2"})
+        assert graph_memo_key(target, without) == ("12 Main Street", "12 Main", set())
+        assert graph_memo_key(target, None)[2] is None
+
+    def test_memoized_builds_equal_fresh_builds_across_a_whitelist_change(self):
+        memo = {}
+        stats = SearchStats()
+        assert constant_whitelist(self.BUCKET, self.CONFIG) == {"2"}
+        first = built_graphs(self.BUCKET, self.CONFIG, memo, stats)
+        assert first == built_graphs(self.BUCKET, self.CONFIG)
+        # Dropping "2 Elm" leaves "2" in one target: no longer recurring,
+        # so "12 Main" loses its "2" constants and must be rebuilt.
+        survivors = [r for r in self.BUCKET if r.rhs != "2 Elm"]
+        assert constant_whitelist(survivors, self.CONFIG) == frozenset()
+        second = built_graphs(survivors, self.CONFIG, memo, stats)
+        assert second == built_graphs(survivors, self.CONFIG)
+        assert second[0][0][1] != first[0][0][1]
+        # Only "Pine", out of reach of the changed whitelist, is reused.
+        assert (stats.graphs_built, stats.graphs_reused) == (6, 1)
+
+    def test_memo_hit_is_a_fresh_graph_object(self):
+        memo = {}
+        pine = self.BUCKET[3:]
+        index1, _, _ = build_graphs(pine, DEFAULT_VOCABULARY, self.CONFIG, memo=memo)
+        index2, _, _ = build_graphs(pine, DEFAULT_VOCABULARY, self.CONFIG, memo=memo)
+        assert index2.graphs[0] is not index1.graphs[0]
+        assert index2.graphs[0].edges is index1.graphs[0].edges

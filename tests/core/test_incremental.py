@@ -1,11 +1,17 @@
 """Tests for the incremental (top-k) grouping (Section 6, Theorem 6.4)."""
 
+from unittest import mock
+
 import pytest
 
 from repro.config import Config
+from repro.core import incremental
 from repro.core.grouping import unsupervised_grouping
 from repro.core.incremental import IncrementalGrouper
 from repro.core.replacement import Replacement
+from repro.datagen import DATASETS
+from repro.pipeline.oracle import GroundTruthOracle
+from repro.pipeline.standardize import Standardizer
 
 
 @pytest.fixture
@@ -150,3 +156,38 @@ class TestConfigurations:
     def test_single_replacement(self):
         groups = list(IncrementalGrouper([Replacement("a b", "b a")]).groups())
         assert len(groups) == 1 and groups[0].size == 1
+
+
+class TestGraphReuse:
+    def test_counters_cover_every_registered_graph(self):
+        """On the one-shot Address input (scale 0.15, seed 7, 100
+        questions) every registered graph is either built or reused,
+        and sources reset by applied groups do reuse their graphs."""
+        dataset = DATASETS["Address"](scale=0.15, seed=7)
+        standardizer = Standardizer(dataset.fresh_table(), dataset.column)
+        feed = standardizer.default_feed()
+        registered = []
+        build_graphs = incremental.build_graphs
+
+        def counting(*args, **kwargs):
+            result = build_graphs(*args, **kwargs)
+            registered.append(len(result[1]))
+            return result
+
+        oracle = GroundTruthOracle(dataset.canonical, standardizer.store, seed=7)
+        with mock.patch.object(incremental, "build_graphs", counting):
+            standardizer.run(oracle, 100, feed=feed)
+        stats = feed.stats
+        assert stats.graphs_built + stats.graphs_reused == sum(registered)
+        assert stats.graphs_reused > 0
+
+    def test_untouched_pool_builds_every_graph_once(self, bigger_candidates):
+        grouper = IncrementalGrouper(bigger_candidates)
+        list(grouper.groups())
+        assert grouper.stats.graphs_reused == 0
+        assert grouper.stats.graphs_built == len(bigger_candidates)
+
+    def test_merge_sums_graph_counters(self):
+        total = incremental.SearchStats(graphs_built=2, graphs_reused=1)
+        total.merge(incremental.SearchStats(graphs_built=3, graphs_reused=4))
+        assert (total.graphs_built, total.graphs_reused) == (5, 5)

@@ -67,6 +67,85 @@ class TestDirection:
         assert direction_of("bytes_shipped") == "lower"
 
 
+def budget_row(cells_correct, questions=84, records=528):
+    """An ``oracle_budget``-style row: quality, cost, and a constant."""
+    return {
+        "bench": "budget",
+        "cells_correct_yield": cells_correct,
+        "oracle_questions": questions,
+        "records": records,
+        "inferred_verdicts": 2,
+        "directions": {
+            "cells_correct_yield": "higher",
+            "oracle_questions": "lower",
+            "records": "info",
+        },
+    }
+
+
+class TestDeclaredDirections:
+    def test_only_declared_fields_become_series(self, tmp_path):
+        write_bench(tmp_path, "budget", [budget_row(1284)])
+        history = load_history(tmp_path)
+        assert set(history) == {
+            "budget:cells_correct_yield",
+            "budget:oracle_questions",
+        }
+        baseline = build_baseline(tmp_path)
+        directions = {
+            key: entry["direction"]
+            for key, entry in baseline["metrics"].items()
+        }
+        assert directions == {
+            "budget:cells_correct_yield": "higher",
+            "budget:oracle_questions": "lower",
+        }
+
+    def test_rise_in_cells_correct_passes(self, tmp_path):
+        write_bench(tmp_path, "budget", [budget_row(1284)])
+        baseline = build_baseline(tmp_path)
+        write_bench(tmp_path, "budget", [budget_row(9000, records=99999)])
+        results, _ = check(tmp_path, baseline)
+        assert results and all(result.ok for result in results)
+
+    def test_drop_in_cells_correct_fails(self, tmp_path):
+        write_bench(tmp_path, "budget", [budget_row(1284)])
+        baseline = build_baseline(tmp_path)
+        write_bench(tmp_path, "budget", [budget_row(600)])
+        results, _ = check(tmp_path, baseline)
+        bad = [result.series for result in results if not result.ok]
+        assert bad == ["budget:cells_correct_yield"]
+
+    def test_undeclared_rows_fall_back_to_name_inference(self, tmp_path):
+        legacy = {
+            key: value
+            for key, value in budget_row(1284).items()
+            if key != "directions"
+        }
+        write_bench(tmp_path, "budget", [legacy])
+        baseline = build_baseline(tmp_path)
+        assert baseline["metrics"]["budget:records"]["direction"] == "lower"
+        assert baseline["metrics"]["budget:inferred_verdicts"]
+
+    def test_declaring_info_retires_an_inferred_series(self, tmp_path):
+        legacy = {"bench": "budget", "records": 528}
+        write_bench(tmp_path, "budget", [legacy, budget_row(1284)])
+        assert "budget:records" not in load_history(tmp_path)
+        assert "budget:records" not in build_baseline(tmp_path)["metrics"]
+
+    def test_committed_baseline_gates_no_quality_downward(self):
+        baseline = load_baseline(REPO_BASELINE)
+        metrics = baseline["metrics"]
+        for key in (
+            "oracle_budget:cells_correct_yield",
+            "oracle_budget:cells_correct_discovery",
+            "oracle_budget:inferred_verdicts",
+        ):
+            assert metrics[key]["direction"] == "higher"
+        for constant in ("rules", "records", "clients", "distinct", "columns"):
+            assert not [k for k in metrics if k.endswith(f":{constant}")]
+
+
 class TestHistory:
     def test_series_keys_and_order(self, tmp_path):
         stable_history(tmp_path, runs=2)

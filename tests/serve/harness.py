@@ -85,6 +85,16 @@ async def start_test_server(source, **kwargs) -> ServeServer:
     return server
 
 
+async def wait_for_version(server, version, timeout=10.0) -> None:
+    """Block until the follow poller has swapped ``version`` (or a
+    newer one) in; fail after ``timeout`` seconds.  Tests that need
+    traffic on both sides of a swap wait here instead of sleeping."""
+    deadline = time.monotonic() + timeout
+    while server.source.current()[0] < version:
+        assert time.monotonic() < deadline, f"v{version} never swapped in"
+        await asyncio.sleep(0.005)
+
+
 def spawn_cli_server(args, timeout=30.0):
     """Launch ``python -m repro serve --listen 127.0.0.1:0 <args>`` and
     return ``(proc, host, port)`` once the stderr banner announces the

@@ -120,10 +120,11 @@ def test_torn_publish_is_skipped_and_recovery_swaps_forward(
                 assert (await client.rpc(op="ping"))["version"] == 1
                 # A publisher crash leaves a half-written v2 behind.
                 FaultInjector.torn_publish(tmp_path / "reg", "addr")
-                await asyncio.sleep(0.3)
+                assert await _settled(
+                    lambda: server.source.load_errors >= 1
+                ), "the poller never tried the torn file"
                 reply = await client.rpc(op="apply", value="9th St")
                 assert reply["ok"] and reply["version"] == 1
-                assert server.source.load_errors >= 1
                 # The next *completed* publish (v3 — the torn file
                 # claimed v2's number) swaps in despite the wreck.
                 registry.save(learned_model, "addr")

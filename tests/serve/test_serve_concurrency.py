@@ -8,10 +8,11 @@ import asyncio
 
 from repro.serve import ApplyEngine, ModelRegistry, ModelSource
 
-from harness import ServeClient, start_test_server
+from harness import ServeClient, start_test_server, wait_for_version
 
 CLIENTS = 8
 REQUESTS_PER_CLIENT = 25
+HALF = REQUESTS_PER_CLIENT // 2
 
 
 def test_hammering_clients_during_hot_swaps_drop_nothing(
@@ -33,18 +34,34 @@ def test_hammering_clients_during_hot_swaps_drop_nothing(
             poll_interval=0.02,
         )
 
+        swapped = asyncio.Event()
+
         async def publisher():
-            for i in range(10):
-                model = identity_model if i % 2 == 0 else learned_model
-                path = registry.save(model, "addr")
-                models[int(path.stem[1:])] = model
-                await asyncio.sleep(0.03)
+            # The first half of every client's load lands on v1; the
+            # second half is held until the follow poller has swapped
+            # the first publish in, so both versions are answered
+            # however the scheduler orders the tasks.
+            while server._m_requests.value < CLIENTS * HALF:
+                await asyncio.sleep(0.005)
+            try:
+                for i in range(10):
+                    model = identity_model if i % 2 == 0 else learned_model
+                    path = registry.save(model, "addr")
+                    models[int(path.stem[1:])] = model
+                    if i == 0:
+                        await wait_for_version(server, 2)
+                        swapped.set()
+                    await asyncio.sleep(0.03)
+            finally:
+                swapped.set()  # never strand the clients on a failure
 
         async def hammer(client_index):
             """One client's full session; returns its replies."""
             replies = []
             async with await ServeClient.connect(*server.address) as client:
                 for i in range(REQUESTS_PER_CLIENT):
+                    if i == HALF:
+                        await swapped.wait()
                     request_id = f"c{client_index}-r{i}"
                     reply = await client.rpc(
                         op="apply", values=values, id=request_id
@@ -69,7 +86,7 @@ def test_hammering_clients_during_hot_swaps_drop_nothing(
                     version = reply["version"]
                     versions_seen.add(version)
                     assert reply["values"] == expected[id(models[version])]
-            assert len(versions_seen) >= 2, (
+            assert 1 in versions_seen and len(versions_seen) >= 2, (
                 f"no swap observed under load (saw {versions_seen})"
             )
 

@@ -8,7 +8,7 @@ import asyncio
 
 from repro.serve import ApplyEngine, ModelRegistry, ModelSource
 
-from harness import ServeClient, start_test_server
+from harness import ServeClient, start_test_server, wait_for_version
 
 
 def run(coro):
@@ -101,18 +101,21 @@ def test_no_torn_reads_mix_versions_within_one_batch(
         )
 
         async def publisher():
-            # Alternate learned/identity publishes under the load.
+            # Alternate learned/identity publishes under the load, then
+            # wait for the follow poller to swap the last one in.
             for i in range(12):
                 model = identity_model if i % 2 == 0 else learned_model
                 path = registry.save(model, "addr")
-                models[int(path.stem[1:])] = model
+                last = int(path.stem[1:])
+                models[last] = model
                 await asyncio.sleep(0.04)
+            await wait_for_version(server, last)
 
         try:
             async with await ServeClient.connect(*server.address) as client:
-                publish_task = asyncio.create_task(publisher())
                 seen_versions = set()
-                while not publish_task.done():
+
+                async def apply_and_check():
                     reply = await client.rpc(op="apply", values=values)
                     assert reply["ok"]
                     version = reply["version"]
@@ -122,10 +125,15 @@ def test_no_torn_reads_mix_versions_within_one_batch(
                         f"reply at claimed version {version} does not "
                         "match that version's offline output"
                     )
+
+                await apply_and_check()  # before any publish: v1
+                publish_task = asyncio.create_task(publisher())
+                while not publish_task.done():
+                    await apply_and_check()
                 await publish_task
+                await apply_and_check()  # after the last swap
                 assert len(seen_versions) >= 2, (
-                    "load never observed a swap; publisher too slow "
-                    f"(saw {seen_versions})"
+                    f"load never observed a swap (saw {seen_versions})"
                 )
         finally:
             await server.stop()
