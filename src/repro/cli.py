@@ -447,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="unmatched-rate above which a deeper relearn triggers "
-        "(default: drift monitoring off)",
+        "(with --columns, one monitor per column relearns only its "
+        "own column; default: drift monitoring off)",
     )
     stream_p.add_argument(
         "--drift-window",
@@ -1091,239 +1092,141 @@ def _resolve_lsh_params(args) -> Tuple[int, int]:
 
 
 def cmd_stream(args) -> int:
-    from .datagen.stream import dataset_stream
+    """``repro stream``: one ``--dataset`` column, or golden records
+    over ``--columns a,b,c``; both run the same batch lifecycle."""
+    from .datagen.stream import dataset_stream, golden_stream
+    from .fusion import accu, majority, truthfinder
+    from .serve.bundle import BundleRegistry
     from .stream import (
         DriftMonitor,
+        GoldenStreamConsolidator,
         StreamConsolidator,
+        golden_ground_truth_oracle_factory,
         ground_truth_oracle_factory,
     )
 
     if args.columns:
-        return _cmd_stream_golden(args)
-    # The golden-only flags must not silently no-op in single-column
-    # mode (the symmetric check — --drift-threshold with --columns —
-    # lives in _cmd_stream_golden).
-    for flag, value in (
-        ("--golden-out", args.golden_out),
-        ("--fusion", args.fusion),
-    ):
-        if value is not None:
-            raise SystemExit(
-                f"error: {flag} requires --columns (multi-column "
-                "golden-record mode)"
+        columns = [c.strip() for c in args.columns.split(",") if c.strip()]
+        try:
+            stream = golden_stream(
+                batches=args.batches,
+                n_clusters=max(8, round(200 * args.scale)),
+                columns=columns,
+                seed=_resolve_seed(args),
             )
-    obs = _make_obs(args)
-    dataset = _make_dataset(args)
-    stream = dataset_stream(dataset, batches=args.batches, seed=args.seed)
-    obs.emit(
-        {
-            "type": "meta",
-            "command": "stream",
-            "dataset": args.dataset,
-            "column": stream.column,
-            "scale": args.scale,
-            "seed": args.seed,
-            "batches": args.batches,
-            "shards": args.shards,
-            "budget": args.budget,
-            "question_order": args.question_order,
-            "blocking": args.blocking,
-        }
-    )
-    monitor = None
-    if args.drift_threshold is not None:
-        monitor = DriftMonitor(
-            window=args.drift_window,
-            miss_rate_threshold=args.drift_threshold,
+        except ValueError as exc:  # unknown or missing column names
+            raise SystemExit(f"error: {exc}")
+        source = {"columns": columns}
+        label = f"{len(columns)} columns: {', '.join(columns)}"
+    else:
+        # The golden-only flags must not silently no-op in
+        # single-column mode.
+        for flag, value in (
+            ("--golden-out", args.golden_out),
+            ("--fusion", args.fusion),
+        ):
+            if value is not None:
+                raise SystemExit(
+                    f"error: {flag} requires --columns (multi-column "
+                    "golden-record mode)"
+                )
+        dataset = _make_dataset(args)
+        stream = dataset_stream(
+            dataset, batches=args.batches, seed=args.seed
         )
-    resolution_kwargs = {}
+        columns = [stream.column]
+        source = {"dataset": args.dataset, "column": stream.column}
+        label = dataset.name
+    obs = _make_obs(args)
+    meta = {
+        "type": "meta",
+        "command": "stream",
+        **source,
+        "scale": args.scale,
+        "seed": args.seed,
+        "batches": args.batches,
+        "shards": args.shards,
+        "budget": args.budget,
+        "question_order": args.question_order,
+        "blocking": args.blocking,
+    }
+    if args.columns:
+        meta["fusion"] = args.fusion or "majority"
+    obs.emit(meta)
+
+    kwargs = dict(
+        budget_per_batch=args.budget,
+        use_engine=not args.no_engine,
+        shards=args.shards,
+        block_retention=args.block_retention,
+        persist_decisions=not args.no_decision_log,
+        resume=not args.fresh,
+        obs=obs,
+        question_order=args.question_order,
+    )
     if args.blocking == "key":
-        resolution_kwargs["key_attribute"] = stream.key_column
+        kwargs["key_attribute"] = stream.key_column
     else:
         # Similarity mode: resolve arrivals by blocked matching on the
-        # consolidated column instead of the synthetic entity key.
-        resolution_kwargs["attribute"] = stream.column
-        resolution_kwargs["similarity_threshold"] = (
-            args.similarity_threshold
-        )
+        # (first) consolidated column instead of the synthetic key.
+        kwargs["attribute"] = columns[0]
+        kwargs["similarity_threshold"] = args.similarity_threshold
         bands, rows = _resolve_lsh_params(args)
-        resolution_kwargs["block_keys"] = make_block_keys(
+        kwargs["block_keys"] = make_block_keys(
             args.blocking,
             bands=bands,
             rows=rows,
             shingle=args.lsh_shingle,
         )
-    consolidator = StreamConsolidator(
-        column=stream.column,
-        oracle_factory=ground_truth_oracle_factory(
-            stream.canonical_by_rid,
-            seed=args.seed,
-            error_rate=args.error_rate,
-        ),
-        budget_per_batch=args.budget,
-        registry=ModelRegistry(args.registry) if args.registry else None,
-        model_name=args.name or args.dataset.lower(),
-        use_engine=not args.no_engine,
-        monitor=monitor,
-        shards=args.shards,
-        block_retention=args.block_retention,
-        decision_log=args.decision_log,
-        persist_decisions=not args.no_decision_log,
-        resume=not args.fresh,
-        obs=obs,
-        question_order=args.question_order,
-        **resolution_kwargs,
-    )
-    print(
-        f"streaming {stream.num_records} records in "
-        f"{len(stream.batches)} batches ({dataset.name})"
-        + (f", {args.shards} learner shards" if args.shards > 1 else "")
-        + (
-            f", {args.blocking} blocking"
-            if args.blocking != "key"
-            else ""
-        )
-    )
-    start = time.perf_counter()
-    profiler = _make_profiler(args, obs)
-    try:
-        with consolidator:
-            for batch in stream.batches:
-                report = consolidator.process_batch(batch)
-                print(f"{report.describe()}  [{report.seconds:.3f}s]")
-                if args.stats:
-                    print(
-                        "stats: "
-                        + json.dumps(report.stats(), sort_keys=True)
-                    )
-            if consolidator.resumed_from is not None:
-                print(
-                    f"resumed from model v{consolidator.resumed_from} "
-                    f"(+{consolidator.standardizer.decisions.replayed} "
-                    "replayed verdicts)"
-                )
-    finally:
-        # A crashed stream still flushes its final snapshot and closes
-        # the sink — partial recordings beat silently truncated ones.
-        _finish_profiler(profiler, args)
-        obs.flush_snapshot()
-        obs.close()
-    elapsed = time.perf_counter() - start
-    print(
-        f"stream done in {elapsed:.2f}s: "
-        f"{consolidator.questions_asked} oracle questions asked, "
-        f"{consolidator.questions_saved} saved by reuse, "
-        f"model at v{consolidator.model_version}"
-    )
-    if args.metrics:
-        print(
-            f"metrics recorded: {args.metrics} "
-            f"(summarize with `repro stats --metrics {args.metrics}`)"
-        )
-    if args.registry:
-        print(f"model versions published under: {args.registry}")
-        if consolidator.decision_log is not None:
-            print(f"decision log: {consolidator.decision_log}")
-    return 0
-
-
-def _cmd_stream_golden(args) -> int:
-    """Multi-column golden-record streaming (``--columns a,b,c``)."""
-    from .datagen.stream import GOLDEN_COLUMN_FAMILIES, golden_stream
-    from .fusion import accu, majority, truthfinder
-    from .serve.bundle import BundleRegistry
-    from .stream import (
-        GoldenStreamConsolidator,
-        golden_ground_truth_oracle_factory,
-    )
-
+    monitors = {}
     if args.drift_threshold is not None:
-        raise SystemExit(
-            "error: --drift-threshold is not supported with --columns "
-            "(per-column drift monitoring is not wired yet)"
-        )
-    columns = [c.strip() for c in args.columns.split(",") if c.strip()]
-    if not columns:
-        raise SystemExit(
-            "error: --columns needs at least one column name "
-            f"(available: {sorted(GOLDEN_COLUMN_FAMILIES)})"
-        )
-    unknown = [c for c in columns if c not in GOLDEN_COLUMN_FAMILIES]
-    if unknown:
-        raise SystemExit(
-            f"error: unknown golden columns {unknown}; available: "
-            f"{sorted(GOLDEN_COLUMN_FAMILIES)}"
-        )
-    obs = _make_obs(args)
-    seed = _resolve_seed(args)
-    stream = golden_stream(
-        batches=args.batches,
-        n_clusters=max(8, round(200 * args.scale)),
-        columns=columns,
-        seed=seed,
-    )
-    obs.emit(
-        {
-            "type": "meta",
-            "command": "stream",
-            "columns": columns,
-            "scale": args.scale,
-            "seed": seed,
-            "batches": args.batches,
-            "shards": args.shards,
-            "budget": args.budget,
-            "question_order": args.question_order,
-            "blocking": args.blocking,
-            "fusion": args.fusion or "majority",
+        monitors = {
+            column: DriftMonitor(
+                window=args.drift_window,
+                miss_rate_threshold=args.drift_threshold,
+            )
+            for column in columns
         }
-    )
-    fusion = {
-        "majority": majority.fuse,
-        "truthfinder": truthfinder.fuse,
-        "accu": accu.fuse,
-    }[args.fusion or "majority"]
-    resolution_kwargs = {}
-    if args.blocking == "key":
-        resolution_kwargs["key_attribute"] = stream.key_column
+    if args.columns:
+        artifact = "bundle"
+        consolidator = GoldenStreamConsolidator(
+            columns=columns,
+            oracle_factory=golden_ground_truth_oracle_factory(
+                stream.canonical_by_rid,
+                seed=args.seed,
+                error_rate=args.error_rate,
+            ),
+            fusion={
+                "majority": majority.fuse,
+                "truthfinder": truthfinder.fuse,
+                "accu": accu.fuse,
+            }[args.fusion or "majority"],
+            registry=(
+                BundleRegistry(args.registry) if args.registry else None
+            ),
+            bundle_name=args.name or "-".join(columns),
+            monitors=monitors,
+            decision_log_dir=args.decision_log,
+            **kwargs,
+        )
     else:
-        # Similarity mode: the shared resolver matches whole records by
-        # blocked similarity on the first consolidated column.
-        resolution_kwargs["attribute"] = columns[0]
-        resolution_kwargs["similarity_threshold"] = (
-            args.similarity_threshold
+        artifact = "model"
+        consolidator = StreamConsolidator(
+            column=stream.column,
+            oracle_factory=ground_truth_oracle_factory(
+                stream.canonical_by_rid,
+                seed=args.seed,
+                error_rate=args.error_rate,
+            ),
+            registry=ModelRegistry(args.registry) if args.registry else None,
+            model_name=args.name or args.dataset.lower(),
+            monitor=monitors.get(stream.column),
+            decision_log=args.decision_log,
+            **kwargs,
         )
-        bands, rows = _resolve_lsh_params(args)
-        resolution_kwargs["block_keys"] = make_block_keys(
-            args.blocking,
-            bands=bands,
-            rows=rows,
-            shingle=args.lsh_shingle,
-        )
-    consolidator = GoldenStreamConsolidator(
-        columns=columns,
-        oracle_factory=golden_ground_truth_oracle_factory(
-            stream.canonical_by_rid,
-            seed=seed,
-            error_rate=args.error_rate,
-        ),
-        budget_per_batch=args.budget,
-        fusion=fusion,
-        registry=BundleRegistry(args.registry) if args.registry else None,
-        bundle_name=args.name or "-".join(columns),
-        use_engine=not args.no_engine,
-        shards=args.shards,
-        block_retention=args.block_retention,
-        decision_log_dir=args.decision_log,
-        persist_decisions=not args.no_decision_log,
-        resume=not args.fresh,
-        obs=obs,
-        question_order=args.question_order,
-        **resolution_kwargs,
-    )
     print(
         f"streaming {stream.num_records} records in "
-        f"{len(stream.batches)} batches "
-        f"({len(columns)} columns: {', '.join(columns)})"
+        f"{len(stream.batches)} batches ({label})"
         + (f", {args.shards} learner shards" if args.shards > 1 else "")
         + (
             f", {args.blocking} blocking"
@@ -1345,26 +1248,33 @@ def _cmd_stream_golden(args) -> int:
                     )
             if consolidator.resumed_from is not None:
                 replayed = sum(
-                    consolidator.standardizers[c].decisions.replayed
-                    for c in columns
+                    standardizer.decisions.replayed
+                    for standardizer in consolidator.standardizers.values()
                 )
                 print(
-                    f"resumed from bundle v{consolidator.resumed_from} "
+                    f"resumed from {artifact} "
+                    f"v{consolidator.resumed_from} "
                     f"(+{replayed} replayed verdicts)"
                 )
-            golden = consolidator.golden_records()
+            golden = consolidator.golden_records() if args.columns else []
     finally:
+        # A crashed stream still flushes its final snapshot and closes
+        # the sink — partial recordings beat silently truncated ones.
         _finish_profiler(profiler, args)
         obs.flush_snapshot()
         obs.close()
     elapsed = time.perf_counter() - start
     print(
         f"stream done in {elapsed:.2f}s: "
-        f"{len(golden)} golden records, "
-        f"{consolidator.questions_asked} oracle questions asked, "
+        + (f"{len(golden)} golden records, " if args.columns else "")
+        + f"{consolidator.questions_asked} oracle questions asked, "
         f"{consolidator.questions_saved} saved by reuse, "
-        f"{consolidator.clusters_refused} cluster re-fusions, "
-        f"bundle at v{consolidator.bundle_version}"
+        + (
+            f"{consolidator.clusters_refused} cluster re-fusions, "
+            if args.columns
+            else ""
+        )
+        + f"{artifact} at v{consolidator.bundle_version}"
     )
     if args.metrics:
         print(
@@ -1388,9 +1298,11 @@ def _cmd_stream_golden(args) -> int:
                 )
         print(f"golden records written: {args.golden_out}")
     if args.registry:
-        print(f"bundle versions published under: {args.registry}")
-        if consolidator.decision_log_dir is not None:
-            print(f"decision logs: {consolidator.decision_log_dir}")
+        print(f"{artifact} versions published under: {args.registry}")
+        for column in columns:
+            path = consolidator.decision_log_path(column)
+            if path is not None:
+                print(f"decision log: {path}")
     return 0
 
 

@@ -106,15 +106,16 @@ def _iter_rows(path: Path) -> Iterator[Row]:
 def _series_of(bench: str, row: Row) -> List[Tuple[str, float, str]]:
     """The ``(series key, value, direction)`` points of one row.
 
-    Auto test rows (``test`` + ``seconds``) contribute their wall
-    clock only when the test passed — a failed run's timing measures
-    the failure, not the code.  Headline rows contribute every numeric
-    field that is not provenance, with the direction the row declares
-    for it (``info`` when a declaring row leaves it out) or, in a row
-    without declarations, the one inferred from its name.
+    Auto timing rows — the ones the autouse hook writes, recognized by
+    their ``outcome`` field — contribute their wall clock only when the
+    test passed: a failed run's timing measures the failure, not the
+    code.  Headline rows (which may name their ``test`` too) contribute
+    every numeric field that is not provenance, with the direction the
+    row declares for it (``info`` when a declaring row leaves it out)
+    or, in a row without declarations, the one inferred from its name.
     """
     points: List[Tuple[str, float, str]] = []
-    if "test" in row:
+    if "outcome" in row:
         if row.get("outcome") == "passed" and isinstance(
             row.get("seconds"), (int, float)
         ):

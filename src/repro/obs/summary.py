@@ -531,7 +531,8 @@ def format_summary(summary: Dict[str, object]) -> str:
         for event in drift_events:
             lines.append(
                 f"  batch={event.get('batch', '?')} "
-                f"miss_rate={event.get('miss_rate', '?')} "
+                + (f"column={event['column']} " if "column" in event else "")
+                + f"miss_rate={event.get('miss_rate', '?')} "
                 f"rows={event.get('rows', '?')}"
             )
 

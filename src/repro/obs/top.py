@@ -208,8 +208,15 @@ class TopModel:
             lines.append(f"drift events: {len(self.drift_events)}")
             for event in self.drift_events[-3:]:
                 lines.append(
-                    f"  batch={event.get('batch', '?')} "
-                    f"miss_rate={event.get('miss_rate', '?')}"[:width]
+                    (
+                        f"  batch={event.get('batch', '?')} "
+                        + (
+                            f"column={event['column']} "
+                            if "column" in event
+                            else ""
+                        )
+                        + f"miss_rate={event.get('miss_rate', '?')}"
+                    )[:width]
                 )
             lines.append("")
 

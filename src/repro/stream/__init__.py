@@ -15,13 +15,20 @@ re-learn:
   decision cache that re-applies prior oracle verdicts for free, and
   budgeted learning over only the genuinely novel variation;
 * :mod:`repro.stream.publisher` — confirmed knowledge republished as
-  new model versions through :class:`~repro.serve.registry.ModelRegistry`
-  with in-place :meth:`~repro.serve.engine.ApplyEngine.reload`;
-* :mod:`repro.stream.monitor` — unmatched-rate drift detection that
-  triggers deeper relearning when the serve model stops explaining the
-  traffic;
-* :mod:`repro.stream.consolidator` — the orchestrator gluing the above
-  into one ``process_batch`` call;
+  new model (or bundle) versions through
+  :class:`~repro.serve.registry.ModelRegistry` with in-place
+  :meth:`~repro.serve.engine.ApplyEngine.reload`;
+* :mod:`repro.stream.monitor` — unmatched-rate drift detection, one
+  monitor per column, that triggers a deeper relearn of its column
+  when the serve model stops explaining the traffic;
+* :mod:`repro.stream.golden` — the orchestrator gluing the above into
+  one ``process_batch`` call: Algorithm 1 folded over the stream, with
+  per-column standardizers over one shared resolver, incremental
+  (touched-clusters-only) truth discovery, and atomic per-column model
+  bundles;
+* :mod:`repro.stream.consolidator` — the single-column stream: the
+  same lifecycle with one column and no fusion, publishing a bare
+  model instead of a bundle;
 * :mod:`repro.stream.batches` — batch sources (in-memory iterators and
   JSON-lines files);
 * :mod:`repro.stream.shards` — the sharded learner: blocking index,
@@ -38,11 +45,7 @@ re-learn:
   marginal yield, and transitively-proven verdicts settled without a
   question;
 * :mod:`repro.stream.decision_tools` — ``repro decisions``: compact,
-  diff, and audit verdict logs offline;
-* :mod:`repro.stream.golden` — multi-column streaming golden records:
-  per-column standardizers over the one shared resolver, incremental
-  (touched-clusters-only) truth discovery, and atomic per-column model
-  bundles — Algorithm 1 end to end, folded over the stream.
+  diff, and audit verdict logs offline.
 """
 
 from .batches import (
@@ -51,11 +54,7 @@ from .batches import (
     read_jsonl_records,
     write_jsonl_records,
 )
-from .consolidator import (
-    BatchReport,
-    StreamConsolidator,
-    ground_truth_oracle_factory,
-)
+from .consolidator import StreamConsolidator, ground_truth_oracle_factory
 from .decision_tools import (
     LogEntry,
     audit_log,
@@ -66,6 +65,7 @@ from .decision_tools import (
 from .decisions import DecisionCache
 from .deltas import GoldenDeltaLog, GoldenDeltaReader
 from .golden import (
+    BatchReport,
     GoldenBatchReport,
     GoldenStreamConsolidator,
     golden_ground_truth_oracle_factory,

@@ -1,263 +1,37 @@
-"""The streaming consolidation orchestrator (``repro stream``).
+"""The single-column stream (``repro stream --dataset``).
 
-One :meth:`StreamConsolidator.process_batch` call runs the full
-incremental lifecycle for a record batch:
-
-1. **serve fast path** — the current published model standardizes the
-   batch's values before they touch anything else; variation the model
-   already explains never reaches the resolver as dirt, let alone the
-   oracle;
-2. **incremental resolution** — the batch is folded into the blocking
-   index / union-find cluster state; only pairs touching new records
-   are compared;
-3. **delta candidates** — the new (and merge-moved) cells are indexed
-   into the persistent replacement store, growing existing groups in
-   place;
-4. **decision-cache replay** — previously confirmed replacements are
-   re-applied to the new provenance and previously rejected ones stay
-   silenced, both without spending oracle budget;
-5. **budgeted learning** — only genuinely novel candidates are grouped
-   and presented to the oracle;
-6. **drift check** — the unmatched-rate monitor can trigger a deeper
-   relearn pass when the model stops explaining the traffic;
-7. **publish + hot reload** — new confirmations are rebuilt into the
-   cumulative model, published as the next registry version, and every
-   subscribed engine reloads in place.
-
-The result is the property the benchmark asserts: per-batch cost scales
-with the batch and the *surviving* candidate/decision state (live keys
-the oracle has judged or not yet seen), never with a full re-cluster /
-re-generate / re-review of everything seen so far.
-
-Two scale/durability levers sit on top (``--shards``, the decision
-log):
-
-* **sharding** — with ``shards=N`` the consolidator owns a
-  :class:`~repro.stream.shards.ShardPool` of N persistent worker
-  processes; similarity matching, candidate-pair alignment, and —
-  dominant by far — the grouping feed's graph building and pivot
-  searching fan out across them.  Every parallel stage is a pure
-  computation merged in canonical order by this (single) parent
-  process, so a sharded stream publishes **byte-identical models** and
-  asks **exactly the same oracle questions** as a single-process one;
-* **durability** — oracle verdicts append to a JSON-lines decision log
-  next to the published model (see
-  :class:`~repro.stream.decisions.DecisionCache`), and a consolidator
-  pointed at a registry that already holds its model *resumes*: the
-  engine warm-starts from the latest version, republished models
-  extend the old group sequence, and re-arriving variation is answered
-  from the replayed verdicts — a restarted stream asks zero repeat
-  questions.
+A one-column stream is the N=1 case of Algorithm 1, so
+:class:`StreamConsolidator` *is* the
+:class:`~repro.stream.golden.GoldenStreamConsolidator` lifecycle with
+one column and no fusion — serve fast path, incremental resolution,
+delta candidates, decision-cache replay, budgeted learning, drift
+check, publish + hot reload (see :mod:`repro.stream.golden`).  The
+adapter only chooses the artifact: each confirming batch publishes a
+bare :class:`~repro.serve.model.TransformationModel` into a
+:class:`~repro.serve.registry.ModelRegistry`, served by one
+:class:`~repro.serve.engine.ApplyEngine`, with its verdicts in
+``<registry>/<name>/decisions.jsonl``: the registry layout, model
+bytes and decision log of a dedicated single-column stream.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Optional
 
 from ..config import DEFAULT_CONFIG, Config
-from ..core.grouping import Group
-from ..obs import NULL_OBS
 from ..core.terms import DEFAULT_VOCABULARY, TermVocabulary
-from ..data.table import CellRef, ClusterTable, Record
-from ..pipeline.oracle import REVERSE, Decision, GroundTruthOracle, Oracle
-from ..pipeline.standardize import (
-    AppliedReplacement,
-    StandardizationLog,
-    StepRecord,
-)
+from ..pipeline.oracle import GroundTruthOracle, Oracle
 from ..resolution.blocking import BlockKeyFn
 from ..resolution.matcher import SimilarityFn, hybrid_similarity
 from ..serve.engine import ApplyEngine
-from ..serve.model import TransformationModel, build_model
-from ..serve.registry import ModelRegistry, slugify
-from .decisions import DecisionCache, archive_log
+from ..serve.model import TransformationModel
+from ..serve.registry import ModelRegistry
+from .golden import GoldenStreamConsolidator, PathLike, _CellCanonical
 from .monitor import DriftMonitor
-from .publisher import ModelPublisher
-from .resolver import IncrementalResolver
-from .scheduler import QUESTION_ORDERS
-from .shards import ShardPool
-from .standardizer import IncrementalStandardizer
 
 #: Builds the reviewing oracle once the consolidator's state exists.
 OracleFactory = Callable[["StreamConsolidator"], Oracle]
-
-PathLike = Union[str, Path]
-
-
-@dataclass
-class BatchReport:
-    """Everything one batch did, for observability and assertions."""
-
-    index: int
-    records: int
-    #: cells rewritten by the serve fast path before resolution
-    explained_cells: int = 0
-    #: cells whose variation created candidate keys nothing had seen
-    #: before (the drift monitor's unmatched signal)
-    unmatched_cells: int = 0
-    merges: int = 0
-    new_clusters: int = 0
-    pairs_compared: int = 0
-    #: resident values shipped to shard workers (0 without a pool)
-    values_shipped: int = 0
-    #: serialized bytes shipped to shard workers across the batch's
-    #: data-plane ops (resolve scripts + alignment fan-out)
-    bytes_shipped: int = 0
-    #: cached-approved replacements re-applied without a question
-    reused_replacements: int = 0
-    reused_cells: int = 0
-    #: live candidates silenced by a cached rejection
-    rejected_skips: int = 0
-    #: verdicts settled transitively from approved rewrites (yield
-    #: scheduling only), recorded in the log with source "inferred"
-    inferred_verdicts: int = 0
-    questions_asked: int = 0
-    groups_approved: int = 0
-    cells_changed: int = 0
-    model_version: Optional[int] = None
-    drift_triggered: bool = False
-    seconds: float = 0.0
-    #: wall-clock per lifecycle stage (engine, resolve, derive, replay,
-    #: learn, oracle, drift, publish); ``oracle`` is the review time
-    #: *inside* learn/drift, split out because in production it is
-    #: human latency, not compute
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
-
-    def describe(self) -> str:
-        version = (
-            f"v{self.model_version}" if self.model_version else "unchanged"
-        )
-        return (
-            f"batch {self.index}: {self.records} records, "
-            f"{self.explained_cells} engine-explained, "
-            f"{self.merges} merges, "
-            f"{self.questions_asked} questions "
-            f"(+{self.reused_replacements} reused, "
-            f"{self.rejected_skips} silenced), "
-            f"{self.cells_changed} cells changed, model {version}"
-            + (", DRIFT" if self.drift_triggered else "")
-        )
-
-    def stats(self) -> Dict[str, object]:
-        """The batch's counters as a JSON-friendly dict (one row of
-        ``repro stream --stats`` output)."""
-        return {
-            "batch": self.index,
-            "records": self.records,
-            "candidate_pairs": self.pairs_compared,
-            "values_shipped": self.values_shipped,
-            "bytes_shipped": self.bytes_shipped,
-            "explained_cells": self.explained_cells,
-            "unmatched_cells": self.unmatched_cells,
-            "merges": self.merges,
-            "questions_asked": self.questions_asked,
-            "reused_replacements": self.reused_replacements,
-            "inferred_verdicts": self.inferred_verdicts,
-            "cells_changed": self.cells_changed,
-            "model_version": self.model_version,
-            "seconds": round(self.seconds, 6),
-            "stage_seconds": {
-                stage: round(seconds, 6)
-                for stage, seconds in self.stage_seconds.items()
-            },
-        }
-
-
-class _TimedOracle:
-    """Per-batch oracle wrapper accumulating ``review`` wall-clock.
-
-    Oracle time is split out of the learn stage because in production
-    it is *human latency*, not compute — Fig. 9-style breakdowns are
-    misleading when review time hides inside learning.  Everything but
-    ``review`` delegates to the wrapped oracle.
-    """
-
-    def __init__(self, inner: Oracle) -> None:
-        self._inner = inner
-        self.seconds = 0.0
-        self.reviews = 0
-
-    def review(self, group: Group) -> Decision:
-        started = time.perf_counter()
-        try:
-            return self._inner.review(group)
-        finally:
-            self.seconds += time.perf_counter() - started
-            self.reviews += 1
-
-    def __getattr__(self, name: str):
-        return getattr(self._inner, name)
-
-
-@contextmanager
-def _timed_stage(obs, stage_seconds: Dict[str, float], name: str, **tags):
-    """Time one lifecycle stage as a ``stream.<name>`` span and fold
-    its duration into the report's ``stage_seconds`` (accumulating:
-    the golden consolidator re-enters stages once per column, tagging
-    each pass with ``column=...`` so a trace keeps them apart)."""
-    with obs.span("stream." + name, **tags) as span:
-        yield span
-    stage_seconds[name] = stage_seconds.get(name, 0.0) + span.seconds
-
-
-def _sync_pool_metrics(obs, pool: Optional[ShardPool]) -> None:
-    """Mirror a pool's parent-side aggregates into the registry.
-
-    All gauges (set to the cumulative totals, so the sync is idempotent
-    per batch) and all *volatile*: IPC volume and shard compute time
-    legitimately differ across ``--shards`` values, and excluding them
-    from the deterministic snapshot is what keeps that snapshot
-    byte-identical at any shard count.
-    """
-    if pool is None or not obs.enabled:
-        return
-    metrics = obs.metrics
-    metrics.gauge("shards.values_shipped", deterministic=False).set(
-        pool.shipped_values
-    )
-    metrics.gauge(
-        "shards.candidate_ids_shipped", deterministic=False
-    ).set(pool.shipped_candidate_ids)
-    metrics.gauge("shards.bytes_shipped", deterministic=False).set(
-        pool.shipped_bytes
-    )
-    for op in sorted(pool.op_requests):
-        metrics.gauge("shards.requests", deterministic=False, op=op).set(
-            pool.op_requests[op]
-        )
-        metrics.gauge(
-            "shards.op_seconds", deterministic=False, op=op
-        ).set(round(pool.op_seconds.get(op, 0.0), 9))
-    for shard, seconds in enumerate(pool.shard_seconds):
-        metrics.gauge(
-            "shards.busy_seconds", deterministic=False, shard=str(shard)
-        ).set(round(seconds, 9))
-
-
-class _CellCanonical:
-    """Cell -> canonical-string view over rid-keyed ground truth.
-
-    The cumulative table's cells move and grow; ground truth for a
-    stream is naturally keyed by record id.  This adapter resolves the
-    cell to its record at lookup time so
-    :class:`~repro.pipeline.oracle.GroundTruthOracle` works unchanged.
-    """
-
-    def __init__(
-        self, resolver: IncrementalResolver, by_rid: Dict[str, str]
-    ) -> None:
-        self._resolver = resolver
-        self._by_rid = by_rid
-
-    def get(self, cell: CellRef, default: Optional[str] = None):
-        rid = self._resolver.rid_of_cell(cell)
-        if rid is None:
-            return default
-        return self._by_rid.get(rid, default)
 
 
 def ground_truth_oracle_factory(
@@ -277,52 +51,9 @@ def ground_truth_oracle_factory(
     return factory
 
 
-def _log_from_model(model: TransformationModel) -> StandardizationLog:
-    """Reconstruct a cumulative log from a published model (resume).
-
-    Published models are append-only: each version's group sequence
-    extends the last.  Rehydrating the confirmed groups as approved
-    steps lets a restarted consolidator's next publish *extend* the
-    prior sequence — consumers keep their incremental
-    :meth:`~repro.serve.engine.ApplyEngine.reload` path — instead of
-    starting a fresh, shorter model.  Rejected steps are not persisted
-    in the group sequence (only in provenance), so they are not
-    rehydrated; that only means a resumed stream's provenance decision
-    list restarts, never that a question is re-asked (the decision log
-    covers rejections).
-    """
-    log = StandardizationLog()
-    for confirmed in model.groups:
-        decision = Decision(True, confirmed.direction)
-        members = tuple(
-            member.replacement.reversed()
-            if confirmed.direction == REVERSE
-            else member.replacement
-            for member in confirmed.members
-        )
-        applied = [
-            AppliedReplacement(
-                member.replacement,
-                member.whole,
-                member.token,
-                member.cells_changed,
-            )
-            for member in confirmed.members
-        ]
-        log.steps.append(
-            StepRecord(
-                len(log.steps),
-                Group(confirmed.program, members, confirmed.structure),
-                decision,
-                sum(member.cells_changed for member in confirmed.members),
-                applied,
-            )
-        )
-    return log
-
-
-class StreamConsolidator:
-    """Maintains consolidation state over a stream of record batches.
+class StreamConsolidator(GoldenStreamConsolidator):
+    """Maintains consolidation state for one column over a stream of
+    record batches.
 
     Parameters
     ----------
@@ -332,56 +63,24 @@ class StreamConsolidator:
         Builds the reviewing oracle once the consolidator's internal
         state exists (the oracle usually needs the store for
         provenance-aware judging).
-    key_attribute / attribute, similarity_threshold, similarity:
-        Resolution mode — exactly one of ``key_attribute`` (exact-key
-        clustering) or ``attribute`` (blocked similarity matching).
-    block_keys / max_block_size:
-        Similarity-mode blocking: the block-key function (default
-        token blocking; see
-        :func:`~repro.resolution.blocking.make_block_keys` for the
-        MinHash-LSH modes behind ``--blocking lsh``) and the oversized
-        -block guard.
-    columns:
-        Attribute universe of the cumulative table; inferred from the
-        first batch when omitted.
-    budget_per_batch:
-        Oracle questions allowed per batch (novel groups only).
     registry / model_name:
         Publish model versions into this
         :class:`~repro.serve.registry.ModelRegistry` under this name.
         With a registry the decision log defaults to
         ``<registry>/<name>/decisions.jsonl`` and an existing model
         resumes (see ``resume``).
-    use_engine / engine_use_programs:
-        Serve fast path: standardize arrivals with the live compiled
-        engine before resolution.
     monitor / relearn_budget:
         Optional :class:`~repro.stream.monitor.DriftMonitor` and the
         extra budget a triggered relearn may spend.
-    shards:
-        Partition count for the learner: blocking index, candidate
-        alignment, and the grouping feed shard across this many
-        persistent worker processes (``shard_processes=False`` keeps
-        the same partitioned code path in-process).  Sharding never
-        changes published bytes or question counts.
     decision_log:
         Verdict-log path override; ``False``-y ``persist_decisions``
         disables persistence entirely.
-    block_retention:
-        Similarity mode: per-block member cap (rotation) so block
-        lists stop growing with stream length.
-    resume:
-        When the registry already holds ``model_name``, warm-start
-        from its latest version (engine + cumulative log + publisher
-        version) instead of starting over.
-    question_order:
-        ``"discovery"`` (default) spends the budget in feed order;
-        ``"yield"`` ranks pending groups by expected
-        cells-fixed-per-question and infers transitively-proven
-        verdicts without a question (see
-        :mod:`repro.stream.scheduler`).  Both orders are byte-identical
-        across ``--shards`` values.
+
+    Every other parameter means what it does on
+    :class:`~repro.stream.golden.GoldenStreamConsolidator`.
     """
+
+    ENGINE = ApplyEngine
 
     def __init__(
         self,
@@ -393,7 +92,6 @@ class StreamConsolidator:
         similarity: SimilarityFn = hybrid_similarity,
         block_keys: Optional[BlockKeyFn] = None,
         max_block_size: int = 50,
-        columns: Optional[Sequence[str]] = None,
         budget_per_batch: int = 50,
         config: Config = DEFAULT_CONFIG,
         vocabulary: TermVocabulary = DEFAULT_VOCABULARY,
@@ -412,75 +110,67 @@ class StreamConsolidator:
         obs=None,
         question_order: str = "discovery",
     ) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        if question_order not in QUESTION_ORDERS:
-            raise ValueError(
-                f"question_order must be one of {QUESTION_ORDERS}"
-            )
-        #: observability context (metrics registry + tracer + sink);
-        #: defaults to the no-op NULL_OBS, under which the stage spans
-        #: still time (stage_seconds stays populated) but nothing is
-        #: recorded anywhere.
-        self.obs = obs if obs is not None else NULL_OBS
-        self.column = column
-        self.oracle_factory = oracle_factory
-        self.budget_per_batch = budget_per_batch
-        self.config = config
-        self.vocabulary = vocabulary
-        self.model_name = model_name or column
-        self.use_engine = use_engine
-        self.engine_use_programs = engine_use_programs
-        self.monitor = monitor
-        self.relearn_budget = (
-            relearn_budget
-            if relearn_budget is not None
-            else 4 * budget_per_batch
+        super().__init__(
+            [column],
+            lambda consolidator, _column: oracle_factory(consolidator),
+            key_attribute=key_attribute,
+            attribute=attribute,
+            similarity_threshold=similarity_threshold,
+            similarity=similarity,
+            block_keys=block_keys,
+            max_block_size=max_block_size,
+            budget_per_batch=budget_per_batch,
+            fusion=None,
+            config=config,
+            vocabulary=vocabulary,
+            registry=registry,
+            bundle_name=model_name or column,
+            use_engine=use_engine,
+            engine_use_programs=engine_use_programs,
+            monitors={column: monitor} if monitor is not None else None,
+            relearn_budget=relearn_budget,
+            shards=shards,
+            shard_processes=shard_processes,
+            persist_decisions=persist_decisions,
+            block_retention=block_retention,
+            resume=resume,
+            obs=obs,
+            question_order=question_order,
         )
-        self.shards = shards
-        self.shard_processes = shard_processes
-        self.block_retention = block_retention
-        self.resume = resume
-        #: "discovery" preserves the historical feed order; "yield"
-        #: ranks questions by expected cells fixed and settles
-        #: transitively-proven candidates without asking (see
-        #: :mod:`repro.stream.scheduler`).
-        self.question_order = question_order
-        self._columns = tuple(columns) if columns is not None else None
-        self._key_attribute = key_attribute
-        self._attribute = attribute
-        self._similarity_threshold = similarity_threshold
-        self._similarity = similarity
-        self._block_keys = block_keys
-        self._max_block_size = max_block_size
-
-        self.registry = registry
-        if persist_decisions and decision_log is None and registry is not None:
-            decision_log = (
-                registry.root / slugify(self.model_name) / "decisions.jsonl"
-            )
+        self.column = column
+        self.model_name = self.bundle_name
+        self.monitor = monitor
+        if decision_log is None and self.decision_log_dir is not None:
+            decision_log = self.decision_log_dir / "decisions.jsonl"
         self.decision_log = (
             Path(decision_log)
             if (persist_decisions and decision_log is not None)
             else None
         )
 
-        self.publisher = ModelPublisher(registry, self.model_name)
-        self.engine: Optional[ApplyEngine] = None
-        self.resolver: Optional[IncrementalResolver] = None
-        self.standardizer: Optional[IncrementalStandardizer] = None
-        self.oracle: Optional[Oracle] = None
-        self.pool: Optional[ShardPool] = None
-        self.resumed_from: Optional[int] = None
-        self.reports: List[BatchReport] = []
+    # -- the artifact: one bare model --------------------------------------
+
+    def decision_log_path(self, column: str) -> Optional[Path]:
+        return self.decision_log
+
+    def _column_model_name(self, column: str) -> str:
+        return self.model_name
+
+    def _build_artifact(self) -> TransformationModel:
+        return self.build_model()
+
+    def _artifact_models(self, model: TransformationModel):
+        return {self.column: model}
+
+    def _column_engine(self, column: str) -> Optional[ApplyEngine]:
+        return self.engine
 
     # -- state accessors ---------------------------------------------------
 
     @property
-    def table(self) -> ClusterTable:
-        """The cumulative cluster table (after >= 1 batch)."""
-        self._require_ready()
-        return self.resolver.table
+    def standardizer(self):
+        """The column's incremental standardizer (after >= 1 batch)."""
+        return self.standardizers.get(self.column)
 
     @property
     def store(self):
@@ -495,392 +185,4 @@ class StreamConsolidator:
 
     def build_model(self) -> TransformationModel:
         """The cumulative model: everything confirmed so far."""
-        self._require_ready()
-        # Deliberately no shard count here: the execution topology is
-        # not part of the learned knowledge, and the byte-identical
-        # guarantee across --shards values depends on its absence.
-        provenance = {
-            "source": "StreamConsolidator",
-            "batches": len(self.reports),
-            "records": self.resolver.num_records,
-            "questions_asked": self.standardizer.questions_asked,
-        }
-        if self.resumed_from is not None:
-            provenance["resumed_from_version"] = self.resumed_from
-        return build_model(
-            self.standardizer.log,
-            self.column,
-            name=self.model_name,
-            config=self.config,
-            vocabulary=self.vocabulary,
-            provenance=provenance,
-        )
-
-    def _require_ready(self) -> None:
-        if self.resolver is None:
-            raise RuntimeError("no batch processed yet")
-
-    # -- lazy wiring -------------------------------------------------------
-
-    def _ensure_ready(self, records: Sequence[Record]) -> None:
-        if self.resolver is not None:
-            return
-        columns = self._columns
-        if columns is None:
-            seen: List[str] = []
-            for record in records:
-                for name in record.values:
-                    if name not in seen:
-                        seen.append(name)
-            columns = tuple(seen)
-        resolver_kwargs = {}
-        if self._block_keys is not None:
-            resolver_kwargs["block_keys"] = self._block_keys
-        self.resolver = IncrementalResolver(
-            columns,
-            key_attribute=self._key_attribute,
-            attribute=self._attribute,
-            threshold=self._similarity_threshold,
-            similarity=self._similarity,
-            max_block_size=self._max_block_size,
-            shards=self.shards,
-            block_retention=self.block_retention,
-            **resolver_kwargs,
-        )
-        if not self.resume:
-            self._archive_decision_log()
-        self.standardizer = IncrementalStandardizer(
-            self.resolver.table,
-            self.column,
-            self.config,
-            self.vocabulary,
-            decisions=DecisionCache(self.decision_log),
-        )
-        if self.shards > 1:
-            self.pool = ShardPool(
-                self.shards,
-                self.config,
-                self.vocabulary,
-                similarity=(
-                    self._similarity if self._attribute is not None else None
-                ),
-                processes=self.shard_processes,
-                obs=self.obs,
-            )
-        self._maybe_resume()
-        self.oracle = self.oracle_factory(self)
-        if self.monitor is not None and not self.monitor.obs.enabled:
-            # Route the monitor's drift triggers through this stream's
-            # metrics/event stream (an explicitly attached obs wins).
-            self.monitor.obs = self.obs
-
-    def _archive_decision_log(self) -> None:
-        """Move an existing verdict log aside for a ``resume=False``
-        run (see :func:`repro.stream.decisions.archive_log` for the
-        first-free ``*.pre-fresh-<k>`` discipline)."""
-        archive_log(self.decision_log)
-
-    def _maybe_resume(self) -> None:
-        """Warm-start from the registry's latest published model.
-
-        Resuming rehydrates the prior model's group sequence so the
-        next publish *extends* it — which is only sound when the prior
-        verdicts are in the decision cache: without them the re-judged
-        variation appends to the rehydrated sequence and every group
-        comes out twice.  So a consolidator with no durable verdicts
-        (``--no-decision-log``, or a deleted log next to a non-empty
-        model) starts over instead — new versions still publish under
-        the next registry number, nothing is overwritten.
-        """
-        if not self.resume or self.registry is None:
-            return
-        versions = self.registry.versions(self.model_name)
-        if not versions:
-            return
-        model = self.registry.load(self.model_name)
-        if model.groups and len(self.standardizer.decisions) == 0:
-            return
-        self.resumed_from = versions[-1]
-        self.publisher.version = versions[-1]
-        self.standardizer.log = _log_from_model(model)
-        if self.use_engine and self.engine is None:
-            self.engine = ApplyEngine(
-                model,
-                use_programs=self.engine_use_programs,
-                obs=self.obs,
-            )
-            self.publisher.subscribe(self.engine)
-
-    # -- the lifecycle -----------------------------------------------------
-
-    def process_batch(self, records: Sequence[Record]) -> BatchReport:
-        """Fold one record batch into the consolidation state."""
-        with self.obs.span(
-            "stream.batch", batch=len(self.reports)
-        ) as batch_span:
-            report = self._process_batch(records)
-        report.seconds = batch_span.seconds
-        self._record_batch(report)
-        return report
-
-    def _process_batch(self, records: Sequence[Record]) -> BatchReport:
-        # The table owns its records: copy so standardization never
-        # mutates the caller's objects (batches stay replayable), and
-        # normalize the consolidated column to "" when absent (JSON-
-        # lines sources accept records with arbitrary keys).
-        records = [
-            Record(
-                r.rid,
-                {**{self.column: ""}, **r.values},
-                r.source,
-            )
-            for r in records
-        ]
-        self._ensure_ready(records)
-        report = BatchReport(index=len(self.reports), records=len(records))
-        stage = report.stage_seconds
-
-        # 1. serve fast path: standardize arrivals with the live model.
-        with _timed_stage(self.obs, stage, "engine"):
-            if self.engine is not None and records:
-                values = [r.values.get(self.column, "") for r in records]
-                outputs = self.engine.apply_values(values)
-                for record, value, out in zip(records, values, outputs):
-                    if out != value:
-                        record.values[self.column] = out
-                        report.explained_cells += 1
-
-        # 2. incremental resolution (new-record pairs only).
-        pool_bytes_before = (
-            self.pool.shipped_bytes if self.pool is not None else 0
-        )
-        with _timed_stage(self.obs, stage, "resolve"):
-            resolution = self.resolver.add_batch(records, pool=self.pool)
-        report.merges = resolution.merges
-        report.new_clusters = resolution.new_clusters
-        report.pairs_compared = resolution.pairs_compared
-        report.values_shipped = resolution.values_shipped
-
-        # 3. delta candidate generation (merge moves first).  Records
-        # can be appended *and* merge-moved within one batch, so moves
-        # are only re-homing for pre-existing (already indexed) cells,
-        # and appended cells are indexed at their *current* position.
-        with _timed_stage(self.obs, stage, "derive"):
-            appended_rids = {rid for rid, _, _ in resolution.appended}
-            first_old = {}  # pre-batch position per moved existing rid
-            for rid, oc, orow, _nc, _nrow in resolution.moved:
-                if rid not in appended_rids:
-                    first_old.setdefault(rid, (oc, orow))
-            moves = [
-                (
-                    CellRef(oc, orow, self.column),
-                    CellRef(*self.resolver.position(rid), self.column),
-                )
-                for rid, (oc, orow) in first_old.items()
-            ]
-            if moves:
-                self.standardizer.move_cells(moves)
-            new_cells = []
-            for rid, _, _ in resolution.appended:
-                cluster, row = self.resolver.position(rid)
-                new_cells.append(CellRef(cluster, row, self.column))
-            _indexed, unexplained = self.standardizer.ingest(
-                new_cells, pool=self.pool
-            )
-        report.unmatched_cells = unexplained
-
-        # 4. decision-cache replay: judged variation is free.
-        with _timed_stage(self.obs, stage, "replay"):
-            approved, rejected_count, undecided = (
-                self.standardizer.partition_live()
-            )
-            reused, reused_cells = self.standardizer.reuse_confirmed(
-                approved
-            )
-            report.reused_replacements = reused
-            report.reused_cells = reused_cells
-            report.rejected_skips = rejected_count
-            if reused_cells:
-                # Applying cached verdicts changed the store; refresh
-                # the novel set (otherwise the step-4 partition is
-                # still valid).
-                undecided = self.standardizer.undecided()
-            inferred_cells = 0
-            if self.question_order == "yield":
-                # Transitive inference: candidates the approved chain
-                # already proves are settled (and applied) for free,
-                # before any budget is spent.
-                inferred, inferred_cells = (
-                    self.standardizer.infer_transitive(undecided)
-                )
-                report.inferred_verdicts = inferred
-                if inferred:
-                    undecided = self.standardizer.undecided()
-
-        # 5. budgeted learning over the novel remainder.  The oracle is
-        # wrapped so its review wall-clock is separable from learning.
-        oracle = _TimedOracle(self.oracle)
-        yield_ranked = self.question_order == "yield"
-        with _timed_stage(self.obs, stage, "learn"):
-            steps = self.standardizer.learn(
-                oracle,
-                self.budget_per_batch,
-                novel=undecided,
-                pool=self.pool,
-                yield_ranked=yield_ranked,
-            )
-
-        # 6. drift check: relearn deeper when the stream stops being
-        # explained.  The signal (candidate-key novelty) is independent
-        # of the engine, so monitoring works in --no-engine mode too.
-        with _timed_stage(self.obs, stage, "drift"):
-            if self.monitor is not None:
-                drift = self.monitor.record(
-                    len(records),
-                    report.unmatched_cells,
-                    batch=report.index,
-                )
-                if drift.drifted:
-                    report.drift_triggered = True
-                    steps = steps + self.standardizer.learn(
-                        oracle,
-                        self.relearn_budget,
-                        pool=self.pool,
-                        yield_ranked=yield_ranked,
-                    )
-                    self.monitor.reset()
-        stage["oracle"] = oracle.seconds
-
-        report.questions_asked = len(steps)
-        report.groups_approved = sum(
-            1 for s in steps if s.decision.approved
-        )
-        report.cells_changed = reused_cells + inferred_cells + sum(
-            s.cells_changed for s in steps
-        )
-
-        # 7. publish new confirmations; engines hot-reload in place.
-        with _timed_stage(self.obs, stage, "publish"):
-            if report.groups_approved:
-                model = self.build_model()
-                version, _path = self.publisher.publish(model)
-                report.model_version = version
-                if self.engine is None and self.use_engine:
-                    self.engine = ApplyEngine(
-                        model,
-                        use_programs=self.engine_use_programs,
-                        obs=self.obs,
-                    )
-                    self.publisher.subscribe(self.engine)
-
-        if self.pool is not None:
-            # Data-plane bytes for the whole batch (resolve scripts
-            # plus the alignment fan-out in step 3/5).
-            report.bytes_shipped = (
-                self.pool.shipped_bytes - pool_bytes_before
-            )
-        return report
-
-    def _record_batch(self, report: BatchReport) -> None:
-        """Append the report; with an enabled obs context, mirror its
-        counters into the registry (stable key schema documented in
-        docs/observability.md) and emit the batch row."""
-        self.reports.append(report)
-        obs = self.obs
-        if not obs.enabled:
-            return
-        metrics = obs.metrics
-        # Deterministic counters: identical at any --shards value.
-        metrics.counter("stream.batches").inc()
-        metrics.counter("stream.records").inc(report.records)
-        metrics.counter("stream.explained_cells").inc(
-            report.explained_cells
-        )
-        metrics.counter("stream.unmatched_cells").inc(
-            report.unmatched_cells
-        )
-        metrics.counter("stream.merges").inc(report.merges)
-        metrics.counter("stream.new_clusters").inc(report.new_clusters)
-        metrics.counter("stream.candidate_pairs").inc(
-            report.pairs_compared
-        )
-        metrics.counter("stream.reused_replacements").inc(
-            report.reused_replacements
-        )
-        metrics.counter("stream.reused_cells").inc(report.reused_cells)
-        metrics.counter("stream.rejected_skips").inc(
-            report.rejected_skips
-        )
-        metrics.counter("oracle.inferred_verdicts").inc(
-            report.inferred_verdicts
-        )
-        metrics.counter("oracle.questions_saved").inc(
-            report.reused_replacements
-            + report.rejected_skips
-            + report.inferred_verdicts
-        )
-        metrics.counter("stream.questions", column=self.column).inc(
-            report.questions_asked
-        )
-        metrics.counter("stream.groups_approved").inc(
-            report.groups_approved
-        )
-        metrics.counter("stream.cells_changed").inc(report.cells_changed)
-        if report.model_version is not None:
-            metrics.counter("stream.publishes").inc()
-        # Volatile: wall-clock and IPC volume vary run to run.
-        metrics.counter("stream.values_shipped", deterministic=False).inc(
-            report.values_shipped
-        )
-        metrics.counter("stream.bytes_shipped", deterministic=False).inc(
-            report.bytes_shipped
-        )
-        metrics.histogram(
-            "stream.batch_seconds", deterministic=False
-        ).observe(report.seconds)
-        for stage, seconds in report.stage_seconds.items():
-            metrics.counter(
-                "stream.stage_seconds", deterministic=False, stage=stage
-            ).inc(round(seconds, 9))
-        _sync_pool_metrics(obs, self.pool)
-        obs.emit({"type": "batch", **report.stats()})
-
-    def run(self, batches) -> List[BatchReport]:
-        """Process every batch of an iterable; returns the reports."""
-        return [self.process_batch(batch) for batch in batches]
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        """Release the shard pool's worker processes (idempotent)."""
-        if self.pool is not None:
-            self.pool.close()
-            self.pool = None
-
-    def __enter__(self) -> "StreamConsolidator":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    # -- roll-ups ----------------------------------------------------------
-
-    @property
-    def questions_asked(self) -> int:
-        """Total oracle questions spent across all batches."""
-        return sum(r.questions_asked for r in self.reports)
-
-    @property
-    def questions_saved(self) -> int:
-        """Oracle work the incremental state avoided: cached-approved
-        replacements re-applied, cached rejections silenced, and
-        verdicts settled by transitive inference."""
-        return sum(
-            r.reused_replacements + r.rejected_skips + r.inferred_verdicts
-            for r in self.reports
-        )
-
-    @property
-    def inferred_verdicts(self) -> int:
-        """Verdicts settled transitively, never asked (yield mode)."""
-        return sum(r.inferred_verdicts for r in self.reports)
+        return self.build_column_model(self.column)

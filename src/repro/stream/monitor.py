@@ -53,12 +53,18 @@ class DriftMonitor:
     # -- feeding -----------------------------------------------------------
 
     def record(
-        self, rows: int, misses: int, batch: Optional[int] = None
+        self,
+        rows: int,
+        misses: int,
+        batch: Optional[int] = None,
+        column: Optional[str] = None,
     ) -> DriftReport:
         """Fold one batch's (rows seen, engine misses) into the window.
 
-        ``batch`` is optional context for the emitted drift event (the
-        monitor itself has no notion of batch numbering).
+        ``batch`` and ``column`` are optional context for the emitted
+        drift event and the ``drift.miss_rate`` gauge's label (the
+        monitor itself has no notion of batch numbering, and one
+        monitor watches one column).
         """
         rows = max(0, int(rows))
         misses = max(0, min(int(misses), rows))
@@ -71,7 +77,8 @@ class DriftMonitor:
         if self.obs.enabled:
             metrics = self.obs.metrics
             metrics.counter("drift.batches").inc()
-            metrics.gauge("drift.miss_rate").set(
+            labels = {"column": column} if column is not None else {}
+            metrics.gauge("drift.miss_rate", **labels).set(
                 round(report.miss_rate, 9)
             )
             if report.drifted:
@@ -84,6 +91,7 @@ class DriftMonitor:
                 }
                 if batch is not None:
                     event["batch"] = batch
+                event.update(labels)
                 self.obs.event("drift", **event)
         return report
 

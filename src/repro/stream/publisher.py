@@ -12,27 +12,29 @@ A publisher without a registry still versions in-process: subscribers
 reload, nothing lands on disk.  That keeps the streaming loop usable in
 tests and notebooks where persistence is noise.
 
-:class:`BundlePublisher` is the multi-column analogue: the streaming
-golden-record consolidator publishes one
-:class:`~repro.serve.bundle.ModelBundle` per confirming batch, so
-every subscribed :class:`~repro.serve.bundle.BundleApplyEngine`
-hot-reloads *all* columns atomically — no consumer ever standardizes a
-record with a half-upgraded column set.
+Publishing is artifact-agnostic: registries and engines are duck-typed
+on ``save``/``reload``, so the golden-record stream publishes one
+:class:`~repro.serve.bundle.ModelBundle` per confirming batch through
+the same class, and every subscribed
+:class:`~repro.serve.bundle.BundleApplyEngine` hot-reloads *all*
+columns atomically — no consumer ever standardizes a record with a
+half-upgraded column set.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
-from ..serve.bundle import BundleRegistry, ModelBundle
+from ..serve.bundle import ModelBundle
 from ..serve.engine import ApplyEngine
 from ..serve.model import TransformationModel
 from ..serve.registry import _VERSION_FILE, ModelRegistry
 
 
 class ModelPublisher:
-    """Publishes model versions and hot-reloads subscribed engines."""
+    """Publishes model (or bundle) versions and hot-reloads subscribed
+    engines."""
 
     def __init__(
         self,
@@ -56,7 +58,7 @@ class ModelPublisher:
             self._subscribers.remove(engine)
 
     def publish(
-        self, model: TransformationModel
+        self, model: Union[TransformationModel, ModelBundle]
     ) -> Tuple[int, Optional[Path]]:
         """Persist ``model`` as the next version and reload subscribers.
 
@@ -83,43 +85,6 @@ class ModelPublisher:
         return self.version, path
 
 
-class BundlePublisher(ModelPublisher):
-    """The multi-column :class:`ModelPublisher`: one publish per batch
-    flips *every* column's model together.
-
-    The streaming golden-record consolidator learns N columns per
-    batch; publishing them as N independent model versions would let a
-    consumer reload half a column set between two of those writes.
-    Publishing a :class:`~repro.serve.bundle.ModelBundle` instead makes
-    the registry write one atomic artifact, and every subscriber (a
-    :class:`~repro.serve.bundle.BundleApplyEngine`, or anything with a
-    bundle-shaped ``reload``) flips all columns in a single call.
-
-    The machinery *is* :class:`ModelPublisher` — registries and
-    engines are duck-typed on ``save``/``reload``, and bundles expose
-    the same ``name``/``save(path)`` surface models do — so this
-    subclass only narrows the types: construct it with a
-    :class:`~repro.serve.bundle.BundleRegistry` and publish
-    :class:`~repro.serve.bundle.ModelBundle` objects.  Durability ordering
-    is inherited: the registry write happens before any reload, so a
-    crash between the two leaves the durable state ahead of the served
-    state — the safe direction.
-    """
-
-    def __init__(
-        self,
-        registry: Optional[BundleRegistry] = None,
-        name: Optional[str] = None,
-    ) -> None:
-        super().__init__(registry, name)
-
-    def publish(
-        self, bundle: ModelBundle
-    ) -> Tuple[int, Optional[Path]]:
-        """Persist ``bundle`` as the next version, reload subscribers.
-
-        Returns ``(version, path)``; ``path`` is None for in-process
-        publishers (no registry: versions count, nothing lands on
-        disk — the test/notebook mode of :class:`ModelPublisher`).
-        """
-        return super().publish(bundle)
+#: The bundle-publishing name of :class:`ModelPublisher` (one class
+#: publishes models and bundles alike).
+BundlePublisher = ModelPublisher

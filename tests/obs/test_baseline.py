@@ -171,6 +171,44 @@ class TestHistory:
         )
         assert load_history(tmp_path) == {}
 
+    def test_headline_row_naming_its_test_contributes_fields(self, tmp_path):
+        write_bench(
+            tmp_path,
+            "stream",
+            [
+                {
+                    "bench": "stream",
+                    "test": "incremental_vs_relearn",
+                    "speedup": 3.5,
+                    "records": 600,
+                    "directions": {"speedup": "higher", "records": "info"},
+                }
+            ],
+        )
+        assert load_history(tmp_path) == {"stream:speedup": [3.5]}
+
+    def test_auto_row_contributes_only_passed_seconds(self, tmp_path):
+        write_bench(
+            tmp_path,
+            "stream",
+            [
+                {
+                    "bench": "stream",
+                    "test": "test_resume",
+                    "outcome": "passed",
+                    "seconds": 2.0,
+                    "cpus": 2,
+                },
+                {
+                    "bench": "stream",
+                    "test": "test_resume",
+                    "outcome": "failed",
+                    "seconds": 9.0,
+                },
+            ],
+        )
+        assert load_history(tmp_path) == {"stream::test_resume": [2.0]}
+
     def test_torn_lines_skipped(self, tmp_path):
         stable_history(tmp_path, runs=1)
         path = tmp_path / "BENCH_kernels.json"

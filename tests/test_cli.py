@@ -461,19 +461,42 @@ class TestGoldenStreamCommand:
                 ]
             )
 
-    def test_golden_stream_rejects_drift_monitoring(self):
-        with pytest.raises(SystemExit, match="drift-threshold"):
+    def test_golden_stream_monitors_drift_per_column(self, capsys, tmp_path):
+        from repro.obs.summary import iter_rows
+
+        metrics = tmp_path / "m.jsonl"
+        assert (
             main(
                 [
                     "stream",
                     "--columns",
-                    "address",
-                    "--drift-threshold",
-                    "0.5",
+                    "address,title",
+                    "--scale",
+                    "0.1",
                     "--seed",
-                    "1",
+                    "6",
+                    "--batches",
+                    "3",
+                    "--budget",
+                    "5",
+                    "--drift-threshold",
+                    "0.0",
+                    "--drift-window",
+                    "2",
+                    "--metrics",
+                    str(metrics),
                 ]
             )
+            == 0
+        )
+        assert "DRIFT" in capsys.readouterr().out
+        rows = list(iter_rows(metrics))
+        events = [r for r in rows if r.get("event") == "drift"]
+        assert events
+        assert {event["column"] for event in events} <= {"address", "title"}
+        snapshot = [r for r in rows if r["type"] == "snapshot"][-1]
+        for column in ("address", "title"):
+            assert f"drift.miss_rate{{column={column}}}" in snapshot["metrics"]
 
     def test_empty_columns_list_rejected(self):
         with pytest.raises(SystemExit, match="at least one column"):
