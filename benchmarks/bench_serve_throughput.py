@@ -221,82 +221,44 @@ def test_serve_throughput_under_hot_reload(
 
 
 #: Exact-rule count for the swap-latency bench — large enough that the
-#: O(E**2) compile visibly dominates one registry poll.
+#: compile is a visible share of one registry poll.
 SWAP_RULES = int(6000 * max(0.25, min(1.0, SCALE)))
 SWAP_ROUNDS = 3
 
 
-def test_hot_swap_latency_with_sidecar(tmp_path):
-    """The ``--follow`` fix under test: a publish consumed through its
-    precompiled sidecar must swap in measurably faster than one that
-    forces the poller to recompile the model."""
+def test_hot_swap_latency(tmp_path):
+    """One ``--follow`` poll that finds a new full-swap publish: load
+    the artifact and compile a fresh engine from it.  The swapped-in
+    engine must serve byte-identically to an offline engine over the
+    same version."""
     versions = [
         synthetic_exact_model(SWAP_RULES, name=f"swap-v{i}", salt=str(i))
         for i in range(SWAP_ROUNDS + 1)
     ]
+    registry = ModelRegistry(tmp_path / "registry")
+    registry.save(versions[0], "swap")
+    source = ModelSource(registry=registry, name="swap", ttl=60.0)
+    source.current()  # initial load, outside the measured window
+    best = float("inf")
+    for i, model in enumerate(versions[1:], start=1):
+        registry.save(model, "swap")
+        start = time.perf_counter()
+        swapped = source.refresh()
+        best = min(best, time.perf_counter() - start)
+        assert swapped == i + 1, "publish must have swapped"
+    sample = [g.members[0].lhs for g in versions[-1].groups[:32]]
+    _, engine = source.current()
+    assert engine.apply_values(sample) == ApplyEngine(
+        versions[-1]
+    ).apply_values(sample), "swapped engine must serve byte-identical outputs"
 
-    def measure(sidecar: bool):
-        registry = ModelRegistry(
-            tmp_path / ("with-sidecar" if sidecar else "without-sidecar")
-        )
-        registry.save(versions[0], "swap", sidecar=sidecar)
-        source = ModelSource(registry=registry, name="swap", ttl=60.0)
-        source.current()  # initial load, outside the measured window
-        best = float("inf")
-        for i, model in enumerate(versions[1:], start=1):
-            registry.save(model, "swap", sidecar=sidecar)
-            start = time.perf_counter()
-            swapped = source.refresh()
-            best = min(best, time.perf_counter() - start)
-            assert swapped == i + 1, "publish must have swapped"
-        if sidecar:
-            # + 1: the initial load also came through its sidecar.
-            assert source.sidecar_loads == SWAP_ROUNDS + 1
-            assert source.sidecar_misses == 0
-        else:
-            assert source.sidecar_loads == 0
-        # Both arms serve identical outputs for the final version.
-        sample = [g.members[0].lhs for g in versions[-1].groups[:32]]
-        _, engine = source.current()
-        return best, engine.apply_values(sample)
-
-    t_recompile, out_recompile = measure(sidecar=False)
-    t_sidecar, out_sidecar = measure(sidecar=True)
-    assert out_sidecar == out_recompile, (
-        "sidecar-backed swap must serve byte-identical outputs"
-    )
-
-    swap_speedup = t_recompile / t_sidecar if t_sidecar > 0 else float("inf")
-
-    print_banner("Hot-swap latency: sidecar-backed vs recompiling poll")
+    print_banner("Hot-swap latency: one follow poll over a new publish")
     report(f"exact rules        : {SWAP_RULES}")
-    report(f"recompiling swap   : {t_recompile * 1000:8.1f}ms")
-    report(
-        f"sidecar swap       : {t_sidecar * 1000:8.1f}ms   "
-        f"({swap_speedup:5.1f}x)"
-    )
+    report(f"swap               : {best * 1000:8.1f}ms")
 
     record_result(
         "serve_hot_swap",
-        directions={
-            "rules": "info",
-            "recompile_swap_seconds": "lower",
-            "sidecar_swap_seconds": "lower",
-            "swap_speedup": "higher",
-        },
+        directions={"rules": "info", "swap_seconds": "lower"},
         rules=SWAP_RULES,
-        recompile_swap_seconds=round(t_recompile, 4),
-        sidecar_swap_seconds=round(t_sidecar, 4),
-        swap_speedup=round(swap_speedup, 2),
+        swap_seconds=round(best, 4),
     )
-
-    if ASSERT_SPEEDUP:
-        assert swap_speedup >= 2.0, (
-            f"sidecar swap must beat the recompiling poll (got "
-            f"{swap_speedup:.1f}x)"
-        )
-    else:
-        report(
-            "(REPRO_BENCH_ASSERT_SPEEDUP=0: speedup reported, not "
-            "asserted)"
-        )

@@ -154,12 +154,12 @@ def synthetic_exact_model(
     num_rules: int, name: str = "synthetic-exact", salt: str = ""
 ):
     """A model of ``num_rules`` whole-value exact rules, for benchmarks
-    that need compile cost proportional to rule count (chain-composing
-    E exact rules is O(E**2)) without paying a full learning run.
+    that need compile cost proportional to rule count without paying a
+    full learning run.
 
     Programs are constants, so the engine's program index stays empty
-    and the compiled artifact is exactly the exact-table shape the
-    sidecar benches care about.
+    and compiling it builds exactly the exact table the reload benches
+    time.
     """
     from repro.core.functions import ConstantStr
     from repro.core.program import Program

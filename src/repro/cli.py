@@ -721,25 +721,14 @@ def cmd_consolidate(args) -> int:
     return 0
 
 
-def _load_model_with_index(args):
-    """``(model, precompiled index or None)`` from the CLI's model
-    flags.
-
-    Registry loads come through
-    :meth:`~repro.serve.registry.ModelRegistry.load_with_index`, so a
-    sidecar written at publish time spares the consumer the model
-    recompilation; ``--model FILE`` loads look for the sidecar next to
-    the file.  A missing/stale index is simply ``None`` — engines then
-    compile from the model exactly as before.
-    """
-    from .serve import try_load_index
-
+def _load_model(args) -> TransformationModel:
+    """The model named by the CLI's ``--model FILE`` or ``--registry
+    DIR --name NAME [--model-version N]`` flags."""
     try:
         if args.model:
-            model = TransformationModel.load(args.model)
-            return model, try_load_index(args.model, model)
+            return TransformationModel.load(args.model)
         if args.registry and args.name:
-            return ModelRegistry(args.registry).load_with_index(
+            return ModelRegistry(args.registry).load(
                 args.name, args.model_version
             )
     except FileNotFoundError as exc:
@@ -793,17 +782,13 @@ def cmd_learn(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    model, index = _load_model_with_index(args)
+    model = _load_model(args)
     column = args.column or model.column
     start = time.perf_counter()
     if args.input and not args.key:
         # Flat CSV: the compiled O(N) value engine.
         records = read_csv_records(args.input)
-        engine = ApplyEngine(
-            model,
-            use_programs=not args.no_programs,
-            precompiled=index,
-        )
+        engine = ApplyEngine(model, use_programs=not args.no_programs)
         values = [r.values.get(column, "") for r in records]
         outputs = engine.apply_values(values, workers=args.workers)
         changed = 0
@@ -995,12 +980,11 @@ def _cmd_serve_network(args) -> int:
 def cmd_serve(args) -> int:
     if args.listen:
         return _cmd_serve_network(args)
-    model, index = _load_model_with_index(args)
+    model = _load_model(args)
     engine = ApplyEngine(
         model,
         use_programs=not args.no_programs,
         cache_size=args.cache_size,
-        precompiled=index,
     )
     # The banner goes to stderr: stdout carries only protocol lines.
     print(

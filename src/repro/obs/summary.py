@@ -516,13 +516,6 @@ def format_summary(summary: Dict[str, object]) -> str:
                 f"{broadcast} rows broadcast "
                 f"({100.0 * broadcast / rows:.1f}%)"
             )
-        sidecar_loads = apply_summary.get("sidecar_loads", 0)
-        sidecar_misses = apply_summary.get("sidecar_misses", 0)
-        if sidecar_loads or sidecar_misses:
-            lines.append(
-                f"  sidecar: {sidecar_loads} precompiled loads, "
-                f"{sidecar_misses} fallback recompiles"
-            )
 
     drift_events = summary.get("drift_events") or []
     if drift_events:

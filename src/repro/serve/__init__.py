@@ -8,15 +8,13 @@ reusable asset:
   replacement groups, their programs, and full provenance;
 * :mod:`repro.serve.registry` — a directory-backed model store with
   monotonically increasing versions per model name;
-* :mod:`repro.serve.engine` — confirmed groups compiled into an
-  exact-match hash table plus a per-structure-signature program index,
-  applied columnar (dictionary-encoded through an intern table, once
-  per distinct value) with optional multiprocessing sharding;
+* :mod:`repro.serve.engine` — confirmed groups compiled, in time
+  linear in the rules, into an exact-match hash table plus a
+  per-structure-signature program index, applied columnar
+  (dictionary-encoded through an intern table, once per distinct
+  value) with optional multiprocessing sharding;
 * :mod:`repro.serve.intern` — the value-interning table behind the
   columnar apply path;
-* :mod:`repro.serve.sidecar` — precompiled apply indexes persisted
-  next to each published model version, so reload and hot swap skip
-  recompilation (fingerprint-checked, always safe to delete);
 * :mod:`repro.serve.replay` — provenance-aware re-application that
   reproduces a learning run's cell edits exactly on an identical table;
 * :mod:`repro.serve.bundle` — per-column models published as one
@@ -44,24 +42,12 @@ from .registry import ModelRegistry
 from .replay import ModelReplayer, ReplayReport
 from .server import GoldenTable, ModelSource, ServeServer, parse_listen
 from .service import TTLEngineCache, serve_forever
-from .sidecar import (
-    BundleIndex,
-    CompiledIndex,
-    build_bundle_index,
-    build_index,
-    model_fingerprint,
-    sidecar_path,
-    try_load_index,
-    write_sidecar,
-)
 
 __all__ = [
     "ApplyEngine",
     "ApplyStats",
     "BundleApplyEngine",
-    "BundleIndex",
     "BundleRegistry",
-    "CompiledIndex",
     "GoldenTable",
     "InternTable",
     "ModelBundle",
@@ -73,13 +59,7 @@ __all__ = [
     "TTLEngineCache",
     "TransformationModel",
     "build_bundle",
-    "build_bundle_index",
-    "build_index",
     "build_model",
-    "model_fingerprint",
     "parse_listen",
     "serve_forever",
-    "sidecar_path",
-    "try_load_index",
-    "write_sidecar",
 ]

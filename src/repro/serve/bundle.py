@@ -181,8 +181,7 @@ class BundleRegistry(ModelRegistry):
     """A :class:`ModelRegistry` whose artifacts are model bundles.
 
     Saving works unchanged (bundles expose the same ``name`` /
-    ``save(path)`` surface the registry writes through, and sidecar
-    publication duck-types on the bundle's ``models``); loading goes
+    ``save(path)`` surface the registry writes through); loading goes
     through :meth:`ModelBundle.load` so single-column model files in
     the same tree are rejected instead of half-read.
     """
@@ -207,28 +206,17 @@ class BundleApplyEngine:
         use_programs: bool = True,
         cache_size: int = 65536,
         obs=None,
-        precompiled=None,
     ) -> None:
         self.use_programs = use_programs
         self.cache_size = cache_size
         self.obs = obs
         self.bundle = bundle
-        per_column = self._per_column_indexes(precompiled)
         self.engines: Dict[str, ApplyEngine] = {
-            column: self._make_engine(
-                column, model, precompiled=per_column.get(column)
-            )
+            column: self._make_engine(column, model)
             for column, model in bundle.models.items()
         }
 
-    @staticmethod
-    def _per_column_indexes(precompiled) -> Dict[str, object]:
-        """The per-column compiled indexes of a bundle sidecar (each
-        column's engine re-verifies its own fingerprint)."""
-        columns = getattr(precompiled, "columns", None)
-        return columns if isinstance(columns, dict) else {}
-
-    def _make_engine(self, column: str, model, precompiled=None) -> ApplyEngine:
+    def _make_engine(self, column: str, model) -> ApplyEngine:
         # Per-column engines share the bundle's obs context; the column
         # label keeps their apply.* counters separable in one registry.
         return ApplyEngine(
@@ -237,7 +225,6 @@ class BundleApplyEngine:
             cache_size=self.cache_size,
             obs=self.obs,
             obs_labels={"column": column},
-            precompiled=precompiled,
         )
 
     @property
@@ -249,25 +236,21 @@ class BundleApplyEngine:
         """The one-column engine, or ``None`` for unknown columns."""
         return self.engines.get(column)
 
-    def reload(self, bundle: ModelBundle, precompiled=None) -> None:
+    def reload(self, bundle: ModelBundle) -> None:
         """Hot-swap to a newly published bundle, all columns at once.
 
         Columns whose model merely grew reuse the incremental
         :meth:`ApplyEngine.reload` path (append-only recompile); other
-        columns install from a ``precompiled`` bundle sidecar when one
-        matches, and recompile otherwise; new columns get fresh
-        engines; columns the new bundle dropped stop being served.
+        columns recompile; new columns get fresh engines; columns the
+        new bundle dropped stop being served.
         """
-        per_column = self._per_column_indexes(precompiled)
         engines: Dict[str, ApplyEngine] = {}
         for column, model in bundle.models.items():
             engine = self.engines.get(column)
             if engine is None:
-                engine = self._make_engine(
-                    column, model, precompiled=per_column.get(column)
-                )
+                engine = self._make_engine(column, model)
             else:
-                engine.reload(model, precompiled=per_column.get(column))
+                engine.reload(model)
             engines[column] = engine
         self.engines = engines
         self.bundle = bundle

@@ -32,11 +32,11 @@ two hash probes, not a transformation.  The single-value path keeps an
 LRU cell cache; large batches can shard uncomputed distinct values
 across worker processes.
 
-Engines can also skip compilation entirely: construct (or
-:meth:`ApplyEngine.reload`) with a ``precompiled``
-:class:`~repro.serve.sidecar.CompiledIndex` and the lookup structures
-install in O(index size) — fingerprint-checked against the model, with
-silent fallback to a normal compile on any mismatch.
+Compilation is linear in the model: an inverse index (value -> the
+exact keys currently pointing at it) lets each whole-value rule
+re-point its chain predecessors without scanning the table, so a full
+compile costs O(rules + rewrites) and every reload simply compiles
+from the model.
 
 Exactness note: value-level application generalizes beyond the cluster
 provenance the learner respected — by design.  When bit-exact
@@ -115,10 +115,6 @@ class ApplyStats:
     broadcast_rows: int = 0
     #: rows whose value was already in the intern table on arrival
     intern_hits: int = 0
-    #: compilations skipped via a matching precompiled sidecar index
-    sidecar_loads: int = 0
-    #: sidecars offered but rejected (fingerprint/column mismatch)
-    sidecar_misses: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """The counters as a JSON-safe dict (``repro apply --stats``)."""
@@ -134,8 +130,6 @@ class ApplyStats:
             "distinct_values": self.distinct_values,
             "broadcast_rows": self.broadcast_rows,
             "intern_hits": self.intern_hits,
-            "sidecar_loads": self.sidecar_loads,
-            "sidecar_misses": self.sidecar_misses,
         }
 
 
@@ -156,7 +150,6 @@ class ApplyEngine:
         obs=NULL_OBS,
         obs_labels: Optional[Dict[str, str]] = None,
         intern_size: int = DEFAULT_INTERN_SIZE,
-        precompiled=None,
     ) -> None:
         self.model = model
         self.use_programs = use_programs
@@ -178,17 +171,13 @@ class ApplyEngine:
         self._obs_synced: Dict[str, int] = {}
 
         self.exact: Dict[str, str] = {}
+        # Inverse of ``exact``: value -> the keys currently mapped to it.
+        self._exact_keys: Dict[str, List[str]] = {}
         self.token_rules: List[Tuple[str, str]] = []
         self.programs: Dict[Signature, List[Program]] = {}
         self._seen_token: set = set()
         self._seen_programs: Dict[Signature, set] = {}
-        if precompiled is not None and precompiled.matches(model):
-            self._install_precompiled(precompiled)
-            self._stats.sidecar_loads += 1
-        else:
-            if precompiled is not None:
-                self._stats.sidecar_misses += 1
-            self._compile_groups(model.groups)
+        self._compile_groups(model.groups)
 
     # -- observability -----------------------------------------------------
 
@@ -267,34 +256,24 @@ class ApplyEngine:
                 bucket.append(group.program)
 
     def _add_exact(self, lhs: str, rhs: str) -> None:
-        """Chain-compose one whole-value rule into the exact table."""
-        for key, value in self.exact.items():
-            if value == lhs:
-                self.exact[key] = rhs
-        self.exact.setdefault(lhs, rhs)
-
-    def _install_precompiled(self, index) -> None:
-        """Install a fingerprint-matched sidecar index in O(its size).
-
-        Also reconstructs the compile-time dedup state, so a later
-        *incremental* :meth:`reload` continues from a sidecar-installed
-        engine exactly as it would from a cold-compiled one.
-        """
-        self.exact.update(index.exact)
-        self.token_rules.extend(index.token_rules)
-        self._seen_token.update(index.token_rules)
-        for signature, programs in index.programs:
-            bucket = self.programs.setdefault(signature, [])
-            keys = self._seen_programs.setdefault(signature, set())
-            for program in programs:
-                key = program.canonical()
-                if key not in keys:
-                    keys.add(key)
-                    bucket.append(program)
+        """Chain-compose one whole-value rule into the exact table: the
+        keys that pointed at ``lhs`` now point at ``rhs`` (found through
+        the inverse index, not a table scan), and ``lhs -> rhs`` is
+        added unless ``lhs`` already has a target."""
+        exact = self.exact
+        inverse = self._exact_keys
+        moved = inverse.pop(lhs, None)
+        if moved:
+            for key in moved:
+                exact[key] = rhs
+            inverse.setdefault(rhs, []).extend(moved)
+        if lhs not in exact:
+            exact[lhs] = rhs
+            inverse.setdefault(rhs, []).append(lhs)
 
     # -- hot reload --------------------------------------------------------
 
-    def reload(self, model: TransformationModel, precompiled=None) -> bool:
+    def reload(self, model: TransformationModel) -> bool:
         """Swap in a newly published model without rebuilding the engine.
 
         Published models are append-only (a new version extends the
@@ -306,10 +285,7 @@ class ApplyEngine:
         no process restart and no recompilation of unrelated state.
 
         A model that does not extend the current one triggers a full
-        recompile (still in place) — unless ``precompiled`` carries a
-        fingerprint-matching :class:`~repro.serve.sidecar.CompiledIndex`,
-        in which case the lookup structures install in O(index size)
-        with no recompilation at all (the ``--follow`` hot-swap path).
+        recompile (still in place, linear in the model's rules).
         The memoization state is reset either way: cached outputs may
         be stale under the new rules (interned values keep their slots;
         only the slot-aligned outputs are dropped).
@@ -325,6 +301,7 @@ class ApplyEngine:
         )
         if not incremental:
             self.exact.clear()
+            self._exact_keys.clear()
             self.token_rules.clear()
             self.programs.clear()
             self._seen_token.clear()
@@ -332,15 +309,7 @@ class ApplyEngine:
         self.model = model
         self.vocabulary = model.vocabulary
         self._max_program_len = model.config.max_string_length
-        if incremental:
-            self._compile_groups(model.groups[n:])
-        elif precompiled is not None and precompiled.matches(model):
-            self._install_precompiled(precompiled)
-            self._stats.sidecar_loads += 1
-        else:
-            if precompiled is not None:
-                self._stats.sidecar_misses += 1
-            self._compile_groups(model.groups)
+        self._compile_groups(model.groups[n if incremental else 0:])
         self._cache = LRUCache(self._cache.capacity)
         self._slot_outputs = [None] * len(self._intern)
         return incremental

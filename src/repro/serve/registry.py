@@ -14,21 +14,26 @@ Versions are monotonically increasing integers assigned at save time;
 mutates or deletes existing versions — a saved model is an immutable,
 human-curated asset.
 
-Publishes are atomic (write-to-temp + rename inside
-:meth:`TransformationModel.save`): a crash mid-publish can never leave
-a truncated version file, so hot-reloading consumers
-(:meth:`repro.serve.engine.ApplyEngine.reload`) may poll ``versions``
-and load concurrently with a publisher.
+Publishes are atomic: the artifact is written in full to a hidden
+pending file and then hard-linked to its version name, so a crash
+mid-publish can never leave a truncated version file and hot-reloading
+consumers (:meth:`repro.serve.engine.ApplyEngine.reload`) may poll
+``versions`` and load concurrently with a publisher.  Linking fails
+when the name is taken, so publishers racing on one name each get a
+distinct version instead of overwriting one another.  Files other than
+``vN.json`` (such as the ``vN.index.json`` precompiled indexes older
+releases wrote) are ignored.
 """
 
 from __future__ import annotations
 
+import os
 import re
+import uuid
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from .model import TransformationModel
-from .sidecar import try_load_index, write_sidecar
 
 PathLike = Union[str, Path]
 
@@ -51,31 +56,30 @@ class ModelRegistry:
     # -- writing -----------------------------------------------------------
 
     def save(
-        self,
-        model: TransformationModel,
-        name: Optional[str] = None,
-        sidecar: bool = True,
+        self, model: TransformationModel, name: Optional[str] = None
     ) -> Path:
         """Persist ``model`` as the next version of ``name``.
 
         ``name`` defaults to the model's own name; returns the path of
-        the written version file.  Unless ``sidecar=False``, the
-        compiled apply index is published alongside (``vN.index.json``)
-        so consumers reload without recompiling; the model file itself
-        is always sufficient — a failed sidecar write never fails the
-        publish.
+        the written version file.  A version taken by a concurrent
+        publisher since the directory was listed is skipped, never
+        overwritten.
         """
         slug = slugify(name or model.name)
         directory = self.root / slug
         directory.mkdir(parents=True, exist_ok=True)
-        version = (self.versions(slug) or [0])[-1] + 1
-        path = model.save(directory / f"v{version}.json")
-        if sidecar:
-            try:
-                write_sidecar(model, path)
-            except OSError:
-                pass  # the model published fine; consumers recompile
-        return path
+        pending = model.save(directory / f".pending-{uuid.uuid4().hex}")
+        try:
+            version = (self.versions(slug) or [0])[-1] + 1
+            while True:
+                path = directory / f"v{version}.json"
+                try:
+                    os.link(pending, path)
+                    return path
+                except FileExistsError:
+                    version += 1
+        finally:
+            pending.unlink(missing_ok=True)
 
     # -- reading -----------------------------------------------------------
 
@@ -127,20 +131,6 @@ class ModelRegistry:
     ) -> TransformationModel:
         """Load one version of ``name`` (default: latest)."""
         return self._load_artifact(self.path(name, version))
-
-    def load_with_index(
-        self, name: str, version: Optional[int] = None
-    ) -> Tuple[TransformationModel, Optional[object]]:
-        """Load one version plus its precompiled sidecar index.
-
-        The index is ``None`` whenever it is missing, torn, or does not
-        fingerprint against the loaded artifact — callers compile from
-        the artifact in that case, so a sidecar can degrade reload
-        latency but never correctness or availability.
-        """
-        path = self.path(name, version)
-        artifact = self._load_artifact(path)
-        return artifact, try_load_index(path, artifact)
 
     def catalog(self) -> Dict[str, List[int]]:
         """``{name: [versions...]}`` for everything in the registry."""

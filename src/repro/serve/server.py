@@ -80,10 +80,8 @@ class ModelSource:
     Swaps always install a *fresh* engine instance — never an in-place
     :meth:`~repro.serve.engine.ApplyEngine.reload` — so an in-flight
     request holding the old instance computes its whole reply against
-    one consistent version.  Fresh does not mean recompiled: versions
-    published with a valid sidecar (``vN.index.json``) install their
-    precompiled index in O(index size), which is what keeps
-    ``--follow`` swap latency flat as models grow.
+    one consistent version.  Compiling the fresh engine takes time
+    linear in the artifact's rules, like parsing the artifact does.
     """
 
     def __init__(
@@ -109,10 +107,6 @@ class ModelSource:
         self.obs = obs if obs is not None else NULL_OBS
         self.load_errors = 0
         self.last_load_error: Optional[str] = None
-        #: swaps that installed a precompiled sidecar index vs. swaps
-        #: that had to compile from the model artifact
-        self.sidecar_loads = 0
-        self.sidecar_misses = 0
         self.bundle = isinstance(model, ModelBundle) or isinstance(
             registry, BundleRegistry
         )
@@ -125,21 +119,19 @@ class ModelSource:
                 self._load_latest, ttl=ttl, clock=clock
             )
 
-    def _compile(self, artifact, precompiled=None):
+    def _compile(self, artifact):
         if isinstance(artifact, ModelBundle):
             return BundleApplyEngine(
                 artifact,
                 use_programs=self.use_programs,
                 cache_size=self.cache_size,
                 obs=self.obs,
-                precompiled=precompiled,
             )
         return ApplyEngine(
             artifact,
             use_programs=self.use_programs,
             cache_size=self.cache_size,
             obs=self.obs,
-            precompiled=precompiled,
         )
 
     def _load_latest(
@@ -153,28 +145,19 @@ class ModelSource:
         Reuses the cached compiled engine when the registry still
         points at the cached version, and falls back to it when every
         newer artifact is unreadable — a crashed publisher degrades
-        freshness, never availability.  Versions published with a
-        valid sidecar install their precompiled index instead of
-        recompiling (``sidecar_loads``/``sidecar_misses`` count which
-        path each swap took).
+        freshness, never availability.
         """
         versions = self.registry.versions(name)
         for version in reversed(versions):
             if version == cached_version:
                 return cached_version, cached_engine
             try:
-                artifact, index = self.registry.load_with_index(
-                    name, version
-                )
+                artifact = self.registry.load(name, version)
             except _LOAD_ERRORS as exc:
                 self.load_errors += 1
                 self.last_load_error = f"v{version}: {exc}"
                 continue
-            if index is not None:
-                self.sidecar_loads += 1
-            else:
-                self.sidecar_misses += 1
-            return version, self._compile(artifact, index)
+            return version, self._compile(artifact)
         if cached_engine is not None:
             return cached_version, cached_engine
         raise FileNotFoundError(
@@ -681,8 +664,6 @@ class ServeServer:
             "reloads": self._m_reloads.value,
             "reload_errors": self._m_reload_errors.value,
             "load_errors": self.source.load_errors,
-            "sidecar_loads": self.source.sidecar_loads,
-            "sidecar_misses": self.source.sidecar_misses,
             "pushes": self._m_pushes.value,
             "subscribers": len(self._subscribers),
             "latency": {

@@ -3,10 +3,11 @@
 :class:`ModelPublisher` is the bridge between the streaming learner and
 the serve layer: each time a batch confirms novel groups, the
 cumulative model is published as the next version of its registry name
-(atomic write-to-temp + rename, see :mod:`repro.serve.registry`) and
-every subscribed :class:`~repro.serve.engine.ApplyEngine` is
-hot-reloaded in place — the next batch's fast path immediately speaks
-the newest model, with no process restart and no engine reconstruction.
+(atomically, never over a rival publisher's version, see
+:mod:`repro.serve.registry`) and every subscribed
+:class:`~repro.serve.engine.ApplyEngine` is hot-reloaded in place — the
+next batch's fast path immediately speaks the newest model, with no
+process restart and no engine reconstruction.
 
 A publisher without a registry still versions in-process: subscribers
 reload, nothing lands on disk.  That keeps the streaming loop usable in

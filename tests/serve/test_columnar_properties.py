@@ -17,7 +17,6 @@ from repro.serve import (
     BundleApplyEngine,
     TransformationModel,
     build_bundle,
-    build_index,
 )
 from repro.serve.model import ConfirmedGroup, ConfirmedMember
 
@@ -120,17 +119,17 @@ def test_incremental_reload_mid_stream(before, after, split):
 
 @SMALL
 @given(batches_strategy, batches_strategy)
-def test_sidecar_swap_mid_stream(before, after):
-    """A full (non-extension) swap installed from its sidecar serves
-    the new model's outputs byte-identically, intern state intact."""
+def test_full_swap_mid_stream(before, after):
+    """A full (non-extension) swap recompiled in place serves the new
+    model's outputs byte-identically, intern state intact."""
     swapped = make_model([("intl", "international"), ("dept", "department")])
-    index = build_index(swapped)
     engine = ApplyEngine(MODEL, intern_size=4)
     for batch in before:
         engine.apply_values(batch)
-    assert engine.reload(swapped, precompiled=index) is False
-    assert engine.stats().sidecar_loads == 1
-    assert engine.stats().sidecar_misses == 0
+    interned = len(engine._intern)
+    assert engine.reload(swapped) is False
+    assert len(engine._intern) == interned
+    assert engine.exact == ApplyEngine(swapped).exact
     for batch in after:
         assert engine.apply_values(batch) == oracle(swapped, batch)
 

@@ -110,8 +110,7 @@ class TestAtomicPublish:
         loaded = registry.load("address")
         assert loaded.to_dict() == learned_model.to_dict()
         assert sorted(p.name for p in (tmp_path / "address").glob("*")) == [
-            "v1.index.json",
-            "v1.json",
+            "v1.json"
         ]
 
     def test_retry_after_interruption_succeeds(
@@ -140,3 +139,31 @@ class TestAtomicPublish:
             == learned_model.to_dict()
         )
         assert list(tmp_path.glob(".m.json.tmp.*")) == []
+
+
+class TestConcurrentPublish:
+    """Publishers racing on one name each get their own version."""
+
+    def test_stale_publisher_takes_the_next_free_version(
+        self, learned_model, identity_model, tmp_path, monkeypatch
+    ):
+        ours = ModelRegistry(tmp_path)
+        rival = ModelRegistry(tmp_path)
+        ours.save(learned_model)
+        # ``ours`` listed the directory before ``rival`` published: its
+        # view of the versions is one publish behind.
+        stale = ours.versions("address")
+        rival.save(identity_model)
+        monkeypatch.setattr(ours, "versions", lambda name: stale)
+        path = ours.save(learned_model)
+        monkeypatch.undo()
+
+        assert path.name == "v3.json"
+        assert ours.versions("address") == [1, 2, 3]
+        assert ours.load("address", 2).to_dict() == identity_model.to_dict()
+        assert ours.load("address", 3).to_dict() == learned_model.to_dict()
+        assert sorted(p.name for p in (tmp_path / "address").glob("*")) == [
+            "v1.json",
+            "v2.json",
+            "v3.json",
+        ]
