@@ -323,7 +323,7 @@ def test_skewed_columnar_apply(benchmark, skewed_workload):
 
 def test_full_swap_reload():
     """A full-swap reload compiles the exact table from the model in
-    time linear in its rules — the cost the ``--follow`` poller and
+    time linear in its rules — the cost the registry poller and
     every non-append publish pay.
 
     Each size's engine swaps back and forth between two disjoint rule

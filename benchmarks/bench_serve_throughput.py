@@ -101,8 +101,7 @@ def test_serve_throughput_under_hot_reload(
 
     async def hammer():
         server = ServeServer(
-            ModelSource(registry=registry, name="addr", ttl=60.0),
-            follow=True,
+            ModelSource(registry=registry, name="addr"),
             poll_interval=0.02,
         )
         await server.start("127.0.0.1", 0)
@@ -112,7 +111,7 @@ def test_serve_throughput_under_hot_reload(
 
         async def publisher():
             # Let half the load land on v1 first, then publish and wait
-            # for the follow poller's swap to actually install before
+            # for the registry poller's swap to actually install before
             # releasing the second half — so traffic against both
             # versions is guaranteed even on a single slow core.
             await asyncio.sleep(0.0)
@@ -227,7 +226,7 @@ SWAP_ROUNDS = 3
 
 
 def test_hot_swap_latency(tmp_path):
-    """One ``--follow`` poll that finds a new full-swap publish: load
+    """One registry poll that finds a new full-swap publish: load
     the artifact and compile a fresh engine from it.  The swapped-in
     engine must serve byte-identically to an offline engine over the
     same version."""
@@ -237,7 +236,7 @@ def test_hot_swap_latency(tmp_path):
     ]
     registry = ModelRegistry(tmp_path / "registry")
     registry.save(versions[0], "swap")
-    source = ModelSource(registry=registry, name="swap", ttl=60.0)
+    source = ModelSource(registry=registry, name="swap")
     source.current()  # initial load, outside the measured window
     best = float("inf")
     for i, model in enumerate(versions[1:], start=1):
@@ -252,7 +251,7 @@ def test_hot_swap_latency(tmp_path):
         versions[-1]
     ).apply_values(sample), "swapped engine must serve byte-identical outputs"
 
-    print_banner("Hot-swap latency: one follow poll over a new publish")
+    print_banner("Hot-swap latency: one registry poll over a new publish")
     report(f"exact rules        : {SWAP_RULES}")
     report(f"swap               : {best * 1000:8.1f}ms")
 

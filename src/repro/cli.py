@@ -223,35 +223,17 @@ def build_parser() -> argparse.ArgumentParser:
         "(port 0 picks an ephemeral port, announced on stderr)",
     )
     serve_p.add_argument(
-        "--bundle",
-        action="store_true",
-        help="the registry/model holds multi-column bundles "
-        "(record-level apply; golden-record lookups)",
-    )
-    serve_p.add_argument(
-        "--follow",
-        action="store_true",
-        help="poll the registry and hot-swap newly published versions "
-        "without dropping in-flight requests (needs --registry --name)",
-    )
-    serve_p.add_argument(
         "--poll-interval",
         type=float,
         default=0.25,
-        help="--follow poll cadence in seconds",
-    )
-    serve_p.add_argument(
-        "--ttl",
-        type=float,
-        default=5.0,
-        help="compiled-model cache TTL: max staleness before the "
-        "registry is re-consulted on the request path",
+        help="seconds between registry polls for newly published "
+        "versions, hot-swapped without dropping in-flight requests",
     )
     serve_p.add_argument(
         "--golden-log",
         help="golden delta log to tail for lookup/subscribe ops "
-        "(default with --bundle --registry: the stream's "
-        "golden-deltas.jsonl next to the bundle)",
+        "(default when --registry serves a bundle: the stream's "
+        "golden-deltas.jsonl next to it)",
     )
     serve_p.add_argument(
         "--idle-timeout",
@@ -867,7 +849,7 @@ def cmd_apply(args) -> int:
 def _cmd_serve_network(args) -> int:
     """``repro serve --listen``: the concurrent asyncio TCP service."""
     from .obs import NULL_OBS, JsonlSink, Obs
-    from .serve.bundle import BundleRegistry, ModelBundle
+    from .serve.bundle import BundleApplyEngine, load_artifact
     from .serve.registry import slugify
     from .serve.server import (
         GoldenTable,
@@ -881,10 +863,6 @@ def _cmd_serve_network(args) -> int:
         host, port = parse_listen(args.listen)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    if args.follow and not (args.registry and args.name):
-        raise SystemExit(
-            "error: --follow needs --registry DIR and --name NAME"
-        )
 
     obs = None
     if args.metrics:
@@ -894,52 +872,39 @@ def _cmd_serve_network(args) -> int:
                 "type": "meta",
                 "command": "serve",
                 "listen": args.listen,
-                "bundle": bool(args.bundle),
-                "follow": bool(args.follow),
             }
         )
 
     golden_path = args.golden_log
+    engine_args = dict(
+        use_programs=not args.no_programs,
+        cache_size=args.cache_size,
+        obs=obs or NULL_OBS,
+    )
     try:
         if args.registry and args.name:
-            registry = (
-                BundleRegistry(args.registry)
-                if args.bundle
-                else ModelRegistry(args.registry)
-            )
-            if golden_path is None and args.bundle:
-                golden_path = (
-                    registry.root / slugify(args.name) / "golden-deltas.jsonl"
-                )
+            registry = ModelRegistry(args.registry)
             if args.model_version is not None:
                 # A pinned version is served statically, never swapped.
                 source = ModelSource(
-                    model=registry.load(args.name, args.model_version),
-                    use_programs=not args.no_programs,
-                    cache_size=args.cache_size,
-                    obs=obs or NULL_OBS,
+                    model=load_artifact(
+                        registry.path(args.name, args.model_version)
+                    ),
                     model_version=args.model_version,
+                    **engine_args,
                 )
             else:
                 source = ModelSource(
-                    registry=registry,
-                    name=args.name,
-                    use_programs=not args.no_programs,
-                    cache_size=args.cache_size,
-                    ttl=args.ttl,
-                    obs=obs or NULL_OBS,
+                    registry=registry, name=args.name, **engine_args
+                )
+            bundle = isinstance(source.current()[1], BundleApplyEngine)
+            if golden_path is None and bundle:
+                golden_path = (
+                    registry.root / slugify(args.name) / "golden-deltas.jsonl"
                 )
         elif args.model:
-            artifact = (
-                ModelBundle.load(args.model)
-                if args.bundle
-                else TransformationModel.load(args.model)
-            )
             source = ModelSource(
-                model=artifact,
-                use_programs=not args.no_programs,
-                cache_size=args.cache_size,
-                obs=obs or NULL_OBS,
+                model=load_artifact(args.model), **engine_args
             )
         else:
             raise SystemExit(
@@ -954,7 +919,6 @@ def _cmd_serve_network(args) -> int:
         source,
         golden=GoldenTable(golden_path) if golden_path else None,
         obs=obs,
-        follow=args.follow,
         poll_interval=args.poll_interval,
         idle_timeout=args.idle_timeout or None,
         max_request_bytes=args.max_request_bytes,

@@ -21,8 +21,7 @@ reusable asset:
   atomic multi-column artifact, with a record-level apply engine whose
   single ``reload`` flips every column together;
 * :mod:`repro.serve.service` — a long-running JSON-lines worker
-  answering transform requests over stdin/stdout, plus the TTL'd
-  compiled-engine cache the network tier reads through;
+  answering transform requests over stdin/stdout;
 * :mod:`repro.serve.server` — the concurrent asyncio JSON-over-TCP
   network service: hot-reloading model source, golden-record lookups
   tailed from the stream's delta log, and fault-tolerant connection
@@ -34,6 +33,7 @@ from .bundle import (
     BundleRegistry,
     ModelBundle,
     build_bundle,
+    load_artifact,
 )
 from .engine import ApplyEngine, ApplyStats
 from .intern import InternTable
@@ -41,7 +41,7 @@ from .model import TransformationModel, build_model
 from .registry import ModelRegistry
 from .replay import ModelReplayer, ReplayReport
 from .server import GoldenTable, ModelSource, ServeServer, parse_listen
-from .service import TTLEngineCache, serve_forever
+from .service import serve_forever
 
 __all__ = [
     "ApplyEngine",
@@ -56,10 +56,10 @@ __all__ = [
     "ModelSource",
     "ReplayReport",
     "ServeServer",
-    "TTLEngineCache",
     "TransformationModel",
     "build_bundle",
     "build_model",
+    "load_artifact",
     "parse_listen",
     "serve_forever",
 ]

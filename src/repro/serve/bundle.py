@@ -163,6 +163,19 @@ class ModelBundle:
             return cls.from_dict(json.load(handle))
 
 
+def load_artifact(
+    path: PathLike,
+) -> Union[ModelBundle, TransformationModel]:
+    """Read a saved model or bundle; the file's ``kind`` picks which."""
+    with open(path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    if payload.get("kind") == BUNDLE_KIND:
+        return ModelBundle.from_dict(payload)
+    return TransformationModel.from_dict(payload)
+
+
 def build_bundle(
     models: Dict[str, TransformationModel],
     name: str,

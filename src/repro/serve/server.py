@@ -6,14 +6,13 @@ protocol as the stdin worker, now concurrent).  Three moving parts:
 
 * :class:`ModelSource` — loads the latest published model (or
   multi-column bundle) from a registry, compiles it, and **atomically
-  swaps** engine instances behind a
-  :class:`~repro.serve.service.TTLEngineCache`.  Every request
-  captures one ``(version, engine)`` snapshot at dispatch, so a batch
-  reply is always computed against a single model version even while a
-  swap lands mid-flight — in-flight requests simply keep the instance
-  they started with.  Torn or half-published artifacts are skipped
-  (the loader walks versions downward to the newest *loadable* one),
-  so a crashed publisher can never take the serving tier down;
+  swaps** engine instances forwards.  Every request captures one
+  ``(version, engine)`` snapshot at dispatch, so a batch reply is
+  always computed against a single model version even while a swap
+  lands mid-flight — in-flight requests simply keep the instance they
+  started with.  Torn or half-published artifacts are skipped (the
+  loader walks versions downward to the newest *loadable* one), so a
+  crashed publisher can never take the serving tier down;
 * :class:`GoldenTable` — an in-memory golden-record table maintained
   by tailing the stream's golden delta log
   (:mod:`repro.stream.deltas`): per-batch changed-clusters-only rows,
@@ -22,8 +21,8 @@ protocol as the stdin worker, now concurrent).  Three moving parts:
   line;
 * :class:`ServeServer` — the asyncio server: per-connection read loop
   with idle-timeout and request-size guards, an op dispatcher, a
-  ``--follow`` poller that hot-swaps new registry versions without
-  dropping requests, and ``serve.*`` metrics/spans through
+  registry poller that hot-swaps new versions without dropping
+  requests, and ``serve.*`` metrics/spans through
   :mod:`repro.obs` (request counts per op, reply outcomes, p50/p99
   request latency, reload and push counters).
 
@@ -42,16 +41,17 @@ import asyncio
 import json
 import re
 import sys
+import threading
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..obs import NULL_OBS, MemorySink, Obs, prometheus_text
-from .bundle import BundleApplyEngine, BundleRegistry, ModelBundle
+from .bundle import BundleApplyEngine, ModelBundle, load_artifact
 from .engine import ApplyEngine
 from .model import TransformationModel
 from .registry import ModelRegistry
-from .service import TTLEngineCache, handle_request
+from .service import handle_request
 
 PathLike = Union[str, Path]
 
@@ -67,15 +67,13 @@ _LOAD_ERRORS = (OSError, ValueError, KeyError, re.error)
 class ModelSource:
     """Loads, compiles, and atomically swaps the served engine.
 
-    Two modes:
-
-    * **registry** (``registry`` + ``name``) — the request path reads
-      through a :class:`~repro.serve.service.TTLEngineCache`, so even
-      without ``--follow`` a new publish is picked up within one TTL;
-      :meth:`refresh` (the follow poller) loads newer versions eagerly
-      and installs them via :meth:`TTLEngineCache.store`;
-    * **static** (``model``) — one preloaded artifact, never swapped
-      (``repro serve --model FILE --listen ...``).
+    The served ``(version, engine)`` lives in one :attr:`snapshot`
+    tuple.  A **static** source (``model``) sets it at construction and
+    never changes it.  A **registry** source (``registry`` + ``name``)
+    loads it on the first :meth:`current`; after that only
+    :meth:`refresh` — the server's poller — changes it, and only
+    forwards.  Each artifact's ``kind`` says whether it is a model or a
+    multi-column bundle.
 
     Swaps always install a *fresh* engine instance — never an in-place
     :meth:`~repro.serve.engine.ApplyEngine.reload` — so an in-flight
@@ -91,8 +89,6 @@ class ModelSource:
         model: Optional[Union[TransformationModel, ModelBundle]] = None,
         use_programs: bool = True,
         cache_size: int = 65536,
-        ttl: float = 5.0,
-        clock=time.monotonic,
         obs=NULL_OBS,
         model_version: int = 1,
     ) -> None:
@@ -100,90 +96,69 @@ class ModelSource:
             raise ValueError(
                 "ModelSource needs a registry+name or a preloaded model"
             )
-        self.registry = registry
+        self.registry = registry if model is None else None
         self.name = name
         self.use_programs = use_programs
         self.cache_size = cache_size
         self.obs = obs if obs is not None else NULL_OBS
         self.load_errors = 0
         self.last_load_error: Optional[str] = None
-        self.bundle = isinstance(model, ModelBundle) or isinstance(
-            registry, BundleRegistry
-        )
-        self._static: Optional[Tuple[int, object]] = None
-        self._cache: Optional[TTLEngineCache] = None
+        self._lock = threading.Lock()
+        self.snapshot: Optional[Tuple[int, object]] = None
         if model is not None:
-            self._static = (model_version, self._compile(model))
-        else:
-            self._cache = TTLEngineCache(
-                self._load_latest, ttl=ttl, clock=clock
-            )
+            self.snapshot = (model_version, self._compile(model))
 
     def _compile(self, artifact):
-        if isinstance(artifact, ModelBundle):
-            return BundleApplyEngine(
-                artifact,
-                use_programs=self.use_programs,
-                cache_size=self.cache_size,
-                obs=self.obs,
-            )
-        return ApplyEngine(
+        engine_class = (
+            BundleApplyEngine
+            if isinstance(artifact, ModelBundle)
+            else ApplyEngine
+        )
+        return engine_class(
             artifact,
             use_programs=self.use_programs,
             cache_size=self.cache_size,
             obs=self.obs,
         )
 
-    def _load_latest(
-        self,
-        name: str,
-        cached_version: Optional[int],
-        cached_engine: Optional[object],
-    ) -> Tuple[int, object]:
-        """The newest *loadable* version, walking past torn publishes.
-
-        Reuses the cached compiled engine when the registry still
-        points at the cached version, and falls back to it when every
-        newer artifact is unreadable — a crashed publisher degrades
-        freshness, never availability.
-        """
-        versions = self.registry.versions(name)
-        for version in reversed(versions):
-            if version == cached_version:
-                return cached_version, cached_engine
-            try:
-                artifact = self.registry.load(name, version)
-            except _LOAD_ERRORS as exc:
-                self.load_errors += 1
-                self.last_load_error = f"v{version}: {exc}"
-                continue
-            return version, self._compile(artifact)
-        if cached_engine is not None:
-            return cached_version, cached_engine
-        raise FileNotFoundError(
-            f"no loadable version of {name!r} under {self.registry.root}"
-        )
-
     def current(self) -> Tuple[int, object]:
         """The ``(version, engine)`` snapshot requests dispatch against."""
-        if self._static is not None:
-            return self._static
-        return self._cache.get(self.name)
+        if self.snapshot is None:
+            self.refresh()
+            if self.snapshot is None:
+                raise FileNotFoundError(
+                    f"no loadable version of {self.name!r} "
+                    f"under {self.registry.root}"
+                )
+        return self.snapshot
 
     def refresh(self) -> Optional[int]:
-        """Poll for a newer completed version and swap it in (the
-        follow poller's path; also safe to call ad hoc).  Returns the
-        new version when a swap happened, else ``None``."""
-        if self._static is not None:
+        """Swap in the newest loadable version newer than the served
+        one (the poller's path; safe from any thread).  Returns the new
+        version when a swap happened, else ``None``.
+
+        Versions are tried newest-first down to the served one, so a
+        swap only ever moves forwards; unloadable files (torn
+        publishes) are skipped and counted in :attr:`load_errors` — a
+        crashed publisher degrades freshness, never availability.
+        """
+        if self.registry is None:
             return None
-        cached = self._cache.peek(self.name)
-        cached_version = cached[0] if cached is not None else None
-        cached_engine = cached[1] if cached is not None else None
-        version, engine = self._load_latest(
-            self.name, cached_version, cached_engine
-        )
-        if self._cache.store(self.name, version, engine):
-            return version
+        with self._lock:
+            served = self.snapshot[0] if self.snapshot is not None else 0
+            for version in reversed(self.registry.versions(self.name)):
+                if version <= served:
+                    break
+                try:
+                    artifact = load_artifact(
+                        self.registry.path(self.name, version)
+                    )
+                except _LOAD_ERRORS as exc:
+                    self.load_errors += 1
+                    self.last_load_error = f"v{version}: {exc}"
+                    continue
+                self.snapshot = (version, self._compile(artifact))
+                return version
         return None
 
 
@@ -240,7 +215,6 @@ class ServeServer:
         source: ModelSource,
         golden: Optional[GoldenTable] = None,
         obs: Optional[Obs] = None,
-        follow: bool = False,
         poll_interval: float = 0.25,
         idle_timeout: Optional[float] = None,
         max_request_bytes: int = MAX_REQUEST_BYTES,
@@ -253,7 +227,6 @@ class ServeServer:
         self.obs = obs if obs is not None and obs.enabled else Obs(
             sink=MemorySink()
         )
-        self.follow = follow
         self.poll_interval = poll_interval
         self.idle_timeout = idle_timeout
         self.max_request_bytes = max_request_bytes
@@ -282,6 +255,9 @@ class ServeServer:
         self._m_pushes = metrics.counter(
             "serve.pushes", deterministic=False
         )
+        self._m_subscriber_drops = metrics.counter(
+            "serve.subscriber_drops", deterministic=False
+        )
         self._m_golden_seq = metrics.gauge(
             "serve.golden_seq", deterministic=False
         )
@@ -308,9 +284,9 @@ class ServeServer:
         )
         sock = self._server.sockets[0]
         self.address = sock.getsockname()[:2]
-        if self.follow:
+        if self.source.registry is not None:
             self._bg_tasks.append(
-                asyncio.create_task(self._follow_loop())
+                asyncio.create_task(self._reload_loop())
             )
         if self.golden is not None:
             self._bg_tasks.append(
@@ -366,14 +342,14 @@ class ServeServer:
 
     # -- background loops --------------------------------------------------
 
-    async def _follow_loop(self) -> None:
+    async def _reload_loop(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(self.poll_interval)
             before_errors = self.source.load_errors
             try:
                 # Load + compile off-loop; the swap itself is one
-                # attribute rebind inside the cache.
+                # attribute rebind inside the source.
                 swapped = await loop.run_in_executor(
                     None, self.source.refresh
                 )
@@ -415,10 +391,17 @@ class ServeServer:
                 for writer in list(self._subscribers):
                     try:
                         writer.write(line)
-                        await writer.drain()
                         self._m_pushes.inc()
                     except (ConnectionError, RuntimeError):
                         self._subscribers.discard(writer)
+                        continue
+                    # Never wait on one subscriber: one that stops
+                    # reading is cut off instead of stalling the rest.
+                    buffered = writer.transport.get_write_buffer_size()
+                    if buffered > MAX_REQUEST_BYTES:
+                        writer.transport.abort()
+                        self._subscribers.discard(writer)
+                        self._m_subscriber_drops.inc()
 
     async def _snapshot_loop(self) -> None:
         while True:
@@ -541,12 +524,13 @@ class ServeServer:
         if op == "ping":
             return {"ok": True, "pong": True, "version": version}
         if op == "version":
+            bundle = isinstance(engine, BundleApplyEngine)
             response = {
                 "ok": True,
                 "version": version,
-                "mode": "bundle" if self.source.bundle else "model",
+                "mode": "bundle" if bundle else "model",
             }
-            if self.source.bundle:
+            if bundle:
                 response["columns"] = engine.columns
                 response["name"] = engine.bundle.name
             else:
@@ -578,7 +562,7 @@ class ServeServer:
     def _apply_response(
         self, request: Dict, version: int, engine
     ) -> Dict:
-        if not self.source.bundle:
+        if not isinstance(engine, BundleApplyEngine):
             response = handle_request(engine, request)
             response["version"] = version
             return response
@@ -675,7 +659,7 @@ class ServeServer:
         if self.golden is not None:
             serve["golden_seq"] = self.golden.seq
             serve["golden_records"] = len(self.golden.records)
-        if self.source.bundle:
+        if isinstance(engine, BundleApplyEngine):
             engine_stats: Dict[str, object] = engine.stats()
         else:
             engine_stats = engine.stats().as_dict()

@@ -1,6 +1,5 @@
-"""Transport-agnostic serve plumbing: the stdin worker and the TTL'd
-compiled-model cache the network tier (:mod:`repro.serve.server`) is
-built on.
+"""The stdin serve worker and the request handler the network tier
+(:mod:`repro.serve.server`) reuses for single-model applies.
 
 The original worker reads one JSON request per line on stdin and
 writes one JSON response per line on stdout — the lowest-common-
@@ -32,8 +31,7 @@ from __future__ import annotations
 
 import json
 import sys
-import time
-from typing import Callable, Dict, IO, Optional, Tuple
+from typing import Dict, IO, Optional
 
 from .engine import ApplyEngine
 
@@ -70,166 +68,6 @@ def handle_request(engine: ApplyEngine, request: Dict) -> Dict:
             return {"ok": True, "value": engine.transform(value)}
         return {"ok": False, "error": "apply needs 'value' or 'values'"}
     return {"ok": False, "error": f"unknown op: {op!r}"}
-
-
-#: Loads the freshest servable artifact of one name.  Receives the
-#: cached ``(version, engine)`` (or ``(None, None)``) so an unchanged
-#: registry can hand the compiled engine straight back instead of
-#: recompiling; returns the new ``(version, engine)``.
-EngineLoader = Callable[
-    [str, Optional[int], Optional[object]], Tuple[int, object]
-]
-
-
-class _CacheEntry:
-    __slots__ = ("version", "engine", "loaded_at")
-
-    def __init__(self, version: int, engine: object, loaded_at: float):
-        self.version = version
-        self.engine = engine
-        self.loaded_at = loaded_at
-
-
-class TTLEngineCache:
-    """A TTL'd cache of compiled engines fronting a model registry.
-
-    The serving tier answers every request through this cache, which
-    gives it two freshness guarantees with one mechanism:
-
-    * **bounded staleness** — an entry older than ``ttl`` seconds is
-      never served without re-consulting the loader first, so even a
-      server nobody notifies converges on a new publish within one TTL;
-    * **publish consistency** — after :meth:`notify_publish` (or
-      :meth:`store`) records that version ``v`` completed, ``get``
-      never again returns anything older than ``v``: a known publish
-      forces a refresh regardless of remaining TTL.  Returned versions
-      are monotone per name — the cache never travels backwards even
-      if the loader momentarily does.  The cached entry is what anchors
-      that clamp, so :meth:`evict_expired` (which nothing in the
-      serving tier calls) trades the monotone baseline of the names it
-      drops for memory.
-
-    The clock is injectable (``clock=time.monotonic`` by default) so
-    property tests can drive arbitrary get/publish/expire interleavings
-    deterministically.  The cache itself is synchronous and unlocked:
-    the asyncio server calls it from one event loop, and its follow
-    poller injects fresh engines via :meth:`store` (a single attribute
-    rebind, safe under the GIL).
-    """
-
-    def __init__(
-        self,
-        loader: EngineLoader,
-        ttl: float = 5.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if ttl <= 0:
-            raise ValueError(f"ttl must be positive, got {ttl}")
-        self.loader = loader
-        self.ttl = ttl
-        self.clock = clock
-        self._entries: Dict[str, _CacheEntry] = {}
-        #: name -> newest version known to have *completed* publishing
-        self._published: Dict[str, int] = {}
-
-    # -- publish notifications ---------------------------------------------
-
-    def notify_publish(self, name: str, version: int) -> None:
-        """Record that ``version`` of ``name`` finished publishing.
-
-        Only call this for *completed* (atomically renamed, loadable)
-        artifacts — the floor it raises is a promise ``get`` keeps.
-        """
-        if version > self._published.get(name, 0):
-            self._published[name] = version
-
-    def store(self, name: str, version: int, engine: object) -> bool:
-        """Install an already-loaded engine (the follow poller's path).
-
-        Returns True when it became the served entry; a version at or
-        below the cached one only refreshes the entry's TTL.  Either
-        way the publish floor rises to ``version``.
-        """
-        now = self.clock()
-        entry = self._entries.get(name)
-        self.notify_publish(name, version)
-        if entry is not None and entry.version >= version:
-            entry.loaded_at = now
-            return False
-        self._entries[name] = _CacheEntry(version, engine, now)
-        return True
-
-    # -- reads -------------------------------------------------------------
-
-    def peek(self, name: str) -> Optional[Tuple[int, object]]:
-        """The cached ``(version, engine)`` with no freshness checks,
-        no loader call, and no TTL refresh; ``None`` when absent."""
-        entry = self._entries.get(name)
-        if entry is None:
-            return None
-        return entry.version, entry.engine
-
-    def get(self, name: str) -> Tuple[int, object]:
-        """The freshest ``(version, engine)`` of ``name``.
-
-        Serves the cached entry only while it is younger than the TTL
-        *and* not older than the newest known completed publish;
-        otherwise refreshes through the loader.  A loader that reports
-        an older version than the cache already served is ignored
-        (monotone reads); one that cannot yet see a notified publish is
-        served best-effort but left expired, so the very next ``get``
-        retries instead of trusting it for a full TTL.
-        """
-        now = self.clock()
-        entry = self._entries.get(name)
-        floor = self._published.get(name, 0)
-        if (
-            entry is not None
-            and now - entry.loaded_at <= self.ttl
-            and entry.version >= floor
-        ):
-            return entry.version, entry.engine
-        cached_version = entry.version if entry is not None else None
-        cached_engine = entry.engine if entry is not None else None
-        version, engine = self.loader(name, cached_version, cached_engine)
-        if cached_version is not None and version < cached_version:
-            version, engine = cached_version, cached_engine
-        loaded_at = now
-        if version < floor:
-            # The loader lags a completed publish (should be impossible
-            # with atomic publishes); serve its best but stay expired.
-            loaded_at = now - self.ttl - 1.0
-        else:
-            self._published[name] = max(floor, version)
-        self._entries[name] = _CacheEntry(version, engine, loaded_at)
-        return version, engine
-
-    # -- eviction ----------------------------------------------------------
-
-    def evict_expired(self) -> int:
-        """Drop entries whose TTL has fully elapsed (memory bound for
-        many-model servers); fresh entries are never evicted.  Returns
-        the number removed.
-
-        The cached entry doubles as the monotone-reads clamp, so an
-        evicted name's next ``get`` trusts the loader outright — a
-        loader that travels backwards (listing glitch, slow NFS) can
-        then serve an older version than before the eviction.  Callers
-        who need strict monotonicity across a name's lifetime should
-        simply not evict it; the publish floor (which survives
-        eviction) still guards notified publishes either way."""
-        now = self.clock()
-        stale = [
-            name
-            for name, entry in self._entries.items()
-            if now - entry.loaded_at > self.ttl
-        ]
-        for name in stale:
-            del self._entries[name]
-        return len(stale)
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 def serve_forever(

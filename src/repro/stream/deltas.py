@@ -20,10 +20,10 @@ turns that knowledge into a durable channel:
   ``--fresh`` restart and recreated) resets the reader so consumers
   rebuild instead of serving a mix of two histories.
 
-``repro serve --follow`` tails this log to keep its in-memory golden
-table current and to push per-batch deltas to subscribed connections —
-subscribers receive O(changed clusters) per batch, never a whole-table
-re-read.
+``repro serve`` tails this log to keep its in-memory golden table
+current and to push per-batch deltas to subscribed connections —
+subscribers receive O(changed clusters) per batch, never a
+whole-table re-read.
 """
 
 from __future__ import annotations

@@ -623,7 +623,7 @@ class GoldenStreamConsolidator:
             else None
         )
         # The golden delta log rides next to the published bundle by
-        # default: `repro serve --follow` tails it for lookups and
+        # default: `repro serve` tails it for lookups and
         # changed-clusters-only pushes (see repro.stream.deltas).
         if fusion is None:
             golden_log = None

@@ -111,8 +111,7 @@ def test_torn_publish_is_skipped_and_recovery_swaps_forward(
 
     async def scenario():
         server = await start_test_server(
-            ModelSource(registry=registry, name="addr", ttl=60.0),
-            follow=True,
+            ModelSource(registry=registry, name="addr"),
             poll_interval=0.05,
         )
         try:

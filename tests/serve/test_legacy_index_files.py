@@ -99,8 +99,7 @@ def test_follow_serving_is_byte_identical(tmp_path):
         copy_registry(root, versions=(1,), legacy=legacy)
         registry = ModelRegistry(root)
         server = await start_test_server(
-            ModelSource(registry=registry, name=NAME, ttl=60.0),
-            follow=True,
+            ModelSource(registry=registry, name=NAME),
             poll_interval=0.01,
         )
         try:

@@ -29,8 +29,7 @@ def test_hammering_clients_during_hot_swaps_drop_nothing(
 
     async def scenario():
         server = await start_test_server(
-            ModelSource(registry=registry, name="addr", ttl=60.0),
-            follow=True,
+            ModelSource(registry=registry, name="addr"),
             poll_interval=0.02,
         )
 

@@ -47,8 +47,7 @@ def test_responses_after_hot_swap_equal_a_fresh_engine(
 
     async def scenario():
         server = await start_test_server(
-            ModelSource(registry=registry, name="addr", ttl=60.0),
-            follow=True,
+            ModelSource(registry=registry, name="addr"),
             poll_interval=0.05,
         )
         try:
@@ -95,8 +94,7 @@ def test_no_torn_reads_mix_versions_within_one_batch(
 
     async def scenario():
         server = await start_test_server(
-            ModelSource(registry=registry, name="addr", ttl=60.0),
-            follow=True,
+            ModelSource(registry=registry, name="addr"),
             poll_interval=0.02,
         )
 

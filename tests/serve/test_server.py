@@ -277,7 +277,7 @@ def test_registry_source_serves_latest_and_skips_older(
     registry = ModelRegistry(tmp_path / "reg")
     registry.save(learned_model, "addr")
     registry.save(identity_model, "addr")
-    source = ModelSource(registry=registry, name="addr", ttl=60.0)
+    source = ModelSource(registry=registry, name="addr")
     version, engine = source.current()
     assert version == 2
     # v2 is the identity variant: engine output == input everywhere.

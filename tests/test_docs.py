@@ -237,8 +237,7 @@ def test_docs_cover_the_network_serving_tier():
     text = serving.read_text(encoding="utf-8")
     for needle in (
         "--listen",
-        "--follow",
-        "--ttl",
+        "--poll-interval",
         "--golden-log",
         '"op": "subscribe"',
         '"push": "golden"',
@@ -263,9 +262,6 @@ def test_docs_cover_the_network_serving_tier():
     assert proc.returncode == 0, proc.stderr
     for flag in (
         "--listen",
-        "--follow",
-        "--bundle",
-        "--ttl",
         "--poll-interval",
         "--golden-log",
         "--idle-timeout",
@@ -275,10 +271,18 @@ def test_docs_cover_the_network_serving_tier():
         assert flag in proc.stdout, (
             f"documented flag {flag} missing from `repro serve --help`"
         )
+    # Freshness has one mechanism (the registry poller) and the
+    # artifact's kind picks model vs bundle: these flags are gone.
+    for removed in ("--follow", "--ttl", "--bundle"):
+        assert removed not in proc.stdout
+        for doc in DOC_FILES:
+            assert removed not in doc.read_text(encoding="utf-8"), (
+                f"{doc.name} still mentions the removed {removed}"
+            )
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     assert "docs/serving.md" in readme and "--listen" in readme
     arch = (REPO / "docs" / "architecture.md").read_text(encoding="utf-8")
-    assert "serving.md" in arch and "TTLEngineCache" in arch
+    assert "serving.md" in arch and "ModelSource" in arch
 
 
 def test_docs_cover_the_oracle_scheduling_release():
