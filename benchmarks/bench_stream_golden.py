@@ -35,6 +35,13 @@ Two ratios are reported and asserted:
 Correctness rides alongside: after the final batch the incrementally
 maintained golden records must equal a from-scratch full re-fusion of
 the final table, exactly.
+
+The consolidator publishes into a :class:`~repro.serve.BundleRegistry`,
+so the row also gates the publish step: ``publish_ms`` (summed
+``stage_seconds["publish"]``: bundle build, serialization, fsync and
+engine reload) and ``bundle_bytes`` (the last published file's size,
+stable up to the timestamp's digits).  The fusion timings above do
+not include it.
 """
 
 import os
@@ -43,6 +50,7 @@ import time
 import pytest
 
 from repro.datagen.stream import golden_stream
+from repro.serve import BundleRegistry
 from repro.stream import (
     GoldenStreamConsolidator,
     golden_ground_truth_oracle_factory,
@@ -71,7 +79,8 @@ def stream():
     )
 
 
-def test_incremental_fusion_vs_full_per_batch_refusion(stream):
+def test_incremental_fusion_vs_full_per_batch_refusion(stream, tmp_path):
+    registry = BundleRegistry(tmp_path)
     consolidator = GoldenStreamConsolidator(
         columns=stream.columns,
         oracle_factory=golden_ground_truth_oracle_factory(
@@ -80,6 +89,7 @@ def test_incremental_fusion_vs_full_per_batch_refusion(stream):
         key_attribute=stream.key_column,
         budget_per_batch=BUDGET,
         use_engine=True,
+        registry=registry,
     )
     t_full = 0.0
     with consolidator:
@@ -107,6 +117,10 @@ def test_incremental_fusion_vs_full_per_batch_refusion(stream):
     )
     work_full = sum(r.clusters_live for r in consolidator.reports)
     work_ratio = work_full / max(1, work_incremental)
+    t_publish = sum(
+        r.stage_seconds.get("publish", 0.0) for r in consolidator.reports
+    )
+    bundle_bytes = registry.path(consolidator.bundle_name).stat().st_size
     speedup = (
         t_full / t_incremental if t_incremental > 0 else float("inf")
     )
@@ -130,6 +144,11 @@ def test_incremental_fusion_vs_full_per_batch_refusion(stream):
     report(
         f"speedup: {speedup:6.1f}x wall-clock, {work_ratio:.1f}x work"
     )
+    report(
+        f"publish: {t_publish * 1000:8.2f}ms over "
+        f"{len(registry.versions(consolidator.bundle_name))} bundles, "
+        f"last {bundle_bytes} bytes"
+    )
 
     record_result(
         "stream_golden",
@@ -142,6 +161,8 @@ def test_incremental_fusion_vs_full_per_batch_refusion(stream):
             "speedup": "higher",
             "work_ratio": "higher",
             "questions": "lower",
+            "publish_ms": "lower",
+            "bundle_bytes": "lower",
         },
         test="incremental_vs_full_refusion",
         records=stream.num_records,
@@ -152,6 +173,8 @@ def test_incremental_fusion_vs_full_per_batch_refusion(stream):
         speedup=round(speedup, 2),
         work_ratio=round(work_ratio, 2),
         questions=consolidator.questions_asked,
+        publish_ms=round(t_publish * 1000, 3),
+        bundle_bytes=bundle_bytes,
     )
 
     assert work_ratio >= 5.0, (

@@ -23,14 +23,13 @@ the consumer-side half of the atomicity story.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from .engine import ApplyEngine
-from .model import TransformationModel
+from .model import TransformationModel, write_json_atomic
 from .registry import ModelRegistry
 
 PathLike = Union[str, Path]
@@ -131,30 +130,13 @@ class ModelBundle:
         )
 
     def save(self, path: PathLike) -> Path:
-        """Write the bundle as indented JSON, atomically.
+        """Write the bundle as compact JSON, atomically.
 
-        Same discipline as :meth:`TransformationModel.save`: the JSON
-        lands in a same-directory temp file and is renamed into place
-        only once fully flushed — a crash mid-publish can never leave a
-        truncated bundle, and a hot-reloading consumer polling the
-        registry sees complete column sets only.
+        Same writer as :meth:`TransformationModel.save`
+        (:func:`~repro.serve.model.write_json_atomic`): a hot-reloading
+        consumer polling the registry sees complete column sets only.
         """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(
-                    self.to_dict(), handle, indent=2, ensure_ascii=False
-                )
-                handle.write("\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        return path
+        return write_json_atomic(path, self.to_dict())
 
     @classmethod
     def load(cls, path: PathLike) -> "ModelBundle":

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -42,6 +43,32 @@ SCHEMA_VERSION = 1
 
 #: Sanity marker so arbitrary JSON files are rejected early.
 MODEL_KIND = "repro.transformation_model"
+
+
+def write_json_atomic(path: PathLike, payload: Dict) -> Path:
+    """Write ``payload`` to ``path`` as one line of JSON, atomically.
+
+    The text is encoded in one ``json.dumps`` call (CPython's C encoder;
+    ``json.dump`` always runs the pure-Python one) and lands in a
+    same-directory temp file, named uniquely per call, that is flushed,
+    fsynced and only then renamed into place.  A crash mid-write, or
+    another thread saving to the same path, can never expose a truncated
+    file: readers see the old artifact or the new one.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(payload, ensure_ascii=False) + "\n"
+    tmp = path.with_name(f".{path.name}.tmp.{uuid.uuid4().hex}")
+    try:
+        with open(tmp, "x", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
 
 
 @dataclass(frozen=True)
@@ -227,30 +254,12 @@ class TransformationModel:
         )
 
     def save(self, path: PathLike) -> Path:
-        """Write the model as indented JSON; returns the path.
+        """Write the model as compact JSON, atomically; returns the path.
 
-        The write is atomic: the JSON lands in a same-directory temp
-        file first and is renamed into place only once fully flushed, so
-        a crash mid-save (or mid registry publish) can never leave a
-        truncated model file behind — readers see the old version or the
-        new one, nothing in between.
+        See :func:`write_json_atomic`: a crash mid-save (or mid registry
+        publish) never leaves a truncated model file behind.
         """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(
-                    self.to_dict(), handle, indent=2, ensure_ascii=False
-                )
-                handle.write("\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        return path
+        return write_json_atomic(path, self.to_dict())
 
     @classmethod
     def load(cls, path: PathLike) -> "TransformationModel":

@@ -1,10 +1,22 @@
 """Registry tests: versioning, naming, lookup errors, atomic publish."""
 
 import json
+import os
+import sys
+import threading
 
 import pytest
 
-from repro.serve import ModelRegistry, TransformationModel
+from repro.core.functions import ConstantStr
+from repro.core.program import Program
+from repro.pipeline.oracle import FORWARD
+from repro.serve import (
+    BundleRegistry,
+    ModelRegistry,
+    TransformationModel,
+    build_bundle,
+)
+from repro.serve.model import ConfirmedGroup, ConfirmedMember
 from repro.serve.registry import slugify
 
 
@@ -66,79 +78,163 @@ class _CrashMidWrite(RuntimeError):
     pass
 
 
+def _large_model(groups=1000):
+    """A ~200 KB model: big enough that a save spans many thread
+    switches."""
+    return TransformationModel(
+        name="big",
+        column="address",
+        groups=[
+            ConfirmedGroup(
+                Program((ConstantStr(f"street {i}"),)),
+                FORWARD,
+                (ConfirmedMember(f"st {i}", f"street {i}", whole=True),),
+            )
+            for i in range(groups)
+        ],
+    )
+
+
 class TestAtomicPublish:
     """A crash mid-publish can never leave a truncated version file."""
 
     @pytest.fixture
-    def crashing_dump(self, monkeypatch):
-        """json.dump that writes half the payload, then dies — the
-        worst-case interruption for a naive direct write."""
+    def registry(self, tmp_path):
+        return ModelRegistry(tmp_path)
 
-        def crash(obj, handle, **kwargs):
-            handle.write(json.dumps(obj, **kwargs)[: 40])
-            handle.flush()
+    @pytest.fixture
+    def artifact(self, learned_model):
+        return learned_model
+
+    @pytest.fixture
+    def crashing_fsync(self, monkeypatch):
+        """fsync that leaves 40 bytes of the temp file, then dies — a
+        torn write, the worst-case interruption for a direct write."""
+
+        def crash(fd):
+            os.ftruncate(fd, 40)
             raise _CrashMidWrite("disk full / SIGKILL / power loss")
 
-        monkeypatch.setattr("repro.serve.model.json.dump", crash)
+        monkeypatch.setattr("repro.serve.model.os.fsync", crash)
 
     def test_interrupted_first_publish_leaves_nothing(
-        self, learned_model, tmp_path, crashing_dump
+        self, registry, artifact, tmp_path, crashing_fsync
     ):
-        registry = ModelRegistry(tmp_path)
         with pytest.raises(_CrashMidWrite):
-            registry.save(learned_model)
+            registry.save(artifact)
         assert registry.versions("address") == []
         assert list((tmp_path / "address").glob("*")) == []  # no temp junk
 
     def test_interrupted_republish_preserves_previous_version(
-        self, learned_model, tmp_path, monkeypatch
+        self, registry, artifact, tmp_path, monkeypatch
     ):
-        registry = ModelRegistry(tmp_path)
-        registry.save(learned_model)
+        registry.save(artifact)
 
-        def crash(obj, handle, **kwargs):
-            handle.write(json.dumps(obj, **kwargs)[: 40])
+        def crash(fd):
+            os.ftruncate(fd, 40)
             raise _CrashMidWrite()
 
-        monkeypatch.setattr("repro.serve.model.json.dump", crash)
+        monkeypatch.setattr("repro.serve.model.os.fsync", crash)
         with pytest.raises(_CrashMidWrite):
-            registry.save(learned_model)
+            registry.save(artifact)
         monkeypatch.undo()
 
         # v1 is intact and fully loadable; no v2, no leftovers.
         assert registry.versions("address") == [1]
         loaded = registry.load("address")
-        assert loaded.to_dict() == learned_model.to_dict()
+        assert loaded.to_dict() == artifact.to_dict()
         assert sorted(p.name for p in (tmp_path / "address").glob("*")) == [
             "v1.json"
         ]
 
     def test_retry_after_interruption_succeeds(
-        self, learned_model, tmp_path, monkeypatch
+        self, registry, artifact, monkeypatch
     ):
-        registry = ModelRegistry(tmp_path)
-
-        def crash(obj, handle, **kwargs):
+        def crash(fd):
             raise _CrashMidWrite()
 
-        monkeypatch.setattr("repro.serve.model.json.dump", crash)
+        monkeypatch.setattr("repro.serve.model.os.fsync", crash)
         with pytest.raises(_CrashMidWrite):
-            registry.save(learned_model)
+            registry.save(artifact)
         monkeypatch.undo()
-        registry.save(learned_model)
+        registry.save(artifact)
         assert registry.versions("address") == [1]
 
     def test_save_writes_through_temp_then_rename(
-        self, learned_model, tmp_path
+        self, artifact, tmp_path
     ):
         """Direct-save sanity: the final artifact is complete JSON."""
-        path = TransformationModel.save(learned_model, tmp_path / "m.json")
+        path = artifact.save(tmp_path / "m.json")
         assert path.name == "m.json"
-        assert (
-            TransformationModel.load(path).to_dict()
-            == learned_model.to_dict()
-        )
+        assert type(artifact).load(path).to_dict() == artifact.to_dict()
         assert list(tmp_path.glob(".m.json.tmp.*")) == []
+
+
+class TestAtomicBundlePublish(TestAtomicPublish):
+    """The same crash cases through :class:`BundleRegistry`."""
+
+    @pytest.fixture
+    def registry(self, tmp_path):
+        return BundleRegistry(tmp_path)
+
+    @pytest.fixture
+    def artifact(self, learned_model, identity_model):
+        return build_bundle(
+            {"address": learned_model, "plain": identity_model}, "address"
+        )
+
+
+class TestConcurrentSave:
+    """Threads saving one path never tear it or each other's writes."""
+
+    def test_threads_saving_one_path_never_expose_a_torn_file(
+        self, tmp_path
+    ):
+        model = _large_model()
+        target = tmp_path / "m.json"
+        model.save(target)
+        errors, torn, good = [], [], []
+        done = threading.Event()
+
+        def save():
+            for _ in range(50):
+                try:
+                    model.save(target)
+                except OSError as exc:
+                    errors.append(exc)
+
+        def read():
+            while not done.is_set():
+                try:
+                    with open(target, encoding="utf-8") as handle:
+                        json.load(handle)
+                    good.append(1)
+                except ValueError:
+                    torn.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader = threading.Thread(target=read, daemon=True)
+            writers = [
+                threading.Thread(target=save, daemon=True) for _ in range(4)
+            ]
+            reader.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=120)
+            done.set()
+            reader.join(timeout=30)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writers + [reader])
+        assert errors == []
+        assert torn == []
+        assert good
+        assert TransformationModel.load(target).to_dict() == model.to_dict()
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
 class TestConcurrentPublish:
