@@ -64,7 +64,7 @@ SKEWED_DISTINCT = 5000
 #: is flat (no memo, so row N costs the same as row 1), so the
 #: full-column time extrapolates linearly and the bench stays minutes-
 #: free.  Byte-identity is still asserted on this slice, and on the
-#: whole column against the LRU path.
+#: whole column against the per-row memoized path.
 PER_ROW_SAMPLE = 200_000
 
 #: Exact-rule counts for the full-swap reload bench (3k/6k/12k at full
@@ -230,14 +230,14 @@ def test_skewed_columnar_apply(benchmark, skewed_workload):
 
     # -- per-row rule application (no memoization at all) ----------------
     sample_n = min(len(values), PER_ROW_SAMPLE)
-    per_row_engine = ApplyEngine(model, cache_size=0)
+    per_row_engine = ApplyEngine(model, intern_size=0)
     transform = per_row_engine.transform
     start = time.perf_counter()
     per_row_out = [transform(v) for v in values[:sample_n]]
     t_sample = time.perf_counter() - start
     t_per_row = t_sample * (len(values) / sample_n)
 
-    # -- per-row through the LRU memo (the previous fast path) -----------
+    # -- per-row through the intern memo (one transform call per row) ----
     memo_engine = ApplyEngine(model)
     transform = memo_engine.transform
     start = time.perf_counter()
@@ -279,7 +279,7 @@ def test_skewed_columnar_apply(benchmark, skewed_workload):
             else ""
         )
     )
-    report(f"per-row (LRU)  : {t_memo:8.3f}s   ({memo_speedup:5.1f}x vs columnar)")
+    report(f"per-row (memo) : {t_memo:8.3f}s   ({memo_speedup:5.1f}x vs columnar)")
     report(
         f"columnar       : {t_columnar:8.3f}s   ({skewed_speedup:5.1f}x, "
         f"{rows_per_sec:,.0f} rows/s)"

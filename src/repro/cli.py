@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="print the engine's path counters as JSON "
-        "(cache hits, exact / program / token hits, misses)",
+        "(memo hits, exact / program / token hits, misses)",
     )
 
     serve_p = sub.add_parser(
@@ -215,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         "or a concurrent asyncio TCP service with --listen",
     )
     add_model_source(serve_p)
-    serve_p.add_argument("--cache-size", type=int, default=65536)
     serve_p.add_argument("--no-programs", action="store_true")
     serve_p.add_argument(
         "--listen",
@@ -784,34 +783,13 @@ def cmd_apply(args) -> int:
             write_csv_records(records, args.out)
             print(f"standardized CSV written: {args.out}")
         hits = engine.stats()
-        if hits.sharded_values:
-            # Per-rule counters live in the worker processes and are
-            # not merged back; don't print misleading zeros.
-            print(
-                f"engine: {hits.sharded_values} unique values sharded "
-                f"across {args.workers} workers"
-            )
-        else:
-            print(
-                f"engine: exact={hits.exact_hits} "
-                f"program={hits.program_hits} "
-                f"token={hits.token_hits} untouched={hits.misses}"
-            )
+        print(
+            f"engine: exact={hits.exact_hits} "
+            f"program={hits.program_hits} "
+            f"token={hits.token_hits} untouched={hits.misses}"
+        )
         if args.stats:
-            payload = hits.as_dict()
-            if hits.sharded_values:
-                # Per-path counters live in the worker processes and
-                # are not merged back; null them rather than emitting
-                # false zeros for a run that had hits.
-                for key in (
-                    "exact_hits",
-                    "program_hits",
-                    "token_hits",
-                    "misses",
-                    "cache_hits",
-                ):
-                    payload[key] = None
-            print("stats: " + json.dumps(payload, sort_keys=True))
+            print("stats: " + json.dumps(hits.as_dict(), sort_keys=True))
     else:
         # Clustered input: provenance-aware replay (exact semantics).
         if args.stats:
@@ -878,7 +856,6 @@ def _cmd_serve_network(args) -> int:
     golden_path = args.golden_log
     engine_args = dict(
         use_programs=not args.no_programs,
-        cache_size=args.cache_size,
         obs=obs or NULL_OBS,
     )
     try:
@@ -945,11 +922,7 @@ def cmd_serve(args) -> int:
     if args.listen:
         return _cmd_serve_network(args)
     model = _load_model(args)
-    engine = ApplyEngine(
-        model,
-        use_programs=not args.no_programs,
-        cache_size=args.cache_size,
-    )
+    engine = ApplyEngine(model, use_programs=not args.no_programs)
     # The banner goes to stderr: stdout carries only protocol lines.
     print(
         f"serving {model.describe()}; one JSON request per line "

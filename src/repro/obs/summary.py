@@ -506,7 +506,7 @@ def format_summary(summary: Dict[str, object]) -> str:
             lines.append(f"  {tier}: {count} ({100.0 * ratio:.1f}%)")
         cache_hits = apply_summary.get("cache_hits")
         if cache_hits:
-            lines.append(f"  lru cache_hits: {cache_hits}")
+            lines.append(f"  memo cache_hits: {cache_hits}")
         distinct = apply_summary.get("distinct_values")
         if distinct:
             rows = apply_summary.get("rows", 0) or 1

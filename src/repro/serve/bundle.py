@@ -199,11 +199,9 @@ class BundleApplyEngine:
         self,
         bundle: ModelBundle,
         use_programs: bool = True,
-        cache_size: int = 65536,
         obs=None,
     ) -> None:
         self.use_programs = use_programs
-        self.cache_size = cache_size
         self.obs = obs
         self.bundle = bundle
         self.engines: Dict[str, ApplyEngine] = {
@@ -217,7 +215,6 @@ class BundleApplyEngine:
         return ApplyEngine(
             model,
             use_programs=self.use_programs,
-            cache_size=self.cache_size,
             obs=self.obs,
             obs_labels={"column": column},
         )

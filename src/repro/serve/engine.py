@@ -28,8 +28,8 @@ row -> slot codes), the lookup tiers above run once per *distinct*
 value, outputs land in a slot-aligned memo that persists across
 batches, and results broadcast back through the code vector as two
 C-level ``map`` passes — per-row cost on skewed production traffic is
-two hash probes, not a transformation.  The single-value path keeps an
-LRU cell cache; large batches can shard uncomputed distinct values
+two hash probes, not a transformation.  The single-value path reads and
+fills the same memo; large batches can shard uncomputed distinct values
 across worker processes.
 
 Compilation is linear in the model: an inverse index (value -> the
@@ -48,9 +48,8 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..candidates.store import _replace_token_segment
 from ..core.functions import ConstantStr
@@ -66,35 +65,8 @@ from .model import TransformationModel
 MIN_SHARD_VALUES = 4096
 
 #: Default intern-table capacity (distinct values memoized across
-#: batches); 4x the LRU default — slots are two pointers each.
+#: batches); slots are two pointers each.
 DEFAULT_INTERN_SIZE = 262144
-
-
-class LRUCache:
-    """A small least-recently-used string cache (move-to-end on hit)."""
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = max(0, int(capacity))
-        self._entries: "OrderedDict[str, str]" = OrderedDict()
-
-    def get(self, key: str) -> Optional[str]:
-        """Cached value for ``key`` (refreshing its recency), or None."""
-        found = self._entries.get(key)
-        if found is not None:
-            self._entries.move_to_end(key)
-        return found
-
-    def put(self, key: str, value: str) -> None:
-        """Insert ``key -> value``, evicting the LRU entry when full."""
-        if self.capacity == 0:
-            return
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 @dataclass
@@ -132,6 +104,12 @@ class ApplyStats:
             "intern_hits": self.intern_hits,
         }
 
+    def add(self, other: "ApplyStats") -> None:
+        """Add ``other``'s counters into these (a shard's delta)."""
+        for f in fields(self):
+            total = getattr(self, f.name) + getattr(other, f.name)
+            setattr(self, f.name, total)
+
 
 def _is_input_sensitive(program: Program) -> bool:
     """False for all-constant programs: their output ignores the input,
@@ -146,7 +124,6 @@ class ApplyEngine:
         self,
         model: TransformationModel,
         use_programs: bool = True,
-        cache_size: int = 65536,
         obs=NULL_OBS,
         obs_labels: Optional[Dict[str, str]] = None,
         intern_size: int = DEFAULT_INTERN_SIZE,
@@ -155,7 +132,6 @@ class ApplyEngine:
         self.use_programs = use_programs
         self.vocabulary = model.vocabulary
         self._stats = ApplyStats()
-        self._cache = LRUCache(cache_size)
         self._max_program_len = model.config.max_string_length
         # Columnar state: the intern table maps distinct strings to
         # dense slot codes; _slot_outputs is the slot-aligned output
@@ -182,14 +158,14 @@ class ApplyEngine:
     # -- observability -----------------------------------------------------
 
     def stats(self) -> ApplyStats:
-        """Counters over everything this engine has applied: cache
+        """Counters over everything this engine has applied: memo
         hits, and exact / program / token-rule path counts vs misses."""
         return self._stats
 
     def sync_obs(self, seconds: Optional[float] = None) -> None:
         """Mirror the ApplyStats deltas since the last sync into the
         attached registry as ``apply.*`` counters (tier mapping: exact,
-        program, token, passthrough=misses, LRU=cache_hits), plus an
+        program, token, passthrough=misses, memo=cache_hits), plus an
         ``apply.batch_seconds`` latency observation when ``seconds`` is
         given.  A no-op without an enabled obs context."""
         if not self.obs.enabled:
@@ -310,20 +286,28 @@ class ApplyEngine:
         self.vocabulary = model.vocabulary
         self._max_program_len = model.config.max_string_length
         self._compile_groups(model.groups[n if incremental else 0:])
-        self._cache = LRUCache(self._cache.capacity)
         self._slot_outputs = [None] * len(self._intern)
         return incremental
 
     # -- single-value path -------------------------------------------------
 
     def transform(self, value: str) -> str:
-        """Standardize one value (memoized)."""
-        cached = self._cache.get(value)
-        if cached is not None:
-            self._stats.cache_hits += 1
-            return cached
+        """Standardize one value through the intern memo
+        :meth:`apply_values` fills: a memoized value is a lookup, a new
+        one is computed and interned while the table is below its cap."""
+        code = self._intern.code_of.get(value)
+        if code is not None:
+            out = self._slot_outputs[code]
+            if out is not None:
+                self._stats.cache_hits += 1
+                return out
         out = self._compute(value)
-        self._cache.put(value, out)
+        if code is not None:
+            self._slot_outputs[code] = out
+        elif len(self._intern) < self.intern_size:
+            self._intern.add(value)
+            self._slot_outputs.append(out)
+            self._stats.distinct_values += 1
         return out
 
     def _compute(self, value: str) -> str:
@@ -364,8 +348,7 @@ class ApplyEngine:
         batches, and the result broadcasts back through the code vector
         as two C-level ``map`` passes.  With ``workers > 1`` and enough
         uncomputed distinct values, computation shards across a process
-        pool; per-rule hit counters are then tracked inside the workers
-        and not merged back.
+        pool.
         """
         started = time.perf_counter() if self.obs.enabled else 0.0
         stats = self._stats
@@ -431,8 +414,9 @@ class ApplyEngine:
         ) as pool:
             results = pool.map(_shard_apply, chunks)
         mapping: Dict[str, str] = {}
-        for chunk, outs in zip(chunks, results):
+        for chunk, (outs, delta) in zip(chunks, results):
             mapping.update(zip(chunk, outs))
+            self._stats.add(delta)
         return mapping
 
     def apply_table(
@@ -473,6 +457,10 @@ def _shard_init(payload: Dict, use_programs: bool) -> None:
     )
 
 
-def _shard_apply(values: List[str]) -> List[str]:
+def _shard_apply(values: List[str]) -> Tuple[List[str], ApplyStats]:
+    """Compute one chunk of distinct values; returns the outputs and the
+    chunk's tier-counter delta for the parent to add."""
     assert _WORKER_ENGINE is not None, "pool initializer did not run"
-    return [_WORKER_ENGINE.transform(value) for value in values]
+    _WORKER_ENGINE._stats = ApplyStats()
+    outputs = [_WORKER_ENGINE._compute(value) for value in values]
+    return outputs, _WORKER_ENGINE._stats

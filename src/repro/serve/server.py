@@ -88,7 +88,6 @@ class ModelSource:
         name: Optional[str] = None,
         model: Optional[Union[TransformationModel, ModelBundle]] = None,
         use_programs: bool = True,
-        cache_size: int = 65536,
         obs=NULL_OBS,
         model_version: int = 1,
     ) -> None:
@@ -99,7 +98,6 @@ class ModelSource:
         self.registry = registry if model is None else None
         self.name = name
         self.use_programs = use_programs
-        self.cache_size = cache_size
         self.obs = obs if obs is not None else NULL_OBS
         self.load_errors = 0
         self.last_load_error: Optional[str] = None
@@ -117,7 +115,6 @@ class ModelSource:
         return engine_class(
             artifact,
             use_programs=self.use_programs,
-            cache_size=self.cache_size,
             obs=self.obs,
         )
 

@@ -11,7 +11,7 @@ supervised behind a socket server or a container.  Requests:
 
 ``{"op": "apply", "values": [...]}``
     Standardize a batch; responds ``{"ok": true, "values": [...],
-    "changed": <count>}``.  Batches share the engine's LRU cache.
+    "changed": <count>}``.  Both forms share the engine's intern memo.
 
 ``{"op": "stats"}``
     Engine counters plus model identity.

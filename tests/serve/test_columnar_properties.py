@@ -63,7 +63,7 @@ batches_strategy = st.lists(values_strategy, max_size=6)
 
 def oracle(model, values):
     """The ground truth: a fresh unmemoized engine, one row at a time."""
-    engine = ApplyEngine(model, cache_size=0, intern_size=0)
+    engine = ApplyEngine(model, intern_size=0)
     return [engine.transform(v) for v in values]
 
 
@@ -89,12 +89,13 @@ def test_columnar_equals_per_row_across_batches(batches, intern_size):
             ).map(lambda v: ("single", v)),
         ),
         max_size=10,
-    )
+    ),
+    st.sampled_from([0, 2, 1000]),
 )
-def test_interleaved_transform_and_apply_values(ops):
-    """Mixing the single-value path (LRU-backed) with the columnar
-    path (intern-backed) never changes any output."""
-    engine = ApplyEngine(MODEL, intern_size=2)
+def test_interleaved_transform_and_apply_values(ops, intern_size):
+    """Mixing the single-value path with the columnar path, both
+    reading one intern memo, never changes any output."""
+    engine = ApplyEngine(MODEL, intern_size=intern_size)
     for kind, payload in ops:
         if kind == "batch":
             assert engine.apply_values(payload) == oracle(MODEL, payload)

@@ -1,6 +1,7 @@
 """Compiled apply-engine tests on a hand-built model: exact table,
-chain composition, program generalization, token rules, LRU cache,
-batching, and multiprocessing sharding."""
+chain composition, program generalization, token rules, the intern
+memo shared by single values and batches, and multiprocessing
+sharding."""
 
 import pytest
 
@@ -10,7 +11,6 @@ from repro.core.program import Program
 from repro.core.terms import DIGITS
 from repro.pipeline.oracle import FORWARD, REVERSE
 from repro.serve import ApplyEngine
-from repro.serve.engine import LRUCache
 from repro.serve.model import (
     ConfirmedGroup,
     ConfirmedMember,
@@ -131,14 +131,23 @@ class TestBatch:
         assert engine.stats().unique_values == 3
 
     def test_sharded_matches_serial(self, model):
-        values = [f"{i}th" for i in range(40)] + ["A", "5 St"] * 5
-        serial = ApplyEngine(model).apply_values(values)
+        values = (
+            [f"{i}th" for i in range(40)]
+            + ["A", "5 St", "zzz", "9th"] * 5
+        )
+        serial_engine = ApplyEngine(model)
+        serial = serial_engine.apply_values(values)
         sharded_engine = ApplyEngine(model)
         sharded = sharded_engine.apply_values(
             values, workers=2, min_shard=2
         )
         assert sharded == serial
         assert sharded_engine.stats().sharded_values > 0
+        # The workers' tier counters are merged back into the parent.
+        for counter in ("exact_hits", "program_hits", "token_hits", "misses"):
+            assert getattr(sharded_engine.stats(), counter) == getattr(
+                serial_engine.stats(), counter
+            ), counter
 
     def test_small_batches_never_shard(self, engine):
         engine.apply_values(["9th"], workers=4)
@@ -160,26 +169,41 @@ class TestBatch:
         assert table.cluster_values(0, "col") == ["9", "zzz"]
 
 
-class TestLRUCache:
-    def test_evicts_least_recently_used(self):
-        cache = LRUCache(2)
-        cache.put("a", "1")
-        cache.put("b", "2")
-        assert cache.get("a") == "1"  # refreshes "a"
-        cache.put("c", "3")  # evicts "b"
-        assert cache.get("b") is None
-        assert cache.get("a") == "1"
-        assert len(cache) == 2
+class TestOneMemo:
+    def test_transform_then_batch_computes_once(self, engine):
+        assert engine.transform("42nd") == "42"
+        assert engine.apply_values(["42nd"]) == ["42"]
+        assert engine.stats().program_hits == 1
+        assert engine.stats().cache_hits == 1
 
-    def test_zero_capacity_disables(self):
-        cache = LRUCache(0)
-        cache.put("a", "1")
-        assert cache.get("a") is None
+    def test_batch_then_transform_computes_once(self, engine):
+        engine.apply_values(["42nd", "9th"])
+        assert engine.transform("42nd") == "42"
+        assert engine.stats().program_hits == 1
+        assert engine.stats().cache_hits == 1
 
-    def test_engine_respects_capacity(self, model):
-        engine = ApplyEngine(model, cache_size=1)
-        engine.transform("42nd")
-        engine.transform("13th")
-        engine.transform("42nd")
+    def test_transform_respects_intern_size(self, model):
+        engine = ApplyEngine(model, intern_size=2)
+        for value in ("42nd", "13th", "9th", "zzz", "42nd", "zzz"):
+            engine.transform(value)
+            assert len(engine._intern) <= 2
+            assert len(engine._slot_outputs) == len(engine._intern)
+        # "42nd" was admitted first and memoized; "zzz" never fit.
+        assert engine.stats().cache_hits == 1
+        assert engine.stats().misses == 2
+
+    def test_zero_intern_size_recomputes_every_call(self, model):
+        engine = ApplyEngine(model, intern_size=0)
+        for _ in range(3):
+            assert engine.transform("42nd") == "42"
         assert engine.stats().cache_hits == 0
         assert engine.stats().program_hits == 3
+        assert len(engine._intern) == 0
+
+    def test_reload_invalidates_transform_memo(self, model):
+        engine = ApplyEngine(model)
+        assert engine.transform("9th") == "9"
+        engine.reload(model)
+        assert engine.transform("9th") == "9"
+        assert engine.stats().cache_hits == 0
+        assert engine.stats().exact_hits == 2

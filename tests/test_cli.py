@@ -40,8 +40,13 @@ class TestParser:
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve", "--model", "m.json"])
-        assert args.cache_size == 65536
         assert not args.no_programs
+
+    def test_serve_rejects_removed_cache_size(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["serve", "--model", "m.json", "--cache-size", "1"]
+            )
 
 
 class TestCommands:

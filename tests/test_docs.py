@@ -271,9 +271,10 @@ def test_docs_cover_the_network_serving_tier():
         assert flag in proc.stdout, (
             f"documented flag {flag} missing from `repro serve --help`"
         )
-    # Freshness has one mechanism (the registry poller) and the
-    # artifact's kind picks model vs bundle: these flags are gone.
-    for removed in ("--follow", "--ttl", "--bundle"):
+    # Freshness has one mechanism (the registry poller), the
+    # artifact's kind picks model vs bundle, and the engine keeps one
+    # memo: these flags are gone.
+    for removed in ("--follow", "--ttl", "--bundle", "--cache-size"):
         assert removed not in proc.stdout
         for doc in DOC_FILES:
             assert removed not in doc.read_text(encoding="utf-8"), (
