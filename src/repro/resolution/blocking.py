@@ -38,7 +38,6 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -106,21 +105,12 @@ class BlockIndex:
 
     # -- writing -----------------------------------------------------------
 
-    def add(
-        self,
-        key: Hashable,
-        member: str,
-        evicted_into: Optional[List[str]] = None,
-    ) -> List[str]:
+    def add(self, key: Hashable, member: str) -> List[str]:
         """Append ``member`` to ``key``'s block.
 
         Returns the members this append *evicted* — non-empty only with
         ``retention`` set — whose eviction dropped their last block
         reference (i.e. they left the comparison frontier entirely).
-        ``evicted_into``, when given, additionally collects *every*
-        member rotated out of this block (whether or not other blocks
-        still reference it) — what shard-resident replicas of the
-        block's membership need to mirror the rotation.
         """
         block = self._partitions[self.shard_of(key)].setdefault(key, [])
         block.append(member)
@@ -129,69 +119,21 @@ class BlockIndex:
         if self.retention is not None and len(block) > self.retention:
             evicted = block[: len(block) - self.retention]
             del block[: len(block) - self.retention]
-            if evicted_into is not None:
-                evicted_into.extend(evicted)
-            self._evict(evicted, gone)
+            for old in evicted:
+                self.rotated_out += 1
+                remaining = self._refs.get(old, 0) - 1
+                if remaining <= 0:
+                    self._refs.pop(old, None)
+                    gone.append(old)
+                else:
+                    self._refs[old] = remaining
         return gone
-
-    def compact(
-        self,
-        retention: Optional[int] = None,
-        evicted_into: Optional[List[Tuple[Hashable, str]]] = None,
-    ) -> List[str]:
-        """Trim every block to its newest ``retention`` members now.
-
-        One-shot form of the rotation that :meth:`add` performs lazily —
-        useful when retention is introduced (or tightened) on an index
-        that already grew.  Returns members that left their last block.
-        ``evicted_into``, when given, collects every ``(key, member)``
-        membership dropped (the per-block delta resident replicas
-        mirror), not just the members gone entirely.
-        """
-        retention = retention if retention is not None else self.retention
-        if retention is None:
-            return []
-        gone: List[str] = []
-        for partition in self._partitions:
-            for key in list(partition):
-                block = partition[key]
-                if len(block) <= retention:
-                    continue
-                evicted = block[: len(block) - retention]
-                partition[key] = block[len(block) - retention :]
-                if evicted_into is not None:
-                    evicted_into.extend(
-                        (key, member) for member in evicted
-                    )
-                self._evict(evicted, gone)
-        return gone
-
-    def _evict(self, evicted: List[str], gone: List[str]) -> None:
-        """Account members rotated out of one block; members whose last
-        block reference dropped are appended to ``gone``."""
-        for old in evicted:
-            self.rotated_out += 1
-            remaining = self._refs.get(old, 0) - 1
-            if remaining <= 0:
-                self._refs.pop(old, None)
-                gone.append(old)
-            else:
-                self._refs[old] = remaining
 
     # -- reading -----------------------------------------------------------
 
     def members(self, key: Hashable) -> Sequence[str]:
         """Current members of ``key``'s block (append order)."""
         return self._partitions[self.shard_of(key)].get(key, ())
-
-    def items(self) -> Iterator[Tuple[Hashable, Sequence[str]]]:
-        """Every ``(key, members)`` pair, partition by partition.
-
-        Insertion-ordered within a partition — the order shard-resident
-        replicas are warm-started in, so it must be deterministic for a
-        fixed mutation history (dicts preserve insertion order)."""
-        for partition in self._partitions:
-            yield from partition.items()
 
     def __contains__(self, member: str) -> bool:
         return member in self._refs

@@ -231,10 +231,9 @@ class BundleApplyEngine:
     def reload(self, bundle: ModelBundle) -> None:
         """Hot-swap to a newly published bundle, all columns at once.
 
-        Columns whose model merely grew reuse the incremental
-        :meth:`ApplyEngine.reload` path (append-only recompile); other
-        columns recompile; new columns get fresh engines; columns the
-        new bundle dropped stop being served.
+        Existing columns recompile in place through
+        :meth:`ApplyEngine.reload`; new columns get fresh engines;
+        columns the new bundle dropped stop being served.
         """
         engines: Dict[str, ApplyEngine] = {}
         for column, model in bundle.models.items():

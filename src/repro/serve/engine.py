@@ -151,8 +151,6 @@ class ApplyEngine:
         self._exact_keys: Dict[str, List[str]] = {}
         self.token_rules: List[Tuple[str, str]] = []
         self.programs: Dict[Signature, List[Program]] = {}
-        self._seen_token: set = set()
-        self._seen_programs: Dict[Signature, set] = {}
         self._compile_groups(model.groups)
 
     # -- observability -----------------------------------------------------
@@ -189,15 +187,10 @@ class ApplyEngine:
     # -- compilation -------------------------------------------------------
 
     def _compile_groups(self, groups) -> None:
-        """Fold confirmed groups into the compiled lookup structures.
-
-        Called with the full group list at construction and with just
-        the *new* suffix on an incremental :meth:`reload` — the dedup
-        state (`_seen_token` / `_seen_programs`) persists across calls
-        so both paths compile identically.
-        """
-        seen_token = self._seen_token
-        seen_programs = self._seen_programs
+        """Fold confirmed groups into the (empty) compiled lookup
+        structures."""
+        seen_token: set = set()
+        seen_programs: Dict[Signature, set] = {}
         for group in groups:
             for member in group.members:
                 if member.whole:
@@ -249,45 +242,25 @@ class ApplyEngine:
 
     # -- hot reload --------------------------------------------------------
 
-    def reload(self, model: TransformationModel) -> bool:
+    def reload(self, model: TransformationModel) -> None:
         """Swap in a newly published model without rebuilding the engine.
 
-        Published models are append-only (a new version extends the
-        confirmed-group sequence); when ``model`` extends the current
-        one under the same column / config / vocabulary, only the *new*
-        groups are compiled into the existing lookup structures — the
-        compiled tables, accumulated stats, and engine identity survive,
-        so a live stream can pick up fresh confirmations mid-flight with
-        no process restart and no recompilation of unrelated state.
-
-        A model that does not extend the current one triggers a full
-        recompile (still in place, linear in the model's rules).
-        The memoization state is reset either way: cached outputs may
-        be stale under the new rules (interned values keep their slots;
-        only the slot-aligned outputs are dropped).
-        Returns True when the fast incremental path was taken.
+        The compiled tables are cleared and refilled from ``model`` in
+        place (linear in its rules), so accumulated stats and engine
+        identity survive and a live stream picks up fresh confirmations
+        mid-flight with no process restart.  Cached outputs may be
+        stale under the new rules, so the memo is reset: interned
+        values keep their slots, only the slot-aligned outputs drop.
         """
-        n = len(self.model.groups)
-        incremental = (
-            model.column == self.model.column
-            and len(model.groups) >= n
-            and model.groups[:n] == self.model.groups
-            and model.config == self.model.config
-            and model.vocabulary.to_dict() == self.model.vocabulary.to_dict()
-        )
-        if not incremental:
-            self.exact.clear()
-            self._exact_keys.clear()
-            self.token_rules.clear()
-            self.programs.clear()
-            self._seen_token.clear()
-            self._seen_programs.clear()
+        self.exact.clear()
+        self._exact_keys.clear()
+        self.token_rules.clear()
+        self.programs.clear()
         self.model = model
         self.vocabulary = model.vocabulary
         self._max_program_len = model.config.max_string_length
-        self._compile_groups(model.groups[n if incremental else 0:])
+        self._compile_groups(model.groups)
         self._slot_outputs = [None] * len(self._intern)
-        return incremental
 
     # -- single-value path -------------------------------------------------
 

@@ -69,9 +69,9 @@ class StreamConsolidator(GoldenStreamConsolidator):
         With a registry the decision log defaults to
         ``<registry>/<name>/decisions.jsonl`` and an existing model
         resumes (see ``resume``).
-    monitor / relearn_budget:
-        Optional :class:`~repro.stream.monitor.DriftMonitor` and the
-        extra budget a triggered relearn may spend.
+    monitor:
+        Optional :class:`~repro.stream.monitor.DriftMonitor`; a
+        triggered relearn may spend four batches' worth of budget.
     decision_log:
         Verdict-log path override; ``False``-y ``persist_decisions``
         disables persistence entirely.
@@ -98,9 +98,7 @@ class StreamConsolidator(GoldenStreamConsolidator):
         registry: Optional[ModelRegistry] = None,
         model_name: Optional[str] = None,
         use_engine: bool = True,
-        engine_use_programs: bool = True,
         monitor: Optional[DriftMonitor] = None,
-        relearn_budget: Optional[int] = None,
         shards: int = 1,
         shard_processes: bool = True,
         decision_log: Optional[PathLike] = None,
@@ -126,9 +124,7 @@ class StreamConsolidator(GoldenStreamConsolidator):
             registry=registry,
             bundle_name=model_name or column,
             use_engine=use_engine,
-            engine_use_programs=engine_use_programs,
             monitors={column: monitor} if monitor is not None else None,
-            relearn_budget=relearn_budget,
             shards=shards,
             shard_processes=shard_processes,
             persist_decisions=persist_decisions,

@@ -483,14 +483,14 @@ class GoldenStreamConsolidator:
         name.  With a registry, per-column decision logs default to
         ``<registry>/<name>/decisions-<column>.jsonl`` and an existing
         bundle resumes (see ``resume``).
-    use_engine / engine_use_programs:
+    use_engine:
         Serve fast path: standardize arrivals with the live
         :class:`~repro.serve.bundle.BundleApplyEngine` before
         resolution (all columns, one atomic reload per publish).
-    monitors / relearn_budget:
-        Optional ``column -> DriftMonitor`` mapping and the extra
-        budget a tripped monitor's relearn of its column may spend
-        (default four batches' worth).
+    monitors:
+        Optional ``column -> DriftMonitor`` mapping.  A tripped
+        monitor relearns its column with an extra budget of four
+        batches' worth.
     shards / shard_processes:
         One :class:`~repro.stream.shards.ShardPool` shared by the
         resolver and every column's alignment / grouping stages
@@ -544,9 +544,7 @@ class GoldenStreamConsolidator:
         registry: Optional[BundleRegistry] = None,
         bundle_name: Optional[str] = None,
         use_engine: bool = True,
-        engine_use_programs: bool = True,
         monitors: Optional[Mapping[str, DriftMonitor]] = None,
-        relearn_budget: Optional[int] = None,
         shards: int = 1,
         shard_processes: bool = True,
         decision_log_dir: Optional[PathLike] = None,
@@ -584,11 +582,6 @@ class GoldenStreamConsolidator:
         }
         self.oracle_factory = oracle_factory
         self.budget_per_batch = budget_per_batch
-        self.relearn_budget = (
-            relearn_budget
-            if relearn_budget is not None
-            else 4 * budget_per_batch
-        )
         self.fusion = fusion
         self.cluster_fusion = (
             cluster_fusion
@@ -599,7 +592,6 @@ class GoldenStreamConsolidator:
         self.vocabulary = vocabulary
         self.bundle_name = bundle_name or "-".join(self.columns)
         self.use_engine = use_engine
-        self.engine_use_programs = engine_use_programs
         self.shards = shards
         self.shard_processes = shard_processes
         self.block_retention = block_retention
@@ -844,6 +836,17 @@ class GoldenStreamConsolidator:
         resolver_kwargs = {}
         if self._block_keys is not None:
             resolver_kwargs["block_keys"] = self._block_keys
+        if self.shards > 1:
+            self.pool = ShardPool(
+                self.shards,
+                self.config,
+                self.vocabulary,
+                similarity=(
+                    self._similarity if self._attribute is not None else None
+                ),
+                processes=self.shard_processes,
+                obs=self.obs,
+            )
         self.resolver = IncrementalResolver(
             tuple(table_columns),
             key_attribute=self._key_attribute,
@@ -851,7 +854,7 @@ class GoldenStreamConsolidator:
             threshold=self._similarity_threshold,
             similarity=self._similarity,
             max_block_size=self._max_block_size,
-            shards=self.shards,
+            pool=self.pool,
             block_retention=self.block_retention,
             **resolver_kwargs,
         )
@@ -868,17 +871,6 @@ class GoldenStreamConsolidator:
                 self.config,
                 self.vocabulary,
                 decisions=DecisionCache(self.decision_log_path(column)),
-            )
-        if self.shards > 1:
-            self.pool = ShardPool(
-                self.shards,
-                self.config,
-                self.vocabulary,
-                similarity=(
-                    self._similarity if self._attribute is not None else None
-                ),
-                processes=self.shard_processes,
-                obs=self.obs,
             )
         self._maybe_resume()
         for column in self.columns:
@@ -928,11 +920,7 @@ class GoldenStreamConsolidator:
     def _start_engine(self, artifact) -> None:
         """Serve ``artifact`` on the fast path, reloading on publish."""
         if self.use_engine and self.engine is None:
-            self.engine = self.ENGINE(
-                artifact,
-                use_programs=self.engine_use_programs,
-                obs=self.obs,
-            )
+            self.engine = self.ENGINE(artifact, obs=self.obs)
             self.publisher.subscribe(self.engine)
 
     # -- the lifecycle -----------------------------------------------------
@@ -986,7 +974,7 @@ class GoldenStreamConsolidator:
             self.pool.shipped_bytes if self.pool is not None else 0
         )
         with _timed_stage(self.obs, stage, "resolve"):
-            resolution = self.resolver.add_batch(records, pool=self.pool)
+            resolution = self.resolver.add_batch(records)
         report.merges = resolution.merges
         report.new_clusters = resolution.new_clusters
         report.pairs_compared = resolution.pairs_compared
@@ -1113,7 +1101,10 @@ class GoldenStreamConsolidator:
                 if drift.drifted:
                     report.drift_triggered = True
                     self._learn(
-                        report, column, self.relearn_budget, changed_cells
+                        report,
+                        column,
+                        4 * self.budget_per_batch,
+                        changed_cells,
                     )
                     monitor.reset()
         stage.setdefault("oracle", 0.0)
@@ -1272,10 +1263,12 @@ class GoldenStreamConsolidator:
 
     def close(self) -> None:
         """Release the shard pool's worker processes and flush the
-        golden delta log (idempotent)."""
+        golden delta log (idempotent).  A later batch still processes,
+        inline, with identical clusters."""
         if self.pool is not None:
             self.pool.close()
             self.pool = None
+            self.resolver.pool = None
         if self._delta_log is not None:
             self._delta_log.close()
             self._delta_log = None

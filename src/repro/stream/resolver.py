@@ -43,11 +43,12 @@ the resolved clusters are identical at any shard count.
 
 Shard workers keep the blocking state **resident**: each worker holds
 a live replica of the member values of the block keys it owns,
-maintained by index/evict deltas that accompany each batch (plus a
-one-time warm-up when a pool first sees an index that already grew).
-A member's value crosses the process boundary once per owning shard,
-when the member first enters one of that shard's blocks; from then on
-match traffic carries candidate *record ids* only.  Per-batch IPC is
+maintained by the index/evict deltas that accompany each batch.  The
+resolver owns its pool from construction, so every index mutation
+reaches the replicas in the batch that made it.  A member's value
+crosses the process boundary once per owning shard, when the member
+first enters one of that shard's blocks; from then on match traffic
+carries candidate *record ids* only.  Per-batch IPC is
 therefore O(new values), not O(candidate values) — the difference the
 ``values_shipped`` / ``bytes_shipped`` counters in
 :class:`BatchResolution` make observable.
@@ -78,13 +79,6 @@ from ..resolution.unionfind import UnionFind
 
 Position = Tuple[int, int]  # (cluster slot, row)
 
-#: Resident-replica deltas buffered across *unpooled* batches are
-#: bounded: past this many, the resolver stops tracking and instead
-#: re-warms the replicas (reset + full replay) at the next pooled
-#: batch — so a stream that went unpooled for good cannot grow the
-#: buffer with its length.
-MAX_BUFFERED_DELTAS = 65536
-
 
 @dataclass
 class BatchResolution:
@@ -100,8 +94,8 @@ class BatchResolution:
     new_clusters: int = 0
     #: similarity comparisons actually evaluated (the incremental cost)
     pairs_compared: int = 0
-    #: resident values shipped to shard workers this batch (new values
-    #: plus any warm-up / buffered deltas; 0 without a pool)
+    #: resident values shipped to shard workers this batch (each new
+    #: value once per owning shard; 0 without a pool)
     values_shipped: int = 0
     #: serialized bytes shipped to shard workers this batch
     bytes_shipped: int = 0
@@ -119,10 +113,13 @@ class IncrementalResolver:
         clustering, ``attribute`` selects blocked similarity matching.
     threshold, similarity, block_keys, max_block_size:
         Similarity-mode matching knobs (ignored in key mode).
-    shards:
-        Number of hash partitions of the blocking index; aligns with
-        the consolidator's ``--shards`` so per-partition match work can
-        be dispatched to the matching shard worker.
+    pool:
+        Similarity mode: a :class:`~repro.stream.shards.ShardPool`
+        whose workers evaluate each batch's comparisons against their
+        resident value replicas.  The blocking index is partitioned
+        ``pool.shards`` ways (1 without a pool).  The owner may set
+        :attr:`pool` to ``None`` once the pool is closed; later batches
+        then match inline, with identical clusters.
     block_retention:
         With a value, each block keeps only its newest ``retention``
         members (rotation); ``None`` keeps the historical unbounded
@@ -138,7 +135,7 @@ class IncrementalResolver:
         similarity: SimilarityFn = hybrid_similarity,
         block_keys: BlockKeyFn = token_keys,
         max_block_size: int = 50,
-        shards: int = 1,
+        pool=None,
         block_retention: Optional[int] = None,
     ) -> None:
         if (key_attribute is None) == (attribute is None):
@@ -153,29 +150,23 @@ class IncrementalResolver:
         self.similarity = similarity
         self.block_keys = block_keys
         self.max_block_size = max_block_size
+        self.pool = pool
 
         self.uf = UnionFind()
         self._position: Dict[str, Position] = {}
         self._rid_at: Dict[Position, str] = {}
         #: similarity mode: hash-partitioned block key -> rids
-        self._blocks = BlockIndex(shards, block_retention)
+        self._blocks = BlockIndex(
+            pool.shards if pool is not None else 1, block_retention
+        )
         #: key mode: key value -> cluster slot
         self._key_slot: Dict[str, int] = {}
         self._values: Dict[str, str] = {}
         #: memoized inline threshold kernel (early-exit similarity)
         self._decide: Optional[PairDecisionMemo] = None
-        # -- shard-resident replica bookkeeping (pool-backed batches) --
-        #: True once a pool's workers were warm-started with the index
-        self._resident_synced = False
         #: (rid, shard) -> live block references the shard's replica
         #: holds; a shard re-needs the value when its count re-enters 0
         self._shard_refs: Dict[Tuple[str, int], int] = {}
-        #: deltas from index mutations that happened *without* a pool
-        #: (inline batches, compaction) since the last pooled batch
-        self._resident_deltas: List[Tuple[int, Tuple]] = []
-        #: True while _add_record replays mutations the pooled match
-        #: already shipped (suppresses double-emission)
-        self._deltas_in_flight = False
 
     # -- lookups -----------------------------------------------------------
 
@@ -201,37 +192,23 @@ class IncrementalResolver:
 
     # -- ingestion ---------------------------------------------------------
 
-    def add_batch(
-        self, records: Sequence[Record], pool=None
-    ) -> BatchResolution:
+    def add_batch(self, records: Sequence[Record]) -> BatchResolution:
         """Fold one batch of records into the cluster state.
 
         Only pairs touching the batch's records are formed; earlier
         records of the same batch count as existing for later ones, so
-        intra-batch duplicates resolve too.  With a
-        :class:`~repro.stream.shards.ShardPool` (similarity mode only)
-        the batch's comparisons are evaluated by the shard workers
-        against their resident value replicas — same candidates, same
-        order, same clusters, less wall-clock and O(new values) IPC.
+        intra-batch duplicates resolve too.  With a :attr:`pool`
+        (similarity mode only) the batch's comparisons are evaluated by
+        the shard workers against their resident value replicas — same
+        candidates, same order, same clusters, less wall-clock and
+        O(new values) IPC.
         """
         result = BatchResolution()
-        matched_by_rid: Optional[Dict[str, List[str]]] = None
-        if pool is not None and self.attribute is not None and records:
-            matched_by_rid = self._match_batch(records, pool, result)
-            # The pooled match already shipped this batch's index /
-            # evict deltas; the authoritative replay below must not
-            # re-buffer them.
-            self._deltas_in_flight = True
-        try:
-            for record in records:
-                matched = (
-                    matched_by_rid.get(record.rid)
-                    if matched_by_rid is not None
-                    else None
-                )
-                self._add_record(record, result, matched)
-        finally:
-            self._deltas_in_flight = False
+        matched_by_rid: Dict[str, List[str]] = {}
+        if self.pool is not None and self.attribute is not None and records:
+            matched_by_rid = self._match_batch(records, result)
+        for record in records:
+            self._add_record(record, result, matched_by_rid.get(record.rid))
         return result
 
     def _add_record(
@@ -368,39 +345,8 @@ class IncrementalResolver:
             self._shard_refs[ref] = count
         return shard, ("e", rid)
 
-    def _warm_up_steps(self, steps: List[List[Tuple]]) -> None:
-        """Replay the whole current index into the shard replicas.
-
-        Runs the first time a pool-backed batch meets an index that
-        grew before any pool was attached (tests, late sharding), and
-        again if delta tracking was abandoned (buffer overflow during
-        a long unpooled stretch).  A reset step precedes the replay so
-        a worker holding a stale replica starts from empty; fresh
-        workers ignore it.  The streaming consolidator attaches its
-        pool from batch one, so this is normally a no-op over an empty
-        index.
-        """
-        self._shard_refs.clear()
-        for shard_steps in steps:
-            shard_steps.append(("r",))
-        for key, members in self._blocks.items():
-            for rid in members:
-                shard, step = self._note_index(rid, self._values[rid], key)
-                steps[shard].append(step)
-        self._resident_synced = True
-
-    def _buffer_delta(self, delta: Tuple[int, Tuple]) -> None:
-        """Queue a replica delta for the next pooled batch; on
-        overflow, abandon tracking — the next pooled batch (if one
-        ever comes) re-warms from scratch instead."""
-        self._resident_deltas.append(delta)
-        if len(self._resident_deltas) > MAX_BUFFERED_DELTAS:
-            self._resident_deltas.clear()
-            self._shard_refs.clear()
-            self._resident_synced = False
-
     def _match_batch(
-        self, records: Sequence[Record], pool, result: BatchResolution
+        self, records: Sequence[Record], result: BatchResolution
     ) -> Dict[str, List[str]]:
         """Evaluate one batch's comparisons on the shard workers.
 
@@ -416,21 +362,8 @@ class IncrementalResolver:
         its replica — so per-batch IPC is O(new values + candidate
         ids) instead of O(candidate values).
         """
-        if pool.shards != self._blocks.shards:
-            raise ValueError(
-                f"pool has {pool.shards} shards but the block index is "
-                f"partitioned {self._blocks.shards} ways"
-            )
+        pool = self.pool
         steps: List[List[Tuple]] = [[] for _ in range(pool.shards)]
-        if not self._resident_synced:
-            self._warm_up_steps(steps)
-        if self._resident_deltas:
-            # Mutations since the last pooled batch (inline batches,
-            # compaction) replay first, in occurrence order.
-            for shard, step in self._resident_deltas:
-                steps[shard].append(step)
-            self._resident_deltas.clear()
-
         simulated: Dict[Hashable, List[str]] = {}
         retention = self._blocks.retention
 
@@ -482,19 +415,7 @@ class IncrementalResolver:
     def _index_blocks(self, rid: str, value: str) -> None:
         self._values[rid] = value
         for key in self.block_keys(value):
-            # Re-checked per key: buffering can overflow mid-value and
-            # flip the resolver back to untracked (re-warm later).
-            if self._resident_synced and not self._deltas_in_flight:
-                self._buffer_delta(self._note_index(rid, value, key))
-                evicted: List[str] = []
-                gone = self._blocks.add(key, rid, evicted_into=evicted)
-                for old in evicted:
-                    if not self._resident_synced:
-                        break
-                    self._buffer_delta(self._note_evict(old, key))
-            else:
-                gone = self._blocks.add(key, rid)
-            for old in gone:
+            for old in self._blocks.add(key, rid):
                 # Rotated out of its last block: off the comparison
                 # frontier, so its value is no longer needed.
                 self._values.pop(old, None)
@@ -523,31 +444,6 @@ class IncrementalResolver:
             cluster.records = []
             result.merges += 1
         return survivor
-
-    # -- maintenance -------------------------------------------------------
-
-    def compact_blocks(self, retention: Optional[int] = None) -> int:
-        """Trim every block to its newest ``retention`` members now.
-
-        Returns how many records left the comparison frontier entirely
-        (their values are released too).  Clusters are untouched — the
-        union-find already closed over everything the dropped members
-        matched.  With shard replicas warm, the dropped memberships
-        are buffered as evict deltas so the next pooled batch brings
-        the workers to the compacted state before matching.
-        """
-        if self._resident_synced:
-            evicted: List[Tuple[Hashable, str]] = []
-            gone = self._blocks.compact(retention, evicted_into=evicted)
-            for key, rid in evicted:
-                if not self._resident_synced:
-                    break  # buffer overflowed: re-warm covers the rest
-                self._buffer_delta(self._note_evict(rid, key))
-        else:
-            gone = self._blocks.compact(retention)
-        for rid in gone:
-            self._values.pop(rid, None)
-        return len(gone)
 
     @property
     def blocks_rotated_out(self) -> int:

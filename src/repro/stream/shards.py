@@ -84,11 +84,8 @@ MIN_PARALLEL_PAIRS = 64
 #: ``("i", rid, value-or-None)`` — a new member entered a block this
 #: shard owns (the value ships on the rid's first step per shard and
 #: is ``None`` on repeats — one block reference each, refcounted);
-#: ``("e", rid)`` — rotation/compaction dropped one of the rid's block
-#: references here; the last reference releases the resident value;
-#: ``("r",)`` — drop the whole replica (precedes a full re-warm-up
-#: after the parent stopped tracking deltas, e.g. a long unpooled
-#: stretch overflowed its delta buffer).
+#: ``("e", rid)`` — rotation dropped one of the rid's block references
+#: here; the last reference releases the resident value.
 ResolveStep = Tuple[Any, ...]
 
 #: Parent-side reply callback: ``observer(shard, op, seconds, spans)``
@@ -238,9 +235,6 @@ class ShardStandardizer:
                     values.pop(rid, None)
                 else:
                     refs[rid] = remaining
-            elif kind == "r":
-                values.clear()
-                refs.clear()
             else:
                 raise ValueError(f"unknown resolve step: {kind!r}")
         return replies, match_seconds, comparisons

@@ -91,6 +91,13 @@ def one_shot(stream):
 
 
 def streamed(stream, blocking=None, registry=None, **kwargs):
+    consolidator = make_consolidator(stream, blocking, registry, **kwargs)
+    with consolidator:
+        reports = consolidator.run(stream.batches)
+    return consolidator, reports
+
+
+def make_consolidator(stream, blocking=None, registry=None, **kwargs):
     resolution = {}
     if blocking is None:
         resolution["key_attribute"] = stream.key_column
@@ -100,7 +107,7 @@ def streamed(stream, blocking=None, registry=None, **kwargs):
         resolution["block_keys"] = make_block_keys(blocking)
     kwargs.setdefault("use_engine", False)
     kwargs.setdefault("persist_decisions", False)
-    consolidator = GoldenStreamConsolidator(
+    return GoldenStreamConsolidator(
         columns=stream.columns,
         oracle_factory=golden_ground_truth_oracle_factory(
             stream.canonical_by_rid, seed=0
@@ -111,9 +118,11 @@ def streamed(stream, blocking=None, registry=None, **kwargs):
         **resolution,
         **kwargs,
     )
-    with consolidator:
-        reports = consolidator.run(stream.batches)
-    return consolidator, reports
+
+
+def layout(table):
+    """Record ids per cluster slot, table order."""
+    return [[record.rid for record in c.records] for c in table.clusters]
 
 
 def golden_of(report):
@@ -301,6 +310,36 @@ class TestShardCountInvariance:
         assert c1.registry.path("golden").read_bytes() == (
             c3.registry.path("golden").read_bytes()
         )
+
+    def test_batch_after_close_matches_unsharded(self, stream):
+        """close() releases the shard pool; a batch after it matches
+        inline and lands exactly where an unsharded run puts it."""
+        volatile = (
+            "values_shipped",
+            "bytes_shipped",
+            "fusion_seconds",
+            "seconds",
+            "stage_seconds",
+        )
+
+        def counts(report):
+            stats = report.stats()
+            return {k: v for k, v in stats.items() if k not in volatile}
+
+        first, second, third = stream.batches
+        base, base_reports = streamed(stream, blocking="token")
+        sharded = make_consolidator(
+            stream, blocking="token", shards=2, shard_processes=False
+        )
+        sharded.process_batch(first)
+        sharded.process_batch(second)
+        sharded.close()
+        assert sharded.pool is None and sharded.resolver.pool is None
+        sharded.process_batch(third)
+        assert [counts(r) for r in sharded.reports] == [
+            counts(r) for r in base_reports
+        ]
+        assert layout(sharded.table) == layout(base.table)
 
 
 class TestIncrementalFusionDelta:

@@ -358,13 +358,13 @@ class TestSimilarityModeSharded:
         def tok_overlap(a, b):
             return overlap(a.split(), b.split())
 
-        def resolve(shards, pool):
+        def resolve(pool):
             resolver = IncrementalResolver(
                 ("name",),
                 attribute="name",
                 threshold=0.4,
                 similarity=tok_overlap,
-                shards=shards,
+                pool=pool,
                 block_retention=2,
             )
             # All records share the "common" block key; retention=2
@@ -373,11 +373,10 @@ class TestSimilarityModeSharded:
                 Record(f"r{i}", {"name": f"common tok{i} tok{i % 3}"})
                 for i in range(10)
             ]
-            reports = [resolver.add_batch(records, pool=pool)]
+            reports = [resolver.add_batch(records)]
             reports.append(
                 resolver.add_batch(
-                    [Record("late", {"name": "common tok9 tok0"})],
-                    pool=pool,
+                    [Record("late", {"name": "common tok9 tok0"})]
                 )
             )
             clusters = {
@@ -387,19 +386,19 @@ class TestSimilarityModeSharded:
             }
             return clusters, [r.pairs_compared for r in reports]
 
-        base = resolve(1, None)
+        base = resolve(None)
         for shards in (2, 4):
             with ShardPool(
                 shards, similarity=tok_overlap, processes=False
             ) as pool:
-                assert resolve(shards, pool) == base
+                assert resolve(pool) == base
 
 
 class TestShardResidentState:
     """Shard workers keep member values resident: per-batch IPC ships
     only new values (plus candidate rids), never the block members
-    again — and the replicas stay consistent through warm-up,
-    rotation, and compaction."""
+    again — and the replicas stay consistent through rotation and
+    across worker processes."""
 
     @staticmethod
     def similarity():
@@ -423,9 +422,9 @@ class TestShardResidentState:
         ]
 
     def test_ships_only_new_values_per_batch(self):
-        """The acceptance property: after warm-up, per-batch shipped
-        values track the batch size while the comparison frontier (and
-        so the candidate-pair count) keeps growing."""
+        """The acceptance property: per-batch shipped values track the
+        batch size while the comparison frontier (and so the
+        candidate-pair count) keeps growing."""
         consolidator = StreamConsolidator(
             column="name",
             oracle_factory=lambda c: None,
@@ -461,131 +460,6 @@ class TestShardResidentState:
         # benchmarks/bench_stream_sharded.py).
         assert all(r.bytes_shipped == 0 for r in reports)
 
-    def test_warm_up_syncs_a_pre_grown_index(self):
-        """A pool attached after inline batches must see the same
-        resident state (and produce the same clusters) as one attached
-        from the start."""
-        from repro.stream import IncrementalResolver
-
-        def clusters_of(resolver):
-            return {
-                frozenset(r.rid for r in c.records)
-                for c in resolver.table.clusters
-                if c.records
-            }
-
-        def build():
-            return IncrementalResolver(
-                ("name",),
-                attribute="name",
-                threshold=0.5,
-                similarity=self.similarity(),
-                shards=3,
-                block_retention=4,
-                max_block_size=10_000,
-            )
-
-        late = build()
-        late.add_batch(self.batch(0))  # no pool: replicas are stale
-        with ShardPool(
-            3, similarity=self.similarity(), processes=False
-        ) as pool:
-            late_report = late.add_batch(self.batch(1), pool=pool)
-
-        sequential = build()
-        sequential.add_batch(self.batch(0))
-        seq_report = sequential.add_batch(self.batch(1))
-
-        assert clusters_of(late) == clusters_of(sequential)
-        assert late_report.pairs_compared == seq_report.pairs_compared
-        # Warm-up re-ships the pre-pool frontier once, on top of the
-        # batch's own new values.
-        assert late_report.values_shipped > len(late_report.appended)
-
-    def test_delta_buffer_overflow_re_warms_instead_of_growing(
-        self, monkeypatch
-    ):
-        """A long unpooled stretch must not grow the delta buffer with
-        stream length: past the cap the resolver drops tracking, and
-        the next pooled batch resets + re-warms the replicas — with
-        identical clusters and comparison counts to the sequential
-        path."""
-        import repro.stream.resolver as resolver_module
-        from repro.stream import IncrementalResolver
-
-        monkeypatch.setattr(resolver_module, "MAX_BUFFERED_DELTAS", 8)
-
-        def run(pooled_last_batch):
-            resolver = IncrementalResolver(
-                ("name",),
-                attribute="name",
-                threshold=0.5,
-                similarity=self.similarity(),
-                shards=2,
-                block_retention=3,
-                max_block_size=10_000,
-            )
-            pool = ShardPool(
-                2, similarity=self.similarity(), processes=False
-            )
-            try:
-                # Pooled batch 0 syncs the replicas...
-                resolver.add_batch(self.batch(0, size=8), pool=pool)
-                # ... then unpooled batches overflow the tiny buffer.
-                resolver.add_batch(self.batch(1, size=8))
-                resolver.add_batch(self.batch(2, size=8))
-                assert len(resolver._resident_deltas) <= 8
-                report = resolver.add_batch(
-                    self.batch(3, size=8),
-                    pool=pool if pooled_last_batch else None,
-                )
-            finally:
-                pool.close()
-            clusters = {
-                frozenset(r.rid for r in c.records)
-                for c in resolver.table.clusters
-                if c.records
-            }
-            return clusters, report.pairs_compared
-
-        assert run(True) == run(False)
-
-    def test_compaction_deltas_reach_the_replicas(self):
-        """compact_blocks() between pooled batches must shrink the
-        workers' replicas too — the next batch's comparison set equals
-        the sequential path's."""
-        from repro.stream import IncrementalResolver
-
-        def run(pooled):
-            resolver = IncrementalResolver(
-                ("name",),
-                attribute="name",
-                threshold=0.5,
-                similarity=self.similarity(),
-                shards=2,
-                max_block_size=10_000,
-            )
-            pool = (
-                ShardPool(2, similarity=self.similarity(), processes=False)
-                if pooled
-                else None
-            )
-            try:
-                resolver.add_batch(self.batch(0), pool=pool)
-                resolver.compact_blocks(retention=2)
-                report = resolver.add_batch(self.batch(1), pool=pool)
-            finally:
-                if pool is not None:
-                    pool.close()
-            clusters = {
-                frozenset(r.rid for r in c.records)
-                for c in resolver.table.clusters
-                if c.records
-            }
-            return clusters, report.pairs_compared
-
-        assert run(True) == run(False)
-
     def test_process_backend_keeps_replicas_across_batches(self):
         """The worker-process backend must produce the same clusters
         and comparison counts as inline, across several batches (its
@@ -594,20 +468,20 @@ class TestShardResidentState:
         from repro.stream import IncrementalResolver
 
         def run(processes):
-            resolver = IncrementalResolver(
-                ("name",),
-                attribute="name",
-                threshold=0.7,
-                similarity=hybrid_similarity,
-                shards=2,
-                block_retention=6,
-                max_block_size=10_000,
-            )
             with ShardPool(
                 2, similarity=hybrid_similarity, processes=processes
             ) as pool:
+                resolver = IncrementalResolver(
+                    ("name",),
+                    attribute="name",
+                    threshold=0.7,
+                    similarity=hybrid_similarity,
+                    pool=pool,
+                    block_retention=6,
+                    max_block_size=10_000,
+                )
                 reports = [
-                    resolver.add_batch(self.batch(i, size=12), pool=pool)
+                    resolver.add_batch(self.batch(i, size=12))
                     for i in range(3)
                 ]
             clusters = {
@@ -680,7 +554,7 @@ class TestLshModeSharded:
         self, lsh_stream, tmp_path
     ):
         """A restarted LSH-mode sharded stream replays the decision log
-        against freshly warmed shard replicas: zero repeat questions,
+        against fresh shard replicas: zero repeat questions,
         identical standardization."""
         registry = ModelRegistry(tmp_path / "registry")
         q_first, final_first, _ = self.run(
@@ -730,34 +604,6 @@ class TestBlockIndex:
         assert "r0" in index
         assert index.add("b", "r1") == ["r0"]  # now truly gone
         assert "r0" not in index
-
-    def test_compact_trims_existing_blocks(self):
-        index = BlockIndex(shards=2)
-        for i in range(10):
-            index.add("k", f"r{i}")
-        gone = index.compact(retention=4)
-        assert list(index.members("k")) == ["r6", "r7", "r8", "r9"]
-        assert len(gone) == 6
-
-    def test_add_reports_per_block_evictions(self):
-        # evicted_into sees *every* rotation out of this block — also
-        # members other blocks still reference (which "gone" hides) —
-        # because shard replicas mirror per-block membership.
-        index = BlockIndex(shards=1, retention=1)
-        index.add("a", "r0")
-        index.add("b", "r0")
-        evicted = []
-        gone = index.add("a", "r1", evicted_into=evicted)
-        assert evicted == ["r0"]  # left block 'a'...
-        assert gone == []  # ... but survives via block 'b'
-
-    def test_compact_reports_key_member_evictions(self):
-        index = BlockIndex(shards=2)
-        for i in range(4):
-            index.add("k", f"r{i}")
-        evicted = []
-        index.compact(retention=2, evicted_into=evicted)
-        assert evicted == [("k", "r0"), ("k", "r1")]
 
     def test_resolver_block_retention_bounds_frontier(self):
         from repro.resolution.similarity import overlap
