@@ -13,8 +13,12 @@ functions that output ``t[i, j)`` when applied to ``s``:
   term match in ``s`` (Appendix D), restricted to the *longest* affix
   per anchor position (static order, Appendix E).
 
-Label lists are sorted by :func:`repro.core.functions.label_sort_key`
-so downstream DFS is deterministic.
+Labels are interned where they are built: each edge is a tuple of ids
+of a :class:`~repro.core.labels.LabelTable`, deduplicated and sorted by
+the table's precomputed :func:`~repro.core.functions.label_sort_key` so
+downstream DFS is deterministic.  A structure source builds all its
+graphs, across resets, against one table, so a label object is made
+once per source rather than once per edge.
 """
 
 from __future__ import annotations
@@ -23,32 +27,40 @@ import re
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..config import DEFAULT_CONFIG, Config
-from .functions import ConstantStr, Prefix, StringFunction, SubStr, Suffix, label_sort_key
-from .positions import position_candidates
+from .functions import ConstantStr, Prefix, StringFunction, SubStr, Suffix
+from .labels import LabelTable
 from .terms import DEFAULT_VOCABULARY, MatchContext, TermVocabulary
 
 Edge = Tuple[int, int]
 
 
 class TransformationGraph:
-    """The DAG of all consistent programs for one replacement."""
+    """The DAG of all consistent programs for one replacement.
 
-    __slots__ = ("source", "target", "edges", "out_edges", "gid")
+    Edges are stored as label-id tuples of ``table`` (``id_edges``, and
+    ``id_out``: per node its ``(end node, ids)`` pairs in edge order);
+    ``edges``, ``labels()``, ``all_labels()`` and ``out_edges`` are
+    label-object views built on access.
+    """
+
+    __slots__ = ("source", "target", "table", "id_edges", "id_out", "gid")
 
     def __init__(
         self,
         source: str,
         target: str,
-        edges: Dict[Edge, Tuple[StringFunction, ...]],
+        id_edges: Dict[Edge, Tuple[int, ...]],
+        table: LabelTable,
     ) -> None:
         self.source = source
         self.target = target
-        self.edges = edges
+        self.table = table
+        self.id_edges = id_edges
         self.gid: int = -1  # assigned when registered in an index
-        out: Dict[int, List[Tuple[int, Tuple[StringFunction, ...]]]] = {}
-        for (i, j), labels in sorted(edges.items()):
-            out.setdefault(i, []).append((j, labels))
-        self.out_edges = out
+        out: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
+        for (i, j), lids in sorted(id_edges.items()):
+            out.setdefault(i, []).append((j, lids))
+        self.id_out = out
 
     @property
     def num_nodes(self) -> int:
@@ -58,8 +70,22 @@ class TransformationGraph:
     def last_node(self) -> int:
         return len(self.target) + 1
 
+    def _labels(self, lids: Tuple[int, ...]) -> Tuple[StringFunction, ...]:
+        return tuple(map(self.table.labels.__getitem__, lids))
+
+    @property
+    def edges(self) -> Dict[Edge, Tuple[StringFunction, ...]]:
+        return {edge: self._labels(lids) for edge, lids in self.id_edges.items()}
+
+    @property
+    def out_edges(self) -> Dict[int, List[Tuple[int, Tuple[StringFunction, ...]]]]:
+        return {
+            i: [(j, self._labels(lids)) for j, lids in row]
+            for i, row in self.id_out.items()
+        }
+
     def labels(self, i: int, j: int) -> Tuple[StringFunction, ...]:
-        return self.edges.get((i, j), ())
+        return self._labels(self.id_edges.get((i, j), ()))
 
     def all_labels(self) -> Iterable[Tuple[Edge, StringFunction]]:
         for edge, labels in self.edges.items():
@@ -69,7 +95,7 @@ class TransformationGraph:
     def __repr__(self) -> str:
         return (
             f"TransformationGraph({self.source!r} -> {self.target!r}, "
-            f"{len(self.edges)} edges)"
+            f"{len(self.id_edges)} edges)"
         )
 
 
@@ -79,6 +105,7 @@ def build_graph(
     vocabulary: TermVocabulary = DEFAULT_VOCABULARY,
     config: Config = DEFAULT_CONFIG,
     constant_whitelist: Optional[frozenset] = None,
+    table: Optional[LabelTable] = None,
 ) -> Optional[TransformationGraph]:
     """Construct the transformation graph for ``source -> target``.
 
@@ -91,6 +118,9 @@ def build_graph(
     alphanumeric tokens; ``ConstantStr`` labels whose text contains
     other tokens are dropped except on the whole-target edge, which is
     always labeled so every replacement keeps a consistent program.
+
+    Labels are interned into ``table`` as they are found (a private
+    table when none is given); the graph's edges are id tuples of it.
     """
     if not target or not source:
         return None
@@ -100,8 +130,10 @@ def build_graph(
     ):
         return None
 
+    if table is None:
+        table = LabelTable()
     ctx = MatchContext(source, vocabulary)
-    positions = position_candidates(
+    positions = table.position_ids(
         ctx, config.max_position_functions, config.boundary_positions_only
     )
     occurrences = _occurrence_index(source, len(target))
@@ -109,17 +141,18 @@ def build_graph(
         _unit_boundaries(target) if config.aligned_constants else None
     )
 
-    edges: Dict[Edge, List[StringFunction]] = {}
+    label, functions = table.label, table.positions
+    edges: Dict[Edge, List[int]] = {}
     n = len(target)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 2):
             sub = target[i - 1 : j - 1]
-            labels: List[StringFunction] = []
+            labels: List[int] = []
             if (
                 (boundaries is None or (i in boundaries and j in boundaries))
                 and _constant_admitted(sub, constant_whitelist)
             ) or (i == 1 and j == n + 1):
-                labels.append(ConstantStr(sub))
+                labels.append(label(sub, ConstantStr, sub))
             starts = occurrences.get(sub, ())
             for x in starts[: config.max_occurrences_per_edge]:
                 y = x + len(sub)
@@ -127,7 +160,9 @@ def build_graph(
                 emitted = 0
                 for f in positions.get(x, ()):
                     for g in positions.get(y, ()):
-                        labels.append(SubStr(f, g))
+                        labels.append(
+                            label((f, g), SubStr, functions[f], functions[g])
+                        )
                         emitted += 1
                         if emitted >= budget:
                             break
@@ -136,17 +171,18 @@ def build_graph(
             edges[(i, j)] = labels
 
     if config.use_affix:
-        _add_affix_labels(ctx, target, edges)
+        _add_affix_labels(ctx, target, edges, table)
 
     # Unlabeled edges (possible under aligned_constants) are dropped:
     # Definition 2 gives every span an edge, but an edge without labels
     # can never appear on a transformation path.
-    frozen: Dict[Edge, Tuple[StringFunction, ...]] = {
-        edge: tuple(sorted(set(labels), key=label_sort_key))
+    key = table.keys.__getitem__
+    frozen: Dict[Edge, Tuple[int, ...]] = {
+        edge: tuple(sorted(set(labels), key=key))
         for edge, labels in edges.items()
         if labels
     }
-    return TransformationGraph(source, target, frozen)
+    return TransformationGraph(source, target, frozen, table)
 
 
 _ALNUM_TOKEN = re.compile(r"[A-Za-z]+|[0-9]+")
@@ -200,7 +236,8 @@ def _occurrence_index(source: str, max_len: int) -> Dict[str, Tuple[int, ...]]:
 def _add_affix_labels(
     ctx: MatchContext,
     target: str,
-    edges: Dict[Edge, List[StringFunction]],
+    edges: Dict[Edge, List[int]],
+    table: LabelTable,
 ) -> None:
     """Add ``Prefix``/``Suffix`` labels (Appendix D) with the
     longest-affix-only static order (Appendix E).
@@ -212,7 +249,9 @@ def _add_affix_labels(
     label can be shared across strings with different match counts.
     """
     n = len(target)
+    label = table.label
     for term in ctx.vocabulary.regex_terms:
+        slot = table.slot(term)
         matches = ctx.matches(term)
         m = len(matches)
         for idx, (x, y) in enumerate(matches, start=1):
@@ -222,20 +261,24 @@ def _add_affix_labels(
             back = idx - m - 1
             # Longest proper prefix of `text` starting at each i in t.
             for i in range(1, n + 1):
+                if target[i - 1] != text[0]:
+                    continue
                 length = _common_prefix_len(target, i - 1, text)
                 length = min(length, len(text) - 1, n + 1 - i)
                 if length >= 1:
                     edge = (i, i + length)
-                    edges[edge].append(Prefix(term, idx))
-                    edges[edge].append(Prefix(term, back))
+                    edges[edge].append(label((Prefix, slot, idx), Prefix, term, idx))
+                    edges[edge].append(label((Prefix, slot, back), Prefix, term, back))
             # Longest proper suffix of `text` ending at each j in t.
             for j in range(2, n + 2):
+                if target[j - 2] != text[-1]:
+                    continue
                 length = _common_suffix_len(target, j - 1, text)
                 length = min(length, len(text) - 1, j - 1)
                 if length >= 1:
                     edge = (j - length, j)
-                    edges[edge].append(Suffix(term, idx))
-                    edges[edge].append(Suffix(term, back))
+                    edges[edge].append(label((Suffix, slot, idx), Suffix, term, idx))
+                    edges[edge].append(label((Suffix, slot, back), Suffix, term, back))
 
 
 def _common_prefix_len(target: str, start: int, text: str) -> int:

@@ -22,6 +22,7 @@ from ..config import DEFAULT_CONFIG, Config
 from .functions import ConstantStr
 from .graph import _ALNUM_TOKEN, TransformationGraph, build_graph
 from .index import InvertedIndex
+from .labels import LabelTable
 from .pivot import GlobalBounds, PivotCandidate, SearchStats, search_pivot
 from .program import Program
 from .replacement import Replacement
@@ -119,9 +120,11 @@ def constant_whitelist(
     )
 
 
-#: Edges of built graphs, keyed so that a hit is exactly the graph a
-#: fresh ``build_graph`` would return (see :func:`graph_memo_key`).
-GraphMemo = Dict[Tuple, Dict[Tuple[int, int], Tuple]]
+#: Edges of built graphs as label-id tuples, keyed so that a hit is
+#: exactly the graph a fresh ``build_graph`` would return (see
+#: :func:`graph_memo_key`).  Ids mean something only under the table
+#: that issued them, so the memo owns that table, under the key ``None``.
+GraphMemo = Dict[Optional[Tuple], object]
 
 
 def graph_memo_key(
@@ -151,12 +154,14 @@ def build_graphs(
     """Build graphs + inverted index for one structure group.
 
     Returns the index, the gid -> replacement mapping, and the list of
-    replacements that could not get a graph (oversized strings).  With
-    ``memo`` (owned by one structure group) a graph whose key was built
-    before is registered from its kept edges instead of being rebuilt;
-    ``stats`` counts ``graphs_built`` / ``graphs_reused``.
+    replacements that could not get a graph (oversized strings).  Graphs
+    are built against one label table: the memo's, else a private one.
+    With ``memo`` (owned by one structure group) a graph whose key was
+    built before is registered from its kept id edges instead of being
+    rebuilt; ``stats`` counts ``graphs_built`` / ``graphs_reused``.
     """
-    index = InvertedIndex()
+    table = LabelTable() if memo is None else memo.setdefault(None, LabelTable())
+    index = InvertedIndex(table)
     by_gid: Dict[int, Replacement] = {}
     graphless: List[Replacement] = []
     whitelist = constant_whitelist(replacements, config)
@@ -168,17 +173,17 @@ def build_graphs(
             edges = memo.get(key)
         if edges is None:
             graph = build_graph(
-                replacement.lhs, replacement.rhs, vocabulary, config, whitelist
+                replacement.lhs, replacement.rhs, vocabulary, config, whitelist, table
             )
             if graph is None:
                 graphless.append(replacement)
                 continue
             if memo is not None:
-                memo[key] = graph.edges
+                memo[key] = graph.id_edges
             built += 1
         else:
             # A fresh graph object: ``gid`` is per index.
-            graph = TransformationGraph(replacement.lhs, replacement.rhs, edges)
+            graph = TransformationGraph(replacement.lhs, replacement.rhs, edges, table)
             reused += 1
         by_gid[index.add_graph(graph)] = replacement
     if stats is not None:

@@ -208,8 +208,9 @@ class _Source:
         build-plus-pop history is the same on every path.
 
         The reset keeps the built graph edges (``memo``) of the
-        survivors: a memo hit is exactly the graph a fresh build would
-        return, so the rebuild costs only the index, not the graphs.
+        survivors, and the label table they index into: a memo hit is
+        exactly the graph a fresh build would return, so the rebuild
+        costs only the index, not the graphs.
         """
         if self.index is None:
             self.replacements = [r for r in self.replacements if r not in dead]
@@ -221,7 +222,9 @@ class _Source:
             r for r in self.replacements if r in alive and r not in dead
         ]
         survivors = {(r.lhs, r.rhs) for r in self.replacements}
-        self.memo = {k: v for k, v in self.memo.items() if k[:2] in survivors}
+        self.memo = {  # key None holds the memo's label table
+            k: v for k, v in self.memo.items() if k is None or k[:2] in survivors
+        }
         self.index = None
         self.by_gid = {}
         self.graphless = []

@@ -5,25 +5,27 @@ The posting list of a string function ``f`` holds every triple
 ``f``.  Intersections are *adjacency-aware*: an entry ``<G, i1, j1>``
 joins ``<G, i2, j2>`` only when ``j1 == i2``, producing ``<G, i1, j2>``.
 
-Labels are interned once, when a graph is registered, into dense int
-ids: ``labels[id]`` is the label, ``keys[id]`` its
-:func:`~repro.core.functions.label_sort_key`, and ``ids`` maps back.
-Each graph's edges are kept as id tuples (``out_edges[gid]``), so the
-pivot search never hashes or re-keys a label object.
+Labels arrive already interned: an index shares the
+:class:`~repro.core.labels.LabelTable` its graphs were built against
+(``labels``, ``keys`` and ``ids`` are that table's), so registering a
+graph posts the ids of its edges (``out_edges[gid]``) and never hashes
+or re-keys a label object.  A graph built against another table is
+re-interned through its label view.
 
 A posting is ``{gid: {start: end_mask}}`` where bit ``j`` of
-``end_mask`` is set iff the label sits on edge ``(start, j)``.  Because
-every path the pivot search maintains starts at node ``n1``, a path
-state is ``{gid: end_mask}``: which graphs contain the current path as
-a prefix from node 1, with bit ``j`` set for every end position ``j``.
+``end_mask`` is set iff the label sits on edge ``(start, j)``; postings
+are keyed by label id.  Because every path the pivot search maintains
+starts at node ``n1``, a path state is ``{gid: end_mask}``: which graphs
+contain the current path as a prefix from node 1, with bit ``j`` set for
+every end position ``j``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .functions import StringFunction, label_sort_key
 from .graph import TransformationGraph
+from .labels import LabelTable
 
 #: ``gid -> start_node -> end_mask``
 Posting = Dict[int, Dict[int, int]]
@@ -38,11 +40,12 @@ IdEdges = Dict[int, List[Tuple[int, Tuple[int, ...]]]]
 class InvertedIndex:
     """Index of interned edge labels across a collection of graphs."""
 
-    def __init__(self) -> None:
-        self.ids: Dict[StringFunction, int] = {}
-        self.labels: List[StringFunction] = []
-        self.keys: List[Tuple] = []
-        self.postings: List[Posting] = []
+    def __init__(self, table: Optional[LabelTable] = None) -> None:
+        self.table = table if table is not None else LabelTable()
+        self.ids = self.table.ids
+        self.labels = self.table.labels
+        self.keys = self.table.keys
+        self.postings: Dict[int, Posting] = {}
         self.graphs: Dict[int, TransformationGraph] = {}
         self.last_node: Dict[int, int] = {}
         self.out_edges: Dict[int, IdEdges] = {}
@@ -53,25 +56,23 @@ class InvertedIndex:
         graph.gid = gid
         self.graphs[gid] = graph
         self.last_node[gid] = graph.last_node
-        ids = self.ids
+        out = graph.id_out
+        if graph.table is not self.table:
+            intern = self.table.intern
+            out = {
+                i: [(j, tuple(intern(label) for label in labels)) for j, labels in row]
+                for i, row in graph.out_edges.items()
+            }
         postings = self.postings
-        out: IdEdges = {}
-        for i, targets in graph.out_edges.items():
-            row = out[i] = []
-            for j, labels in targets:
+        for i, targets in out.items():
+            for j, lids in targets:
                 bit = 1 << j
-                edge_ids = []
-                for label in labels:
-                    lid = ids.get(label)
-                    if lid is None:
-                        lid = ids[label] = len(self.labels)
-                        self.labels.append(label)
-                        self.keys.append(label_sort_key(label))
-                        postings.append({})
-                    starts = postings[lid].setdefault(gid, {})
+                for lid in lids:
+                    posting = postings.get(lid)
+                    if posting is None:
+                        posting = postings[lid] = {}
+                    starts = posting.setdefault(gid, {})
                     starts[i] = starts.get(i, 0) | bit
-                    edge_ids.append(lid)
-                row.append((j, tuple(edge_ids)))
         self.out_edges[gid] = out
         return gid
 

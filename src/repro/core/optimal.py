@@ -29,6 +29,7 @@ def enumerate_paths(
     accidental misuse on large graphs.
     """
     paths: List[Tuple[StringFunction, ...]] = []
+    out_edges = graph.out_edges
     stack: List[Tuple[int, Tuple[StringFunction, ...]]] = [(1, ())]
     while stack:
         node, prefix = stack.pop()
@@ -39,7 +40,7 @@ def enumerate_paths(
             continue
         if len(prefix) >= max_length:
             continue
-        for j, labels in graph.out_edges.get(node, ()):
+        for j, labels in out_edges.get(node, ()):
             for label in labels:
                 stack.append((j, prefix + (label,)))
     return paths

@@ -9,9 +9,9 @@ A position function maps an input string ``s`` to a 1-based position in
   (``E``) position of the ``k``-th match of ``term`` in ``s``; negative
   ``k`` counts from the back (``k = -1`` is the last match).
 
-The module also builds the per-position candidate table ``P`` used by
-the transformation-graph constructor (Appendix C) and applies the
-static preference order of Appendix E.
+The module also defines the static preference order of Appendix E and
+the per-position candidate table ``P`` of the transformation-graph
+constructor (Appendix C), which :mod:`repro.core.labels` builds.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .terms import (
-    ConstTerm,
-    MatchContext,
-    RegexTerm,
-    TermVocabulary,
-    term_from_dict,
-)
+from .terms import MatchContext, RegexTerm, term_from_dict
 
 BEGIN = "B"
 END = "E"
@@ -152,30 +146,13 @@ def position_candidates(
     programs — the affix functions (Appendix D) cover legitimate
     mid-token cuts instead.
     """
-    s = ctx.s
-    table: Dict[int, List[PositionFunction]] = {
-        k: [] for k in range(1, len(s) + 2)
+    from .labels import LabelTable  # labels builds on this module
+
+    labels = LabelTable()
+    table = labels.position_ids(ctx, max_per_position, boundaries_only)
+    return {
+        k: [labels.positions[pid] for pid in pids] for k, pids in table.items()
     }
-    for term in ctx.vocabulary.all_terms:
-        matches = ctx.matches(term)
-        m = len(matches)
-        for idx, (x, y) in enumerate(matches, start=1):
-            back = idx - m - 1
-            table[x].append(MatchPos(term, idx, BEGIN))
-            table[x].append(MatchPos(term, back, BEGIN))
-            table[y].append(MatchPos(term, idx, END))
-            table[y].append(MatchPos(term, back, END))
-    last = len(s) + 1
-    for k in range(1, last + 1):
-        if boundaries_only and not table[k] and k not in (1, last):
-            continue
-        table[k].append(ConstPos(k))
-        table[k].append(ConstPos(k - len(s) - 2))
-        entries = sorted(set(table[k]), key=_static_key)
-        if max_per_position > 0:
-            entries = entries[:max_per_position]
-        table[k] = entries
-    return table
 
 
 def _static_key(fn: PositionFunction) -> Tuple:

@@ -222,4 +222,4 @@ class TestGraphMemo:
         index1, _, _ = build_graphs(pine, DEFAULT_VOCABULARY, self.CONFIG, memo=memo)
         index2, _, _ = build_graphs(pine, DEFAULT_VOCABULARY, self.CONFIG, memo=memo)
         assert index2.graphs[0] is not index1.graphs[0]
-        assert index2.graphs[0].edges is index1.graphs[0].edges
+        assert index2.graphs[0].id_edges is index1.graphs[0].id_edges
