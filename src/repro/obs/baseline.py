@@ -7,8 +7,9 @@ test timings plus each bench's ``record_result`` headline numbers
 history, so a 2x perf regression shipped silently as one more row.
 This module closes the loop:
 
-* :func:`load_history` — torn-tolerant reader over a results
-  directory, series-keyed: one series per ``(bench, test)`` wall-clock
+* :func:`load_history` — lenient reader (:class:`repro.jsonl.TailReader`,
+  which skips torn and foreign lines) over a results directory,
+  series-keyed: one series per ``(bench, test)`` wall-clock
   timing and one per ``(bench, headline field)``;
 * :func:`build_baseline` — the committed reference: per-series median
   (robust to one noisy run) over the history, with the metric's
@@ -39,7 +40,9 @@ from __future__ import annotations
 import json
 import statistics
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
+
+from ..jsonl import TailReader
 
 PathLike = Union[str, Path]
 
@@ -81,26 +84,6 @@ def direction_of(field: str) -> str:
     if any(marker in lowered for marker in _HIGHER_IS_BETTER):
         return "higher"
     return "lower"
-
-
-def _iter_rows(path: Path) -> Iterator[Row]:
-    """Rows of one BENCH file; skips torn/corrupt lines (the file is
-    append-per-run across many machines — one bad line must not take
-    the whole history gate down)."""
-    try:
-        data = path.read_text(encoding="utf-8")
-    except OSError:
-        return
-    for line in data.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            row = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(row, dict):
-            yield row
 
 
 def _series_of(bench: str, row: Row) -> List[Tuple[str, float, str]]:
@@ -148,7 +131,9 @@ def _load(results_dir: PathLike) -> Tuple[Dict[str, List[float]], Dict[str, str]
     root = Path(results_dir)
     for path in sorted(root.glob("BENCH_*.json")):
         bench = path.stem[len("BENCH_"):]
-        for row in _iter_rows(path):
+        # Lenient on purpose: the file is appended per run across many
+        # machines, and one bad line must not take the history gate down.
+        for row in TailReader(path).poll():
             for key, value, direction in _series_of(bench, row):
                 series.setdefault(key, []).append(value)
                 directions[key] = direction

@@ -4,11 +4,11 @@ A sink receives flat JSON-serializable row dicts (``{"type": ...}``)
 from the :class:`~repro.obs.Obs` facade.  Three are provided:
 
 * :class:`MemorySink` — a list, for tests;
-* :class:`JsonlSink` — append-only JSON-lines with the same crash
-  discipline as the decision log (`repro.stream.decisions`): each row
-  is one flushed line, so a kill mid-run loses at most the torn final
-  line, which the reader (`repro.obs.summary.iter_rows`) skips and a
-  reopening sink repairs before appending;
+* :class:`JsonlSink` — append-only JSON-lines with the crash
+  discipline of :mod:`repro.jsonl`: each row is one flushed line, so a
+  kill mid-run loses at most the torn final line, which the reader
+  (`repro.obs.summary.iter_rows`) skips and a reopening sink repairs
+  before appending;
 * :func:`prometheus_text` — not a sink but the text exposition writer
   for the future serve tier: renders a registry snapshot in the
   Prometheus 0.0.4 text format.
@@ -22,6 +22,7 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..jsonl import repair_tail
 from .metrics import MetricsRegistry
 
 PathLike = Union[str, Path]
@@ -48,10 +49,11 @@ class JsonlSink:
 
     Rows are serialized with sorted keys and flushed per emit, so the
     file is valid JSON-lines up to (at worst) a torn final line after a
-    crash.  Opening an existing file first repairs such a tail — a
-    final line without a terminating newline is truncated away —
-    because appending onto a fragment would glue two rows into one
-    permanently unreadable line (the decision-log lesson).
+    crash.  Opening an existing file first runs
+    :func:`repro.jsonl.repair_tail`: an intact final row that lost its
+    newline is terminated, a torn fragment is truncated away — because
+    appending onto a fragment would glue two rows into one permanently
+    unreadable line.
 
     Every open sink also registers an :mod:`atexit` close (undone once
     closed), and the sink is its own context manager — so a short CLI
@@ -63,27 +65,9 @@ class JsonlSink:
     def __init__(self, path: PathLike) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._repair_tail()
+        repair_tail(self.path)
         self._handle = open(self.path, "a", encoding="utf-8")
         atexit.register(self.close)
-
-    def _repair_tail(self) -> None:
-        if not self.path.exists():
-            return
-        data = self.path.read_bytes()
-        if not data or data.endswith(b"\n"):
-            return
-        tail = data.rfind(b"\n") + 1  # 0 when the whole file is one line
-        fragment = data[tail:]
-        try:
-            json.loads(fragment.decode("utf-8"))
-            # Intact final row, newline eaten by the crash: terminate it.
-            with open(self.path, "ab") as handle:
-                handle.write(b"\n")
-        except (ValueError, UnicodeDecodeError):
-            # Torn mid-write: drop the fragment.
-            with open(self.path, "r+b") as handle:
-                handle.truncate(tail)
 
     def emit(self, row: Row) -> None:
         self._handle.write(

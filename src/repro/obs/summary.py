@@ -32,9 +32,10 @@ per-node count / total / self time (``repro stats --trace-tree``).
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
+
+from ..jsonl import read_rows
 
 PathLike = Union[str, Path]
 
@@ -106,32 +107,15 @@ def parse_metric_key(key: str) -> Tuple[str, Dict[str, str]]:
 def iter_rows(path: PathLike) -> Iterator[Row]:
     """Replay a metrics file, tolerating a crash-torn final line.
 
-    The append-per-row + flush write discipline of
+    The strict replay of :func:`repro.jsonl.read_rows`: the
+    append-per-row + flush write discipline of
     :class:`~repro.obs.sinks.JsonlSink` guarantees every line but the
-    last was complete when written, so a malformed *final* line is a
-    recognized crash signature and silently skipped; a malformed line
-    anywhere else means the file is not ours and raises ``ValueError``
-    rather than half-loading.
+    last was complete when written, so a malformed *unterminated* final
+    line is a recognized crash signature and silently skipped; a
+    malformed line anywhere else means the file is not ours and raises
+    ``ValueError`` rather than half-loading.
     """
-    data = Path(path).read_bytes()
-    raw_lines = data.split(b"\n")
-    for index, raw in enumerate(raw_lines):
-        if raw == b"" and index == len(raw_lines) - 1:
-            break  # the empty tail after a final newline
-        # Only an *unterminated* final line can be a torn append; a
-        # newline-terminated line was complete when flushed.
-        last = index == len(raw_lines) - 1
-        try:
-            row = json.loads(raw.decode("utf-8"))
-            if not isinstance(row, dict):
-                raise ValueError("row is not an object")
-        except (ValueError, UnicodeDecodeError) as exc:
-            if last:
-                return  # torn tail from a kill mid-write: drop it
-            raise ValueError(
-                f"{path}:{index + 1}: corrupt metrics row ({exc})"
-            ) from exc
-        yield row
+    yield from read_rows(path, what="metrics row")[0]
 
 
 def validate_rows(rows) -> List[str]:

@@ -14,23 +14,25 @@ any VT100-ish terminal and in CI logs with ``--once``):
   sliding window of recent batches (the oracle-budget dial the paper's
   human-involvement analysis optimizes).
 
-The reader is incremental and torn-tolerant: it remembers its byte
-offset, keeps a partial final line buffered until the writer finishes
-it, and never re-reads the head of the file — tailing a multi-hour
-stream costs the same per refresh as tailing a fresh one.
+The reader is :class:`repro.jsonl.TailReader`, incremental and
+torn-tolerant: it remembers the offset of the last complete line,
+leaves a partial final line until the writer finishes it, and never
+re-reads the head of the file — tailing a multi-hour stream costs the
+same per refresh as tailing a fresh one.  A fresh run that truncates
+or replaces the file is read again from its start.
 
 Keys: ``q`` quits (Ctrl-C always works); everything else is display.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from collections import deque
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
+from ..jsonl import TailReader
 from .metrics import Histogram
 from .summary import parse_metric_key
 
@@ -40,50 +42,6 @@ Row = Dict[str, object]
 
 #: ANSI: cursor home + clear-to-end — repaint without scrollback spam.
 _REFRESH = "\x1b[H\x1b[J"
-
-
-class TailReader:
-    """Incremental JSON-lines tail with torn-line buffering.
-
-    Each :meth:`poll` returns the complete rows appended since the
-    last poll.  A final line without its newline stays buffered — the
-    writer flushes whole lines, so the fragment completes on a later
-    poll (or never, if the writer died mid-write, in which case it is
-    correctly never surfaced).  Truncation (a fresh run reusing the
-    file) resets the reader.
-    """
-
-    def __init__(self, path: PathLike) -> None:
-        self.path = Path(path)
-        self._offset = 0
-        self._buffer = b""
-
-    def poll(self) -> List[Row]:
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            return []
-        if size < self._offset:  # truncated: a new run took the file
-            self._offset = 0
-            self._buffer = b""
-        rows: List[Row] = []
-        with open(self.path, "rb") as handle:
-            handle.seek(self._offset)
-            chunk = handle.read()
-            self._offset = handle.tell()
-        data = self._buffer + chunk
-        lines = data.split(b"\n")
-        self._buffer = lines.pop()  # b"" after a terminated final line
-        for raw in lines:
-            if not raw:
-                continue
-            try:
-                row = json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                continue  # foreign line; the dashboard shrugs
-            if isinstance(row, dict):
-                rows.append(row)
-        return rows
 
 
 class TopModel:
@@ -264,7 +222,10 @@ def run_top(
     refreshes = 0
     try:
         while True:
-            model.consume_all(reader.poll())
+            rows = reader.poll()
+            if reader.reset:  # a fresh run took the file: start over
+                model = TopModel()
+            model.consume_all(rows)
             out.write(_REFRESH + model.frame() + "\n")
             out.flush()
             refreshes += 1

@@ -11,11 +11,12 @@ questions: what does this log actually decide (:func:`compact_log`),
 how do two logs differ (:func:`diff_logs`), and is this log healthy
 (:func:`audit_log`)?
 
-Everything here is read-only over the log's own line format; the
-authoritative replay semantics stay in
-:class:`~repro.stream.decisions.DecisionCache` (first verdict wins, in
-either orientation), and these functions reimplement exactly that rule
-so their answers match what a resumed stream would do.
+Everything here is read-only and parses lines with the cache's own
+:func:`~repro.stream.decisions.parse_verdict`; the authoritative
+replay semantics stay in :class:`~repro.stream.decisions.DecisionCache`
+(first verdict wins, in either orientation), and these functions
+apply exactly that rule so their answers match what a resumed stream
+would do.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..pipeline.oracle import FORWARD, REVERSE
+from ..jsonl import read_rows
+from ..pipeline.oracle import REVERSE
+from .decisions import DEFAULT_SOURCE, parse_verdict
 
 PathLike = Union[str, Path]
-
-#: verdicts with no explicit provenance were asked of a human
-DEFAULT_SOURCE = "asked"
 
 
 @dataclass(frozen=True)
@@ -76,46 +76,18 @@ class LogEntry:
 def read_log(path: PathLike) -> Tuple[List[LogEntry], Optional[str]]:
     """Parse a verdict log into entries plus a tail-damage note.
 
-    Mirrors :meth:`DecisionCache._read`'s tolerance exactly: only the
-    *final* line may be malformed (a crash-torn append, reported as
-    ``"torn tail"``) or missing its newline (``"unterminated tail"``);
-    corruption anywhere else raises ``ValueError`` loudly.
+    The same strict replay and parser :class:`DecisionCache` loads
+    with (:func:`repro.jsonl.read_rows`): only the *final* line may be
+    malformed (a crash-torn append, reported as ``"torn tail"``) or
+    missing its newline (``"unterminated tail"``); corruption anywhere
+    else raises ``ValueError`` loudly.
     """
-    path = Path(path)
-    data = path.read_bytes()
-    raw_lines = data.split(b"\n")
-    terminated = data.endswith(b"\n")
-    entries: List[LogEntry] = []
-    for index, raw in enumerate(raw_lines):
-        if index == len(raw_lines) - 1 and raw == b"":
-            break
-        last = index == len(raw_lines) - 1
-        line = raw.decode("utf-8", errors="replace").strip()
-        try:
-            if not line:
-                raise ValueError("blank line")
-            row = json.loads(line)
-            direction = str(row.get("direction", FORWARD))
-            if direction not in (FORWARD, REVERSE):
-                raise ValueError(f"bad direction {direction!r}")
-            entry = LogEntry(
-                str(row["lhs"]),
-                str(row["rhs"]),
-                bool(row["approved"]),
-                direction,
-                str(row.get("source", DEFAULT_SOURCE)),
-                index + 1,
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            if last:
-                return entries, "torn tail"
-            raise ValueError(
-                f"{path}:{index + 1}: corrupt decision log entry ({exc})"
-            ) from exc
-        entries.append(entry)
-        if last and not terminated:
-            return entries, "unterminated tail"
-    return entries, None
+    rows, damage = read_rows(path, parse_verdict, "decision log entry")
+    entries = [
+        LogEntry(rep.lhs, rep.rhs, dec.approved, dec.direction, source, n)
+        for n, (rep, dec, source) in enumerate(rows, start=1)
+    ]
+    return entries, damage
 
 
 def compact_log(

@@ -13,7 +13,8 @@ file next to the published model, one verdict object per line::
      "approved": true, "direction": "forward"}
 
 Append-only JSON-lines is deliberate: a crash mid-write loses at most
-the final line (which is detected and skipped on load), concurrent
+the final line (:mod:`repro.jsonl` drops or terminates it on load and
+refuses corruption anywhere else), concurrent
 readers never see a half-rewritten file, and the log doubles as a
 human-auditable review history.  On construction the cache replays the
 file, so a restarted consolidator answers every already-judged
@@ -40,12 +41,27 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from ..core.replacement import Replacement
+from ..jsonl import read_rows, repair_tail
 from ..pipeline.oracle import FORWARD, REVERSE, Decision
 
 PathLike = Union[str, Path]
+
+#: verdicts with no explicit provenance were asked of a human
+DEFAULT_SOURCE = "asked"
+
+
+def parse_verdict(line: str) -> Tuple[Replacement, Decision, str]:
+    """One verdict log line -> ``(replacement, decision, source)``."""
+    row = json.loads(line)
+    replacement = Replacement(str(row["lhs"]), str(row["rhs"]))
+    direction = str(row.get("direction", FORWARD))
+    if direction not in (FORWARD, REVERSE):
+        raise ValueError(f"bad direction {direction!r}")
+    decision = Decision(bool(row["approved"]), direction)
+    return replacement, decision, str(row.get("source", DEFAULT_SOURCE))
 
 
 def archive_log(path: Optional[Path]) -> Optional[Path]:
@@ -86,8 +102,10 @@ class DecisionCache:
         #: verdicts answered from the replayed log since construction
         self.replayed = 0
         if self.path is not None and self.path.exists():
-            entries, repair = self._read(self.path)
-            for replacement, decision in entries:
+            entries, _ = read_rows(
+                self.path, parse_verdict, "decision log entry"
+            )
+            for replacement, decision, _source in entries:
                 # First wins in *either* orientation, exactly like
                 # :meth:`record`: a log written before lookups were
                 # orientation-aware can hold both A->B and B->A
@@ -101,20 +119,11 @@ class DecisionCache:
                     continue
                 self._decisions[replacement] = decision
             self.replayed = len(self._decisions)
-            # Repair a crash-torn tail *now*: tolerating it on load but
-            # leaving it in place would let the next append glue JSON
-            # onto the fragment — that verdict would be unreadable, and
-            # once another line followed, the malformed line would no
-            # longer be last and every future load would refuse the
-            # file as corrupt.
-            if repair is not None:
-                kind, offset = repair
-                if kind == "truncate":
-                    with open(self.path, "r+b") as handle:
-                        handle.truncate(offset)
-                else:  # "terminate": intact final verdict, newline ate
-                    with open(self.path, "ab") as handle:
-                        handle.write(b"\n")
+            # Repair a crash-torn tail *now*, after the strict read
+            # (a foreign file raises before anything touches it):
+            # tolerating the tail on load but leaving it in place would
+            # let the next append glue JSON onto the fragment.
+            repair_tail(self.path, parse_verdict)
 
     # -- dict face ---------------------------------------------------------
 
@@ -186,57 +195,3 @@ class DecisionCache:
                 handle.flush()
                 os.fsync(handle.fileno())
         return True
-
-    # -- replay ------------------------------------------------------------
-
-    @staticmethod
-    def _read(
-        path: Path,
-    ) -> Tuple[
-        List[Tuple[Replacement, Decision]],
-        Optional[Tuple[str, int]],
-    ]:
-        """Parse a verdict log, detecting a crash-torn tail.
-
-        Only the *last* line may be incomplete (the append-only write
-        discipline guarantees earlier lines were complete when written);
-        corruption anywhere else means the file is not ours and is
-        reported loudly rather than half-loaded.  Returns the parsed
-        entries plus the repair the caller must apply before anything
-        appends again: ``("truncate", intact_byte_length)`` for a
-        malformed final line, ``("terminate", 0)`` for a final verdict
-        whose newline the crash ate, ``None`` for a healthy file.
-        """
-        data = path.read_bytes()
-        raw_lines = data.split(b"\n")
-        terminated = data.endswith(b"\n")
-        entries: List[Tuple[Replacement, Decision]] = []
-        offset = 0
-        for index, raw in enumerate(raw_lines):
-            if index == len(raw_lines) - 1 and raw == b"":
-                break  # the empty tail after a final newline
-            last = index == len(raw_lines) - 1
-            line = raw.decode("utf-8", errors="replace").strip()
-            try:
-                if not line:
-                    raise ValueError("blank line")
-                row = json.loads(line)
-                lhs, rhs = str(row["lhs"]), str(row["rhs"])
-                direction = str(row.get("direction", FORWARD))
-                if direction not in (FORWARD, REVERSE):
-                    raise ValueError(f"bad direction {direction!r}")
-                decision = Decision(bool(row["approved"]), direction)
-                replacement = Replacement(lhs, rhs)
-            except (ValueError, KeyError, TypeError) as exc:
-                if last:
-                    # Torn tail from an interrupted append: drop it.
-                    return entries, ("truncate", offset)
-                raise ValueError(
-                    f"{path}:{index + 1}: corrupt decision log entry "
-                    f"({exc})"
-                ) from exc
-            entries.append((replacement, decision))
-            if last and not terminated:
-                return entries, ("terminate", 0)
-            offset += len(raw) + 1
-        return entries, None

@@ -7,17 +7,18 @@ which :class:`~repro.stream.golden.GoldenStreamConsolidator` already
 knows (its incremental fusion recomputes exactly those).  This module
 turns that knowledge into a durable channel:
 
-* :class:`GoldenDeltaLog` — the producer side.  One JSON line per
-  batch: a monotone ``seq``, the clusters whose golden values actually
-  changed (``changed``: key -> column -> value), and the cluster keys
-  a merge emptied (``removed``).  Writes are append + flush-per-row
-  with torn-tail repair on open, the same crash discipline as the
-  decision log and :class:`~repro.obs.sinks.JsonlSink`;
-* :class:`GoldenDeltaReader` — the consumer side.  An offset-tracking
-  tailer: each :meth:`~GoldenDeltaReader.poll` returns only the new
-  *complete* rows since the last poll (a half-written final line is
-  left for the next poll), and a log that shrank (archived by a
-  ``--fresh`` restart and recreated) resets the reader so consumers
+* :class:`GoldenDeltaLog` — the producer side, a
+  :class:`~repro.obs.sinks.JsonlSink` that numbers its rows.  One JSON
+  line per batch: a monotone ``seq``, the clusters whose golden values
+  actually changed (``changed``: key -> column -> value), and the
+  cluster keys a merge emptied (``removed``).  Writes are append +
+  flush-per-row with torn-tail repair on open (:mod:`repro.jsonl`);
+* :class:`GoldenDeltaReader` — the consumer side, a
+  :class:`~repro.jsonl.TailReader` plus a ``seq`` filter: each
+  :meth:`~GoldenDeltaReader.poll` returns only the new *complete* rows
+  since the last poll (a half-written final line is left for the next
+  poll), and a log that shrank, vanished or was replaced (archived by a
+  ``--fresh`` restart and recreated) sets ``reset`` so consumers
   rebuild instead of serving a mix of two histories.
 
 ``repro serve`` tails this log to keep its in-memory golden table
@@ -28,10 +29,11 @@ whole-table re-read.
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Union
+
+from ..jsonl import TailReader
+from ..obs.sinks import JsonlSink
 
 PathLike = Union[str, Path]
 
@@ -41,52 +43,23 @@ Row = Dict[str, object]
 DELTA_ROW_TYPE = "golden_delta"
 
 
-class GoldenDeltaLog:
+class GoldenDeltaLog(JsonlSink):
     """Append-only JSON-lines writer of per-batch golden deltas.
 
-    Opening an existing log resumes its sequence (the last complete
-    row's ``seq``) after repairing a torn tail, so a resumed stream
+    Opening an existing log repairs a torn tail and then resumes its
+    sequence (the largest complete row's ``seq``), so a resumed stream
     keeps the consumer-visible numbering monotone.
     """
 
     def __init__(self, path: PathLike) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.seq = 0
-        self._repair_and_resume()
-        self._handle = open(self.path, "a", encoding="utf-8")
-
-    def _repair_and_resume(self) -> None:
-        if not self.path.exists():
-            return
-        data = self.path.read_bytes()
-        if not data:
-            return
-        if not data.endswith(b"\n"):
-            # Torn tail from a crash mid-append: a fragment glued onto
-            # the next append would be unreadable forever, so truncate
-            # it away (an intact final row merely lost its newline and
-            # is terminated instead).
-            cut = data.rfind(b"\n") + 1
-            fragment = data[cut:]
-            try:
-                json.loads(fragment.decode("utf-8"))
-                with open(self.path, "ab") as handle:
-                    handle.write(b"\n")
-                data += b"\n"
-            except (ValueError, UnicodeDecodeError):
-                with open(self.path, "r+b") as handle:
-                    handle.truncate(cut)
-                data = data[:cut]
-        for line in data.splitlines():
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(row, dict) and isinstance(row.get("seq"), int):
-                self.seq = max(self.seq, row["seq"])
+        super().__init__(path)
+        # An append handle's position is the file's size, so a new,
+        # empty log skips the read-back.
+        rows = TailReader(self.path).poll() if self._handle.tell() else []
+        self.seq = max(
+            (row["seq"] for row in rows if isinstance(row.get("seq"), int)),
+            default=0,
+        )
 
     def append(
         self,
@@ -108,88 +81,36 @@ class GoldenDeltaLog:
             "changed": changed,
             "removed": sorted(removed),
         }
-        self._handle.write(
-            json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n"
-        )
-        self._handle.flush()
+        self.emit(row)
         return row
 
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._handle.close()
 
-    def __enter__(self) -> "GoldenDeltaLog":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-
-class GoldenDeltaReader:
+class GoldenDeltaReader(TailReader):
     """Tails a :class:`GoldenDeltaLog` file, yielding complete new rows.
 
-    The reader is pull-based and cheap to poll: it remembers the byte
-    offset of the last complete line consumed and reads only the
-    suffix.  Three edge cases are handled explicitly:
-
-    * a **missing file** (the stream has not published yet) polls as
-      empty rather than erroring;
-    * a **torn tail** (the writer is mid-append, or crashed there) is
-      deferred — the partial line stays unconsumed until a later poll
-      sees its terminating newline;
-    * a **shrunken file** (archived by ``--fresh`` and recreated)
-      resets the reader: ``poll`` returns ``reset=True`` rows-from-
-      zero so the consumer rebuilds its table instead of mixing two
-      histories.
+    The tailing — a missing file polls empty, a torn tail is deferred
+    until its newline arrives, a shrunken, vanished or replaced file
+    sets :attr:`reset` and is read from byte 0 — is
+    :class:`~repro.jsonl.TailReader`'s.  On top, rows whose ``seq`` is
+    not past the last one returned are dropped (replayed history after
+    a writer resume); a reset restarts the numbering.
     """
 
     def __init__(self, path: PathLike) -> None:
-        self.path = Path(path)
-        self.offset = 0
+        super().__init__(path)
         self.seq = 0
-        self.reset = False
 
     def poll(self) -> List[Row]:
         """New complete delta rows since the last poll (may be [])."""
-        self.reset = False
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            if self.offset:
-                self._do_reset()
-            return []
-        if size < self.offset:
-            self._do_reset()
-        if size == self.offset:
-            return []
-        with open(self.path, "rb") as handle:
-            handle.seek(self.offset)
-            data = handle.read()
-        cut = data.rfind(b"\n") + 1
-        if cut == 0:
-            return []  # only a partial line so far
-        rows: List[Row] = []
-        for line in data[:cut].splitlines():
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError:
-                continue  # a torn mid-file line (writer crash artifact)
-            if not isinstance(row, dict):
-                continue
+        rows = super().poll()
+        if self.reset:
+            self.seq = 0
+        fresh: List[Row] = []
+        for row in rows:
             seq = row.get("seq")
-            if isinstance(seq, int) and seq <= self.seq:
-                continue  # replayed history after a writer resume
             if isinstance(seq, int):
+                if seq <= self.seq:
+                    continue
                 self.seq = seq
-            rows.append(row)
-        self.offset += cut
-        return rows
-
-    def _do_reset(self) -> None:
-        self.offset = 0
-        self.seq = 0
-        self.reset = True
+            fresh.append(row)
+        return fresh

@@ -12,6 +12,7 @@ from repro.stream import (
     GoldenStreamConsolidator,
     golden_ground_truth_oracle_factory,
 )
+from repro.stream.decisions import archive_log
 
 SPEC = dict(
     n_clusters=14,
@@ -108,6 +109,27 @@ class TestDeltaReader:
             log.append({"k9": {"a": "9"}}, [])
         rows = reader.poll()
         assert [r["seq"] for r in rows] == [1]
+
+    def test_replaced_file_resets_even_past_the_old_offset(self, tmp_path):
+        """``--fresh`` archives the log and the new run may write past
+        the old byte offset before the next poll: the size alone looks
+        like growth, so only the file's identity reveals the restart."""
+        path = tmp_path / "deltas.jsonl"
+        reader = GoldenDeltaReader(path)
+        with GoldenDeltaLog(path) as log:
+            log.append({"k1": {"a": "1"}}, [])
+            log.append({"k2": {"a": "2"}}, [])
+        assert len(reader.poll()) == 2
+        old_size = path.stat().st_size
+        assert archive_log(path) is not None
+        with GoldenDeltaLog(path) as log:
+            log.append({f"k{i}": {"a": "x" * 40} for i in range(8)}, [])
+            log.append({"k9": {"a": "9"}}, [])
+        first_line = path.read_bytes().split(b"\n")[0]
+        assert len(first_line) > old_size
+        rows = reader.poll()
+        assert reader.reset
+        assert [r["seq"] for r in rows] == [1, 2]
 
 
 def test_cumulative_deltas_reconstruct_the_golden_table(tmp_path):
