@@ -4,8 +4,8 @@
    sample and persist everything it learned as a versioned model;
 2. reload the model and standardize a *fresh* table with the compiled
    O(N) apply engine — no graphs, no pivot search, no human;
-3. answer a couple of transform requests the way the ``serve`` worker
-   would (JSON in, JSON out).
+3. answer a couple of transform requests the way ``repro serve`` does
+   on stdin/stdout (JSON in, JSON out).
 
 Run:  python examples/learn_apply_serve.py [scale]
 """
@@ -21,7 +21,7 @@ from pathlib import Path
 from repro import ApplyEngine, ModelRegistry, Standardizer, build_model
 from repro.datagen import address_dataset
 from repro.pipeline.oracle import GroundTruthOracle
-from repro.serve import serve_forever
+from repro.serve import ModelSource, ServeServer
 
 
 def main(scale: float = 0.08) -> None:
@@ -53,19 +53,21 @@ def main(scale: float = 0.08) -> None:
         f"token={stats.token_hits})"
     )
 
-    # 3. The serve protocol, driven in-memory.
-    requests = "\n".join(
-        json.dumps(r)
+    # 3. The serve protocol, driven in-memory through the stdio
+    #    transport of the same server `repro serve --listen` runs.
+    requests = "".join(
+        json.dumps(r) + "\n"
         for r in (
             {"op": "apply", "value": "5 Main St, 10001 New York"},
-            {"op": "stats"},
+            {"op": "version"},
             {"op": "shutdown"},
         )
     )
-    responses = io.StringIO()
-    serve_forever(engine, io.StringIO(requests + "\n"), responses)
+    server = ServeServer(ModelSource(model=registry.load("address")))
+    responses = io.BytesIO()
+    server.serve_lines(io.BytesIO(requests.encode("utf-8")), responses)
     print("serve protocol:")
-    for line in responses.getvalue().splitlines():
+    for line in responses.getvalue().decode("utf-8").splitlines():
         print(f"  {line[:72]}")
 
 

@@ -13,8 +13,9 @@ Commands:
   transformation model (JSON file or versioned registry);
 * ``apply`` — load a model and standardize a fresh table or CSV with
   the compiled engine / exact replayer — no re-learning, no human;
-* ``serve`` — a long-running JSON-lines worker answering transform
-  requests on stdin (one JSON request per line);
+* ``serve`` — answer JSON-lines transform requests (one request per
+  line) on stdin/stdout, or as a concurrent TCP service with
+  ``--listen``;
 * ``stream`` — incremental consolidation over a record stream: batches
   are folded into persistent cluster / candidate / decision state, new
   confirmations publish fresh model versions with hot engine reload,
@@ -69,10 +70,11 @@ from .pipeline.standardize import Standardizer
 from .serve import (
     ApplyEngine,
     ModelRegistry,
+    ModelBundle,
     ModelReplayer,
     TransformationModel,
     build_model,
-    serve_forever,
+    load_artifact,
 )
 
 
@@ -704,21 +706,34 @@ def cmd_consolidate(args) -> int:
 
 def _load_model(args) -> TransformationModel:
     """The model named by the CLI's ``--model FILE`` or ``--registry
-    DIR --name NAME [--model-version N]`` flags."""
+    DIR --name NAME [--model-version N]`` flags; for a bundle, its
+    ``--column`` model."""
     try:
         if args.model:
-            return TransformationModel.load(args.model)
-        if args.registry and args.name:
-            return ModelRegistry(args.registry).load(
-                args.name, args.model_version
+            artifact = load_artifact(args.model)
+        elif args.registry and args.name:
+            artifact = load_artifact(
+                ModelRegistry(args.registry).path(
+                    args.name, args.model_version
+                )
+            )
+        else:
+            raise SystemExit(
+                "error: pass --model FILE, or --registry DIR with --name NAME"
             )
     except FileNotFoundError as exc:
         raise SystemExit(f"error: {exc}")
     except (ValueError, KeyError, re.error) as exc:
         raise SystemExit(f"error: cannot load model: {exc}")
-    raise SystemExit(
-        "error: pass --model FILE, or --registry DIR with --name NAME"
-    )
+    if not isinstance(artifact, ModelBundle):
+        return artifact
+    if args.column not in artifact.models:
+        raise SystemExit(
+            f"error: bundle {artifact.name!r} needs --column, one of "
+            f"{artifact.columns}"
+            + (f" (not {args.column!r})" if args.column else "")
+        )
+    return artifact.models[args.column]
 
 
 def cmd_learn(args) -> int:
@@ -824,10 +839,11 @@ def cmd_apply(args) -> int:
     return 0
 
 
-def _cmd_serve_network(args) -> int:
-    """``repro serve --listen``: the concurrent asyncio TCP service."""
+def cmd_serve(args) -> int:
+    """``repro serve``: one :class:`ServeServer`, over stdin/stdout or
+    (``--listen``) the concurrent asyncio TCP service."""
     from .obs import NULL_OBS, JsonlSink, Obs
-    from .serve.bundle import BundleApplyEngine, load_artifact
+    from .serve.bundle import BundleApplyEngine
     from .serve.registry import slugify
     from .serve.server import (
         GoldenTable,
@@ -837,10 +853,11 @@ def _cmd_serve_network(args) -> int:
         run_server,
     )
 
-    try:
-        host, port = parse_listen(args.listen)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    if args.listen:
+        try:
+            host, port = parse_listen(args.listen)
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}")
 
     obs = None
     if args.metrics:
@@ -874,11 +891,6 @@ def _cmd_serve_network(args) -> int:
                 source = ModelSource(
                     registry=registry, name=args.name, **engine_args
                 )
-            bundle = isinstance(source.current()[1], BundleApplyEngine)
-            if golden_path is None and bundle:
-                golden_path = (
-                    registry.root / slugify(args.name) / "golden-deltas.jsonl"
-                )
         elif args.model:
             source = ModelSource(
                 model=load_artifact(args.model), **engine_args
@@ -887,10 +899,16 @@ def _cmd_serve_network(args) -> int:
             raise SystemExit(
                 "error: pass --model FILE, or --registry DIR with --name NAME"
             )
+        engine = source.current()[1]
     except FileNotFoundError as exc:
         raise SystemExit(f"error: {exc}")
     except (ValueError, KeyError, re.error) as exc:
         raise SystemExit(f"error: cannot load model: {exc}")
+    bundle = isinstance(engine, BundleApplyEngine)
+    if golden_path is None and bundle and args.registry and args.name:
+        golden_path = (
+            registry.root / slugify(args.name) / "golden-deltas.jsonl"
+        )
 
     server = ServeServer(
         source,
@@ -909,29 +927,25 @@ def _cmd_serve_network(args) -> int:
         sys.stderr.flush()
 
     try:
-        code = run_server(server, host, port, banner=banner)
+        if args.listen:
+            return run_server(server, host, port, banner=banner)
+        # Stdout carries only protocol lines; a closed stdin is EOF.
+        artifact = engine.bundle if bundle else engine.model
+        print(
+            f"serving {artifact.describe()}; one JSON request per line",
+            file=sys.stderr,
+        )
+        served = server.serve_lines(
+            sys.stdin.buffer if sys.stdin is not None else (),
+            sys.stdout.buffer,
+        )
+        print(f"served {served} requests", file=sys.stderr)
+        return 0
     except FileNotFoundError as exc:
         raise SystemExit(f"error: {exc}")
     finally:
         if obs is not None:
             obs.close()
-    return code
-
-
-def cmd_serve(args) -> int:
-    if args.listen:
-        return _cmd_serve_network(args)
-    model = _load_model(args)
-    engine = ApplyEngine(model, use_programs=not args.no_programs)
-    # The banner goes to stderr: stdout carries only protocol lines.
-    print(
-        f"serving {model.describe()}; one JSON request per line "
-        "(op: apply/ping/stats/shutdown)",
-        file=sys.stderr,
-    )
-    served = serve_forever(engine)
-    print(f"served {served} requests", file=sys.stderr)
-    return 0
 
 
 def _make_obs(args):

@@ -20,12 +20,11 @@ reusable asset:
 * :mod:`repro.serve.bundle` — per-column models published as one
   atomic multi-column artifact, with a record-level apply engine whose
   single ``reload`` flips every column together;
-* :mod:`repro.serve.service` — a long-running JSON-lines worker
-  answering transform requests over stdin/stdout;
-* :mod:`repro.serve.server` — the concurrent asyncio JSON-over-TCP
-  network service: hot-reloading model source, golden-record lookups
-  tailed from the stream's delta log, and fault-tolerant connection
-  handling (``repro serve --listen``).
+* :mod:`repro.serve.server` — ``repro serve``: one JSON-lines
+  request dispatcher over two transports (stdin/stdout, and the
+  concurrent asyncio TCP service of ``--listen``), with a
+  hot-reloading model source, golden-record lookups tailed from the
+  stream's delta log, and fault-tolerant connection handling.
 """
 
 from .bundle import (
@@ -41,7 +40,6 @@ from .model import TransformationModel, build_model
 from .registry import ModelRegistry
 from .replay import ModelReplayer, ReplayReport
 from .server import GoldenTable, ModelSource, ServeServer, parse_listen
-from .service import serve_forever
 
 __all__ = [
     "ApplyEngine",
@@ -61,5 +59,4 @@ __all__ = [
     "build_model",
     "load_artifact",
     "parse_listen",
-    "serve_forever",
 ]

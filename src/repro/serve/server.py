@@ -1,8 +1,11 @@
-"""The concurrent network serving tier (``repro serve --listen``).
+"""``repro serve``: one server, two transports.
 
-A stdlib-only :mod:`asyncio` JSON-over-TCP service: one JSON request
-per line, one JSON response per line (the same newline-delimited
-protocol as the stdin worker, now concurrent).  Three moving parts:
+One JSON request per line in, one JSON response per line out, either
+over stdin/stdout (:meth:`ServeServer.serve_lines`) or as a
+stdlib-only :mod:`asyncio` JSON-over-TCP service (``--listen``).  Both
+share one dispatcher, one :class:`ModelSource` and one sorted-key
+reply encoder, so a request gets the same reply bytes on either.
+Three moving parts:
 
 * :class:`ModelSource` — loads the latest published model (or
   multi-column bundle) from a registry, compiles it, and **atomically
@@ -17,22 +20,23 @@ protocol as the stdin worker, now concurrent).  Three moving parts:
   by tailing the stream's golden delta log
   (:mod:`repro.stream.deltas`): per-batch changed-clusters-only rows,
   never a whole-table re-read.  Lookups answer from it; subscribed
-  connections get each delta pushed as a ``{"push": "golden", ...}``
-  line;
-* :class:`ServeServer` — the asyncio server: per-connection read loop
-  with idle-timeout and request-size guards, an op dispatcher, a
-  registry poller that hot-swaps new versions without dropping
-  requests, and ``serve.*`` metrics/spans through
-  :mod:`repro.obs` (request counts per op, reply outcomes, p50/p99
-  request latency, reload and push counters).
+  TCP connections get each delta pushed as a ``{"push": "golden",
+  ...}`` line;
+* :class:`ServeServer` — the op dispatcher, a registry poller that
+  hot-swaps new versions without dropping requests (between requests
+  on stdio), the TCP read loop with idle-timeout and request-size
+  guards, and ``serve.*`` metrics/spans through :mod:`repro.obs`
+  (request counts per op, reply outcomes, p50/p99 request latency,
+  reload and push counters).
 
-Delivery contract: every *accepted* request (one complete
+Delivery contract (TCP): every *accepted* request (one complete
 newline-terminated line) gets exactly one reply, or the connection is
 closed cleanly — never a silent drop, never two replies.  Oversized
 requests get one error reply and a close (the line boundary is lost);
 idle connections past the timeout are closed; a request that trips an
 internal error is answered ``{"ok": false, ...}`` and serving
-continues.
+continues.  On stdio every non-blank line gets exactly one reply,
+until EOF or a ``shutdown`` op.
 """
 
 from __future__ import annotations
@@ -44,14 +48,13 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import IO, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..obs import NULL_OBS, MemorySink, Obs, prometheus_text
 from .bundle import BundleApplyEngine, ModelBundle, load_artifact
 from .engine import ApplyEngine
 from .model import TransformationModel
 from .registry import ModelRegistry
-from .service import handle_request
 
 PathLike = Union[str, Path]
 
@@ -62,6 +65,13 @@ MAX_REQUEST_BYTES = 1 << 20
 #: Artifact-load failures the source treats as "skip this version":
 #: torn JSON, foreign kinds, missing files mid-swap, bad programs.
 _LOAD_ERRORS = (OSError, ValueError, KeyError, re.error)
+
+
+def encode_reply(response: Dict) -> bytes:
+    """One protocol line: sorted-key JSON, ``\n``-terminated, UTF-8."""
+    return (
+        json.dumps(response, ensure_ascii=False, sort_keys=True) + "\n"
+    ).encode("utf-8")
 
 
 class ModelSource:
@@ -164,8 +174,8 @@ class GoldenTable:
     log (missing file = empty table that fills in as the stream runs)."""
 
     def __init__(self, path: PathLike) -> None:
-        # Imported here-ish (module level in stream) — serve depends on
-        # stream only for the delta reader, not the consolidator.
+        # Lazy: importing repro.stream pulls in the consolidator, which
+        # imports this package.
         from ..stream.deltas import GoldenDeltaReader
 
         self.path = Path(path)
@@ -204,8 +214,16 @@ class GoldenTable:
 
 
 class ServeServer:
-    """The asyncio JSON-over-TCP serving tier.  See the module
-    docstring for the protocol and delivery contract."""
+    """The serving tier: one dispatcher behind the stdio transport
+    (:meth:`serve_lines`) and the asyncio TCP transport (:meth:`start`
+    / :meth:`serve`).  See the module docstring for the protocol and
+    delivery contract."""
+
+    #: Ops the dispatcher answers.  Metrics label any other op
+    #: ``"unknown"``, so client-chosen strings cannot mint series.
+    OPS = frozenset(
+        "apply lookup metrics ping shutdown stats subscribe version".split()
+    )
 
     def __init__(
         self,
@@ -271,11 +289,7 @@ class ServeServer:
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         """Bind, warm the engine, and launch the background loops."""
         self._stopped = asyncio.Event()
-        # Fail fast (and warm the compile) before accepting traffic.
-        self.source.current()
-        if self.golden is not None:
-            self.golden.refresh()
-            self._m_golden_seq.set(self.golden.seq)
+        self._warm()
         self._server = await asyncio.start_server(
             self._on_connection, host, port, limit=self.max_request_bytes
         )
@@ -337,54 +351,98 @@ class ServeServer:
         finally:
             await self.stop()
 
-    # -- background loops --------------------------------------------------
+    def serve_lines(
+        self, in_stream: Iterable[bytes], out_stream: IO[bytes]
+    ) -> int:
+        """The stdio transport: answer each non-blank line of the
+        binary ``in_stream`` on ``out_stream`` until EOF or a
+        ``shutdown`` op, then flush the metrics snapshot; returns the
+        number of requests answered.  Between requests the registry and
+        golden log are polled at most once per ``poll_interval``.
+        ``subscribe`` is refused: nothing can be pushed to stdio."""
+        self._warm()
+        polled = time.monotonic()
+        served = 0
+        try:
+            for line in in_stream:
+                if not line.strip():
+                    continue
+                if time.monotonic() - polled >= self.poll_interval:
+                    self._refresh_source()
+                    if self.golden is not None:
+                        self._refresh_golden()
+                    polled = time.monotonic()
+                started = time.perf_counter()
+                response, op = self._answer(line, can_push=False)
+                out_stream.write(encode_reply(response))
+                out_stream.flush()
+                self._account_reply(response, started)
+                served += 1
+                if op == "shutdown" and response.get("ok"):
+                    break
+        finally:
+            self.obs.flush_snapshot()
+        return served
+
+    # -- polling -----------------------------------------------------------
+
+    def _warm(self) -> None:
+        """Fail fast (and warm the compile) before the first request."""
+        self.source.current()
+        if self.golden is not None:
+            self._refresh_golden()
+
+    def _refresh_source(self) -> None:
+        """Poll the registry once; count swaps and load errors."""
+        before_errors = self.source.load_errors
+        try:
+            swapped = self.source.refresh()
+        except Exception as exc:
+            self._m_reload_errors.inc()
+            self.obs.event("serve.reload_error", error=str(exc))
+            return
+        if self.source.load_errors > before_errors:
+            self._m_reload_errors.inc(
+                self.source.load_errors - before_errors
+            )
+        if swapped is not None:
+            self._m_reloads.inc()
+            self.obs.event("serve.reload", version=swapped)
+
+    def _refresh_golden(self) -> List[Dict]:
+        """Apply new golden delta rows; returns them (for pushes)."""
+        try:
+            rows = self.golden.refresh()
+        except Exception as exc:
+            self.obs.event("serve.golden_error", error=str(exc))
+            return []
+        self._m_golden_seq.set(self.golden.seq)
+        return rows
 
     async def _reload_loop(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(self.poll_interval)
-            before_errors = self.source.load_errors
-            try:
-                # Load + compile off-loop; the swap itself is one
-                # attribute rebind inside the source.
-                swapped = await loop.run_in_executor(
-                    None, self.source.refresh
-                )
-            except Exception as exc:
-                self._m_reload_errors.inc()
-                self.obs.event("serve.reload_error", error=str(exc))
-                continue
-            if self.source.load_errors > before_errors:
-                self._m_reload_errors.inc(
-                    self.source.load_errors - before_errors
-                )
-            if swapped is not None:
-                self._m_reloads.inc()
-                self.obs.event("serve.reload", version=swapped)
+            # Load + compile off-loop; the swap itself is one attribute
+            # rebind inside the source.
+            await loop.run_in_executor(None, self._refresh_source)
 
     async def _golden_loop(self) -> None:
         while True:
             await asyncio.sleep(self.poll_interval)
-            try:
-                rows = self.golden.refresh()
-            except Exception as exc:
-                self.obs.event("serve.golden_error", error=str(exc))
-                continue
-            self._m_golden_seq.set(self.golden.seq)
+            rows = self._refresh_golden()
             if not rows or not self._subscribers:
                 continue
             for row in rows:
-                push = {
-                    "push": "golden",
-                    "seq": row.get("seq"),
-                    "bundle_version": row.get("bundle_version"),
-                    "changed": row.get("changed", {}),
-                    "removed": row.get("removed", []),
-                }
-                line = (
-                    json.dumps(push, ensure_ascii=False, sort_keys=True)
-                    + "\n"
-                ).encode("utf-8")
+                line = encode_reply(
+                    {
+                        "push": "golden",
+                        "seq": row.get("seq"),
+                        "bundle_version": row.get("bundle_version"),
+                        "changed": row.get("changed", {}),
+                        "removed": row.get("removed", []),
+                    }
+                )
                 for writer in list(self._subscribers):
                     try:
                         writer.write(line)
@@ -471,11 +529,7 @@ class ServeServer:
             started = time.perf_counter()
             response, op = self._answer(line)
             await self._send(writer, response)
-            self._m_latency.observe(time.perf_counter() - started)
-            if response.get("ok"):
-                self._m_replies_ok.inc()
-            else:
-                self._m_replies_err.inc()
+            self._account_reply(response, started)
             if op == "subscribe" and response.get("ok"):
                 self._subscribers.add(writer)
             if op == "shutdown" and response.get("ok"):
@@ -483,18 +537,24 @@ class ServeServer:
                 return
 
     async def _send(self, writer, response: Dict) -> None:
-        writer.write(
-            (
-                json.dumps(response, ensure_ascii=False, sort_keys=True)
-                + "\n"
-            ).encode("utf-8")
-        )
+        writer.write(encode_reply(response))
         await writer.drain()
+
+    def _account_reply(self, response: Dict, started: float) -> None:
+        """Count one sent reply and its latency (both transports)."""
+        self._m_latency.observe(time.perf_counter() - started)
+        if response.get("ok"):
+            self._m_replies_ok.inc()
+        else:
+            self._m_replies_err.inc()
 
     # -- dispatch ----------------------------------------------------------
 
-    def _answer(self, line: bytes) -> Tuple[Dict, str]:
-        """Parse + dispatch one request line; never raises."""
+    def _answer(
+        self, line: bytes, can_push: bool = True
+    ) -> Tuple[Dict, str]:
+        """Parse + dispatch one request line; never raises.  Returns
+        the reply and the op's metric label (``""`` for a bad line)."""
         try:
             request = json.loads(line.decode("utf-8"))
             if not isinstance(request, dict):
@@ -504,35 +564,37 @@ class ServeServer:
             self.obs.metrics.counter("serve.requests_bad").inc()
             return {"ok": False, "error": f"bad request: {exc}"}, ""
         op = str(request.get("op", "apply"))
+        label = op if op in self.OPS else "unknown"
         self._m_requests.inc()
-        self.obs.metrics.counter("serve.ops", op=op).inc()
-        with self.obs.span("serve.request", op=op):
+        self.obs.metrics.counter("serve.ops", op=label).inc()
+        with self.obs.span("serve.request", op=label):
             try:
-                response = self.handle_network_request(request, op)
+                response = self._dispatch(request, op, can_push)
             except Exception as exc:  # a handler bug must not kill serving
                 self._m_internal.inc()
                 response = {"ok": False, "error": f"internal error: {exc}"}
         if "id" in request:
             response["id"] = request["id"]
-        return response, op
+        return response, label
 
-    def handle_network_request(self, request: Dict, op: str) -> Dict:
+    def _dispatch(self, request: Dict, op: str, can_push: bool) -> Dict:
         version, engine = self.source.current()
         if op == "ping":
             return {"ok": True, "pong": True, "version": version}
         if op == "version":
             bundle = isinstance(engine, BundleApplyEngine)
+            artifact = engine.bundle if bundle else engine.model
             response = {
                 "ok": True,
                 "version": version,
                 "mode": "bundle" if bundle else "model",
+                "name": artifact.name,
+                "groups": artifact.groups_confirmed,
             }
             if bundle:
                 response["columns"] = engine.columns
-                response["name"] = engine.bundle.name
             else:
                 response["column"] = engine.model.column
-                response["name"] = engine.model.name
             return response
         if op == "stats":
             return self._stats_response(version, engine)
@@ -544,6 +606,8 @@ class ServeServer:
         if op == "lookup":
             return self._lookup_response(request)
         if op == "subscribe":
+            if not can_push:
+                return {"ok": False, "error": "subscribe needs --listen"}
             if self.golden is None:
                 return {
                     "ok": False,
@@ -559,46 +623,53 @@ class ServeServer:
     def _apply_response(
         self, request: Dict, version: int, engine
     ) -> Dict:
-        if not isinstance(engine, BundleApplyEngine):
-            response = handle_request(engine, request)
-            response["version"] = version
-            return response
-        # Bundle mode: per-column apply or whole-record apply, always
-        # against the one snapshot captured above.
-        if "record" in request:
-            record = request["record"]
-            if not isinstance(record, dict) or any(
-                not isinstance(k, str) or not isinstance(v, str)
-                for k, v in record.items()
-            ):
+        """Pick the ``(values, value)`` callables of the served engine
+        (a model's, or one bundle column's), then answer ``values`` /
+        ``value`` the same way for both; a bundle also takes a whole
+        ``record``.  Always against the one snapshot taken at dispatch."""
+        if isinstance(engine, BundleApplyEngine):
+            if "record" in request:
+                record = request["record"]
+                if not isinstance(record, dict) or any(
+                    not isinstance(k, str) or not isinstance(v, str)
+                    for k, v in record.items()
+                ):
+                    return {
+                        "ok": False,
+                        "error": "record must map column names to strings",
+                    }
+                return {
+                    "ok": True,
+                    "record": engine.apply_record(record),
+                    "version": version,
+                }
+            column = request.get("column")
+            if not isinstance(column, str):
                 return {
                     "ok": False,
-                    "error": "record must map column names to strings",
+                    "error": "bundle mode needs 'column' or 'record'",
                 }
-            return {
-                "ok": True,
-                "record": engine.apply_record(record),
-                "version": version,
-            }
-        column = request.get("column")
-        if not isinstance(column, str):
-            return {
-                "ok": False,
-                "error": "bundle mode needs 'column' or 'record'",
-            }
-        if engine.engine(column) is None:
-            return {
-                "ok": False,
-                "error": f"unknown column: {column!r} "
-                f"(bundle has {engine.columns})",
-            }
+            column_engine = engine.engine(column)
+            if column_engine is None:
+                return {
+                    "ok": False,
+                    "error": f"unknown column: {column!r} "
+                    f"(bundle has {engine.columns})",
+                }
+            apply_values = column_engine.apply_values
+
+            def transform(value: str) -> str:
+                return column_engine.apply_values([value])[0]
+
+        else:
+            apply_values, transform = engine.apply_values, engine.transform
         if "values" in request:
             values = request["values"]
             if not isinstance(values, list) or any(
                 not isinstance(v, str) for v in values
             ):
                 return {"ok": False, "error": "values must be a string list"}
-            outputs = engine.apply_column(column, values)
+            outputs = apply_values(values)
             changed = sum(1 for v, o in zip(values, outputs) if v != o)
             return {
                 "ok": True,
@@ -610,11 +681,7 @@ class ServeServer:
             value = request["value"]
             if not isinstance(value, str):
                 return {"ok": False, "error": "value must be a string"}
-            return {
-                "ok": True,
-                "value": engine.apply_column(column, [value])[0],
-                "version": version,
-            }
+            return {"ok": True, "value": transform(value), "version": version}
         return {"ok": False, "error": "apply needs 'value' or 'values'"}
 
     def _lookup_response(self, request: Dict) -> Dict:
