@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..align.damerau import alignment_segments
 from ..align.lcs import aligned_segments
-from ..align.tokenize import join, tokens
+from ..align.tokenize import join, replace_token_run, tokens
 from ..config import DEFAULT_CONFIG, Config
 from ..core.replacement import Replacement
 from ..data.table import CellRef, ClusterTable
@@ -293,7 +293,7 @@ class ReplacementStore:
                 changed.append(lhs_cell)
         for cell in sorted(self.token_cells(r)):
             value = self.table.value(cell)
-            updated = _replace_token_segment(value, r.lhs, r.rhs)
+            updated = replace_token_run(value, r.lhs, r.rhs)
             if updated is not None and updated != value:
                 self.table.set_value(cell, updated)
                 changed.append(cell)
@@ -314,7 +314,7 @@ class ReplacementStore:
             {pair[1] for pair in self.token_entries.get(mirror, ())}
         ):
             value = self.table.value(cell)
-            updated = _replace_token_segment(value, r.lhs, r.rhs)
+            updated = replace_token_run(value, r.lhs, r.rhs)
             if updated is not None and updated != value:
                 self.table.set_value(cell, updated)
                 changed.append(cell)
@@ -377,25 +377,3 @@ class ReplacementStore:
         self._dead = set()
         return dead
 
-
-def _replace_token_segment(value: str, lhs: str, rhs: str) -> Optional[str]:
-    """Replace the first token-boundary-aligned occurrence of ``lhs``
-    inside ``value`` by ``rhs``; ``None`` when ``lhs`` is absent.
-
-    Token alignment guarantees lhs was a run of whole tokens in the
-    original value, so matching on token boundaries (rather than raw
-    substring) avoids corrupting e.g. 'Stone' when replacing 'St'.
-    """
-    value_tokens = tokens(value)
-    lhs_tokens = tokens(lhs)
-    if not lhs_tokens or len(lhs_tokens) > len(value_tokens):
-        return None
-    for start in range(len(value_tokens) - len(lhs_tokens) + 1):
-        if value_tokens[start : start + len(lhs_tokens)] == lhs_tokens:
-            out = (
-                value_tokens[:start]
-                + tokens(rhs)
-                + value_tokens[start + len(lhs_tokens) :]
-            )
-            return join(out)
-    return None

@@ -194,12 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     apply_p.add_argument("--out", help="write the standardized data here")
     apply_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="shard large batches across this many processes",
-    )
-    apply_p.add_argument(
         "--no-programs",
         action="store_true",
         help="disable program generalization to unseen values",
@@ -786,7 +780,7 @@ def cmd_apply(args) -> int:
         records = read_csv_records(args.input)
         engine = ApplyEngine(model, use_programs=not args.no_programs)
         values = [r.values.get(column, "") for r in records]
-        outputs = engine.apply_values(values, workers=args.workers)
+        outputs = engine.apply_values(values)
         changed = 0
         for record, out in zip(records, outputs):
             if record.values.get(column, "") != out:
@@ -813,11 +807,11 @@ def cmd_apply(args) -> int:
                 "input replays with provenance semantics instead",
                 file=sys.stderr,
             )
-        if args.workers or args.no_programs:
+        if args.no_programs:
             print(
-                "note: --workers/--no-programs only affect the value "
-                "engine; clustered input replays with exact provenance "
-                "semantics (single process, no programs)",
+                "note: --no-programs only affects the value engine; "
+                "clustered input replays with exact provenance "
+                "semantics (no programs)",
                 file=sys.stderr,
             )
         if args.input:

@@ -9,10 +9,10 @@ reusable asset:
 * :mod:`repro.serve.registry` — a directory-backed model store with
   monotonically increasing versions per model name;
 * :mod:`repro.serve.engine` — confirmed groups compiled, in time
-  linear in the rules, into an exact-match hash table plus a
-  per-structure-signature program index, applied columnar
-  (dictionary-encoded through an intern table, once per distinct
-  value) with optional multiprocessing sharding;
+  linear in the rules, into an exact-match hash table, a
+  per-structure-signature program index and first-token-indexed token
+  rules, applied columnar (dictionary-encoded through an intern table,
+  once per distinct value);
 * :mod:`repro.serve.intern` — the value-interning table behind the
   columnar apply path;
 * :mod:`repro.serve.replay` — provenance-aware re-application that

@@ -21,6 +21,12 @@ the occasional program evaluation:
 3. **token-level rules** — confirmed token-segment replacements
    (Appendix A provenance), applied once each, in confirmation order,
    token-boundary aware (``"St"`` never fires inside ``"Stone"``).
+   Rules are compiled to token lists and indexed by their first lhs
+   token, so a value is split once and only the rules whose first
+   token it holds are tried: a min-heap pops them in rule order, and a
+   rewrite by rule ``i`` queues the rules ``j > i`` whose first token
+   its rhs brings in — exactly the cascades of the sequential loop,
+   at a cost that does not grow with the rule count.
 
 Application is **columnar**: a batch is dictionary-encoded through a
 shared :class:`~repro.serve.intern.InternTable` (unique values +
@@ -29,8 +35,7 @@ value, outputs land in a slot-aligned memo that persists across
 batches, and results broadcast back through the code vector as two
 C-level ``map`` passes — per-row cost on skewed production traffic is
 two hash probes, not a transformation.  The single-value path reads and
-fills the same memo; large batches can shard uncomputed distinct values
-across worker processes.
+fills the same memo.
 
 Compilation is linear in the model: an inverse index (value -> the
 exact keys currently pointing at it) lets each whole-value rule
@@ -46,12 +51,13 @@ reproduction of a learning run is required, use
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from dataclasses import dataclass, fields
+from bisect import bisect_right
+from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..candidates.store import _replace_token_segment
+from ..align.tokenize import rewrite_token_run
 from ..core.functions import ConstantStr
 from ..core.program import Program
 from ..core.structure import Signature, structure_signature
@@ -60,9 +66,6 @@ from ..obs import NULL_OBS
 from ..pipeline.oracle import FORWARD
 from .intern import InternTable
 from .model import TransformationModel
-
-#: Unique-value count below which sharding never pays for itself.
-MIN_SHARD_VALUES = 4096
 
 #: Default intern-table capacity (distinct values memoized across
 #: batches); slots are two pointers each.
@@ -80,7 +83,6 @@ class ApplyStats:
     token_hits: int = 0
     misses: int = 0
     cache_hits: int = 0
-    sharded_values: int = 0
     #: distinct values ever interned (monotone even across truncation)
     distinct_values: int = 0
     #: rows settled by broadcasting a distinct value's output
@@ -90,25 +92,7 @@ class ApplyStats:
 
     def as_dict(self) -> Dict[str, int]:
         """The counters as a JSON-safe dict (``repro apply --stats``)."""
-        return {
-            "rows": self.rows,
-            "unique_values": self.unique_values,
-            "exact_hits": self.exact_hits,
-            "program_hits": self.program_hits,
-            "token_hits": self.token_hits,
-            "misses": self.misses,
-            "cache_hits": self.cache_hits,
-            "sharded_values": self.sharded_values,
-            "distinct_values": self.distinct_values,
-            "broadcast_rows": self.broadcast_rows,
-            "intern_hits": self.intern_hits,
-        }
-
-    def add(self, other: "ApplyStats") -> None:
-        """Add ``other``'s counters into these (a shard's delta)."""
-        for f in fields(self):
-            total = getattr(self, f.name) + getattr(other, f.name)
-            setattr(self, f.name, total)
+        return dict(vars(self))
 
 
 def _is_input_sensitive(program: Program) -> bool:
@@ -150,6 +134,10 @@ class ApplyEngine:
         # Inverse of ``exact``: value -> the keys currently mapped to it.
         self._exact_keys: Dict[str, List[str]] = {}
         self.token_rules: List[Tuple[str, str]] = []
+        # token_rules as (lhs tokens, rhs tokens), and each rule's first
+        # lhs token -> its rule indices, ascending.
+        self._token_runs: List[Tuple[List[str], List[str]]] = []
+        self._token_index: Dict[str, List[int]] = {}
         self.programs: Dict[Signature, List[Program]] = {}
         self._compile_groups(model.groups)
 
@@ -197,7 +185,7 @@ class ApplyEngine:
                     self._add_exact(member.lhs, member.rhs)
                 if member.token and (member.lhs, member.rhs) not in seen_token:
                     seen_token.add((member.lhs, member.rhs))
-                    self.token_rules.append((member.lhs, member.rhs))
+                    self._add_token_rule(member.lhs, member.rhs)
             if group.direction != FORWARD:
                 # The program maps learned-lhs -> learned-rhs; a reverse
                 # confirmation applied the opposite direction, which the
@@ -223,6 +211,15 @@ class ApplyEngine:
             if key not in keys:
                 keys.add(key)
                 bucket.append(group.program)
+
+    def _add_token_rule(self, lhs: str, rhs: str) -> None:
+        lhs_tokens, rhs_tokens = lhs.split(), rhs.split()
+        if lhs_tokens:
+            self._token_index.setdefault(lhs_tokens[0], []).append(
+                len(self.token_rules)
+            )
+        self.token_rules.append((lhs, rhs))
+        self._token_runs.append((lhs_tokens, rhs_tokens))
 
     def _add_exact(self, lhs: str, rhs: str) -> None:
         """Chain-compose one whole-value rule into the exact table: the
@@ -255,6 +252,8 @@ class ApplyEngine:
         self.exact.clear()
         self._exact_keys.clear()
         self.token_rules.clear()
+        self._token_runs.clear()
+        self._token_index.clear()
         self.programs.clear()
         self.model = model
         self.vocabulary = model.vocabulary
@@ -294,34 +293,58 @@ class ApplyEngine:
                 if out is not None and out != value:
                     self._stats.program_hits += 1
                     return out
-        out = value
-        for lhs, rhs in self.token_rules:
-            updated = _replace_token_segment(out, lhs, rhs)
-            if updated is not None and updated != out:
-                out = updated
+        out = self._apply_token_rules(value)
         if out != value:
             self._stats.token_hits += 1
         else:
             self._stats.misses += 1
         return out
 
+    def _apply_token_rules(self, value: str) -> str:
+        """Every token rule, in order, over one split of ``value``: a
+        rule can fire only once its first lhs token is present, in the
+        value or in the rhs of an earlier rewrite."""
+        index = self._token_index
+        value_tokens = value.split()
+        heap = []
+        for token in value_tokens:
+            rules = index.get(token)
+            if rules is not None:
+                heap.extend(rules)
+        if not heap:
+            return value
+        heapify(heap)
+        runs = self._token_runs
+        matched = False
+        last = -1
+        while heap:
+            i = heappop(heap)
+            if i == last:
+                continue
+            last = i
+            lhs_tokens, rhs_tokens = runs[i]
+            if not rewrite_token_run(value_tokens, lhs_tokens, rhs_tokens):
+                continue
+            matched = True
+            for token in rhs_tokens:
+                rules = index.get(token)
+                if rules is not None:
+                    for j in rules[bisect_right(rules, i):]:
+                        heappush(heap, j)
+        # Like the sequential loop: untouched unless a rule matched,
+        # whitespace-normalized once one did.
+        return " ".join(value_tokens) if matched else value
+
     # -- batch path --------------------------------------------------------
 
-    def apply_values(
-        self,
-        values: Sequence[str],
-        workers: Optional[int] = None,
-        min_shard: int = MIN_SHARD_VALUES,
-    ) -> List[str]:
+    def apply_values(self, values: Sequence[str]) -> List[str]:
         """Standardize a column of values (the columnar hot path).
 
         The column is dictionary-encoded: distinct values are interned
         to dense slot codes, transformation runs once per *uncomputed*
         distinct value into a slot-aligned memo that persists across
         batches, and the result broadcasts back through the code vector
-        as two C-level ``map`` passes.  With ``workers > 1`` and enough
-        uncomputed distinct values, computation shards across a process
-        pool.
+        as two C-level ``map`` passes.
         """
         started = time.perf_counter() if self.obs.enabled else 0.0
         stats = self._stats
@@ -330,8 +353,8 @@ class ApplyEngine:
         outputs = self._slot_outputs
         n_rows = len(values)
         # Distinct detection is one C-level pass, first-occurrence
-        # ordered so slot assignment and shard chunking stay
-        # deterministic for a given batch sequence.
+        # ordered so slot assignment stays deterministic for a given
+        # batch sequence.
         distinct = dict.fromkeys(values)
         stats.rows += n_rows
         stats.unique_values += len(distinct)
@@ -352,14 +375,9 @@ class ApplyEngine:
         stats.distinct_values += new_slots
         stats.intern_hits += n_rows - new_slots
         stats.cache_hits += len(distinct) - len(pending)
-        if workers and workers > 1 and len(pending) >= max(min_shard, 2):
-            for value, out in self._apply_sharded(pending, workers).items():
-                outputs[code_of[value]] = out
-            stats.sharded_values += len(pending)
-        else:
-            compute = self._compute
-            for value in pending:
-                outputs[code_of[value]] = compute(value)
+        compute = self._compute
+        for value in pending:
+            outputs[code_of[value]] = compute(value)
         # Broadcast: rows -> codes -> outputs, both loops in C.
         result = list(
             map(outputs.__getitem__, map(code_of.__getitem__, values))
@@ -373,30 +391,10 @@ class ApplyEngine:
             self.sync_obs(time.perf_counter() - started)
         return result
 
-    def _apply_sharded(
-        self, unique: List[str], workers: int
-    ) -> Dict[str, str]:
-        chunks = [unique[i::workers] for i in range(workers)]
-        chunks = [c for c in chunks if c]
-        # Serialized lazily: only the sharded path ships the model.
-        payload = self.model.to_dict()
-        with multiprocessing.Pool(
-            len(chunks),
-            initializer=_shard_init,
-            initargs=(payload, self.use_programs),
-        ) as pool:
-            results = pool.map(_shard_apply, chunks)
-        mapping: Dict[str, str] = {}
-        for chunk, (outs, delta) in zip(chunks, results):
-            mapping.update(zip(chunk, outs))
-            self._stats.add(delta)
-        return mapping
-
     def apply_table(
         self,
         table: ClusterTable,
         column: Optional[str] = None,
-        workers: Optional[int] = None,
     ) -> List[CellRef]:
         """Standardize one column of a clustered table in place.
 
@@ -405,7 +403,7 @@ class ApplyEngine:
         column = column or self.model.column
         cells = list(table.cells(column))
         before = [table.value(cell) for cell in cells]
-        after = self.apply_values(before, workers=workers)
+        after = self.apply_values(before)
         changed: List[CellRef] = []
         for cell, old, new in zip(cells, before, after):
             if new != old:
@@ -413,27 +411,3 @@ class ApplyEngine:
                 changed.append(cell)
         return changed
 
-
-# -- multiprocessing shard workers ----------------------------------------
-#
-# The pool initializer rebuilds the engine once per worker process from
-# the model's JSON payload (always picklable); chunks of unique values
-# then stream through the rebuilt engine.
-
-_WORKER_ENGINE: Optional[ApplyEngine] = None
-
-
-def _shard_init(payload: Dict, use_programs: bool) -> None:
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = ApplyEngine(
-        TransformationModel.from_dict(payload), use_programs=use_programs
-    )
-
-
-def _shard_apply(values: List[str]) -> Tuple[List[str], ApplyStats]:
-    """Compute one chunk of distinct values; returns the outputs and the
-    chunk's tier-counter delta for the parent to add."""
-    assert _WORKER_ENGINE is not None, "pool initializer did not run"
-    _WORKER_ENGINE._stats = ApplyStats()
-    outputs = [_WORKER_ENGINE._compute(value) for value in values]
-    return outputs, _WORKER_ENGINE._stats

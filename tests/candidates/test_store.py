@@ -3,7 +3,7 @@
 import pytest
 
 from repro.candidates.generate import generate_candidates
-from repro.candidates.store import _replace_token_segment
+from repro.align.tokenize import replace_token_run as _replace_token_segment
 from repro.config import Config
 from repro.core.replacement import Replacement
 from repro.data.table import CellRef, ClusterTable, Record

@@ -130,29 +130,6 @@ class TestBatch:
         assert engine.stats().rows == 5
         assert engine.stats().unique_values == 3
 
-    def test_sharded_matches_serial(self, model):
-        values = (
-            [f"{i}th" for i in range(40)]
-            + ["A", "5 St", "zzz", "9th"] * 5
-        )
-        serial_engine = ApplyEngine(model)
-        serial = serial_engine.apply_values(values)
-        sharded_engine = ApplyEngine(model)
-        sharded = sharded_engine.apply_values(
-            values, workers=2, min_shard=2
-        )
-        assert sharded == serial
-        assert sharded_engine.stats().sharded_values > 0
-        # The workers' tier counters are merged back into the parent.
-        for counter in ("exact_hits", "program_hits", "token_hits", "misses"):
-            assert getattr(sharded_engine.stats(), counter) == getattr(
-                serial_engine.stats(), counter
-            ), counter
-
-    def test_small_batches_never_shard(self, engine):
-        engine.apply_values(["9th"], workers=4)
-        assert engine.stats().sharded_values == 0
-
     def test_apply_table(self, engine):
         from repro.data.table import ClusterTable, Record
 
