@@ -51,10 +51,3 @@ def sample_labeled_pairs(
     if len(pairs) > sample_size:
         pairs = rng.sample(pairs, sample_size)
     return [LabeledPair(a, b, labeler(a, b)) for a, b in pairs]
-
-
-def evaluate_pairs(
-    pairs: List[LabeledPair], table: ClusterTable
-) -> List[Tuple[bool, Pair]]:
-    """Adapter for :func:`repro.evaluation.metrics.confusion_from_pairs`."""
-    return [(p.is_variant, (p.a, p.b)) for p in pairs]

@@ -346,11 +346,10 @@ def summarize(rows) -> Dict[str, object]:
     * ``batches`` / ``records`` / ``total_seconds`` — run totals;
     * ``stages`` — per-stage total seconds (the Fig. 9 view), from the
       per-batch ``stage_seconds`` maps;
-    * ``questions_by_column`` — oracle spend per column, preferring the
-      final deterministic snapshot's ``stream.questions{column=}``
-      counters, falling back to batch rows;
-    * ``apply`` — tier hit counts and ratios from the snapshot's
-      ``apply.*`` counters;
+    * ``questions_by_column`` — oracle spend per column, summed over
+      the batch rows (the source of ``questions_asked`` too);
+    * ``apply`` — tier hit counts and ratios from the ``apply.*``
+      counters, summed over each run's last snapshot;
     * ``drift_events`` — recorded drift/relearn events;
     * ``spans`` — per-span-name (count, total seconds) when tracing
       was on.
@@ -363,13 +362,17 @@ def summarize(rows) -> Dict[str, object]:
     questions_by_column: Dict[str, int] = {}
     spans: Dict[str, Dict[str, float]] = {}
     drift_events: List[Row] = []
-    snapshot: Dict[str, object] = {}
+    # A snapshot is cumulative within one process only, and each
+    # process appending to the file starts with a ``meta`` row: keep
+    # the last snapshot of every run.
+    snapshots: List[Dict[str, object]] = [{}]
     meta: Optional[Row] = None
 
     for row in rows:
         kind = row.get("type")
-        if kind == "meta" and meta is None:
-            meta = row
+        if kind == "meta":
+            meta = meta or row
+            snapshots.append({})
         elif kind == "batch":
             batches += 1
             records += int(row.get("records", 0))
@@ -391,21 +394,17 @@ def summarize(rows) -> Dict[str, object]:
         elif kind == "event" and row.get("event") == "drift":
             drift_events.append(row)
         elif kind == "snapshot":
-            snapshot = row.get("metrics") or {}  # last snapshot wins
+            snapshots[-1] = row.get("metrics") or {}
 
-    # Snapshot counters are authoritative when present: they survive a
-    # resumed run's full history, where batch rows only cover this file.
-    snap_questions: Dict[str, int] = {}
     apply_counters: Dict[str, int] = {}
-    for key, value in snapshot.items():
-        name, labels = parse_metric_key(key)
-        if name == "stream.questions" and "column" in labels:
-            snap_questions[labels["column"]] = int(value)
-        elif name.startswith("apply.") and isinstance(value, (int, float)):
-            field = name[len("apply."):]
-            apply_counters[field] = apply_counters.get(field, 0) + int(value)
-    if snap_questions:
-        questions_by_column = snap_questions
+    for snapshot in snapshots:
+        for key, value in snapshot.items():
+            name, _labels = parse_metric_key(key)
+            if name.startswith("apply.") and isinstance(value, (int, float)):
+                field = name[len("apply."):]
+                apply_counters[field] = (
+                    apply_counters.get(field, 0) + int(value)
+                )
 
     rows_applied = apply_counters.get("rows", 0)
     tiers = ("exact_hits", "program_hits", "token_hits", "misses")

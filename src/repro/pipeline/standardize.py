@@ -132,24 +132,15 @@ class Standardizer:
             changed = 0
             applied: List[AppliedReplacement] = []
             if decision.approved:
-                changed, applied = self._apply_group_recorded(group, decision)
+                changed, applied = apply_group_recorded(
+                    self.store, group, decision
+                )
                 feed.remove_replacements(self.store.drain_dead())
             record = StepRecord(step_index, group, decision, changed, applied)
             log.steps.append(record)
             if after_step is not None:
                 after_step(record)
         return log
-
-    def apply_group(self, group: Group, decision: Decision) -> int:
-        """Apply every member of an approved group in the chosen
-        direction; returns the number of cells changed."""
-        changed, _ = self._apply_group_recorded(group, decision)
-        return changed
-
-    def _apply_group_recorded(
-        self, group: Group, decision: Decision
-    ) -> "Tuple[int, List[AppliedReplacement]]":
-        return apply_group_recorded(self.store, group, decision)
 
 
 def apply_group_recorded(

@@ -66,7 +66,6 @@ from .decisions import DecisionCache
 from .deltas import GoldenDeltaLog, GoldenDeltaReader
 from .golden import (
     BatchReport,
-    GoldenBatchReport,
     GoldenStreamConsolidator,
     golden_ground_truth_oracle_factory,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "DecisionCache",
     "DriftMonitor",
     "DriftReport",
-    "GoldenBatchReport",
     "GoldenDeltaLog",
     "GoldenDeltaReader",
     "GoldenStreamConsolidator",

@@ -153,7 +153,6 @@ class _TimedOracle:
     def __init__(self, inner: Oracle) -> None:
         self._inner = inner
         self.seconds = 0.0
-        self.reviews = 0
 
     def review(self, group: Group) -> Decision:
         started = time.perf_counter()
@@ -161,7 +160,6 @@ class _TimedOracle:
             return self._inner.review(group)
         finally:
             self.seconds += time.perf_counter() - started
-            self.reviews += 1
 
     def __getattr__(self, name: str):
         return getattr(self._inner, name)
@@ -404,27 +402,52 @@ class BatchReport:
         )
         return text + (", DRIFT" if self.drift_triggered else "")
 
+    def counts(self) -> Dict[str, int]:
+        """The batch's deterministic counts, keyed by batch-row name —
+        the one declaration both the ``--stats`` row and the registry
+        mirror (``stream.<name>``, or ``oracle.<name>`` for
+        :data:`ORACLE_COUNTS`) are driven from."""
+        return {
+            "records": self.records,
+            "merges": self.merges,
+            "new_clusters": self.new_clusters,
+            "candidate_pairs": self.pairs_compared,
+            "explained_cells": self.explained_cells,
+            "unmatched_cells": self.unmatched_cells,
+            "reused_replacements": self.reused_replacements,
+            "reused_cells": self.reused_cells,
+            "rejected_skips": self.rejected_skips,
+            "inferred_verdicts": self.inferred_verdicts,
+            "questions_saved": (
+                self.reused_replacements
+                + self.rejected_skips
+                + self.inferred_verdicts
+            ),
+            "groups_approved": self.groups_approved,
+            "cells_changed": self.cells_changed,
+        }
+
+    def fusion_counts(self) -> Dict[str, int]:
+        """The fusion step's deterministic counts (all 0 without
+        fusion, where the registry mirror omits them)."""
+        return {
+            "clusters_refused": self.clusters_refused,
+            "golden_changed": len(self.golden_changed),
+            "golden_removed": len(self.golden_removed),
+        }
+
     def stats(self) -> Dict[str, object]:
         """The batch's counters as a JSON-friendly dict (one row of
         ``repro stream --stats`` output)."""
         return {
             "batch": self.index,
-            "records": self.records,
-            "merges": self.merges,
-            "candidate_pairs": self.pairs_compared,
-            "values_shipped": self.values_shipped,
-            "bytes_shipped": self.bytes_shipped,
-            "explained_cells": self.explained_cells,
-            "unmatched_cells": self.unmatched_cells,
+            **self.counts(),
+            **self.fusion_counts(),
             "questions_asked": self.questions_asked,
             "questions_by_column": dict(self.questions_by_column),
-            "reused_replacements": self.reused_replacements,
-            "inferred_verdicts": self.inferred_verdicts,
-            "cells_changed": self.cells_changed,
-            "clusters_refused": self.clusters_refused,
             "clusters_live": self.clusters_live,
-            "golden_changed": len(self.golden_changed),
-            "golden_removed": len(self.golden_removed),
+            "values_shipped": self.values_shipped,
+            "bytes_shipped": self.bytes_shipped,
             "fusion_seconds": round(self.fusion_seconds, 6),
             "model_version": self.version,
             "bundle_version": self.version,
@@ -436,8 +459,9 @@ class BatchReport:
         }
 
 
-#: The multi-column name of :class:`BatchReport` (one class serves both).
-GoldenBatchReport = BatchReport
+#: The :meth:`BatchReport.counts` the registry files under ``oracle.``
+#: rather than ``stream.``.
+ORACLE_COUNTS = ("inferred_verdicts", "questions_saved")
 
 
 class GoldenStreamConsolidator:
@@ -1189,53 +1213,18 @@ class GoldenStreamConsolidator:
         metrics = obs.metrics
         # Deterministic counters: identical at any --shards value.
         metrics.counter("stream.batches").inc()
-        metrics.counter("stream.records").inc(report.records)
-        metrics.counter("stream.explained_cells").inc(
-            report.explained_cells
-        )
-        metrics.counter("stream.unmatched_cells").inc(
-            report.unmatched_cells
-        )
-        metrics.counter("stream.merges").inc(report.merges)
-        metrics.counter("stream.new_clusters").inc(report.new_clusters)
-        metrics.counter("stream.candidate_pairs").inc(
-            report.pairs_compared
-        )
-        metrics.counter("stream.reused_replacements").inc(
-            report.reused_replacements
-        )
-        metrics.counter("stream.reused_cells").inc(report.reused_cells)
-        metrics.counter("stream.rejected_skips").inc(
-            report.rejected_skips
-        )
-        metrics.counter("oracle.inferred_verdicts").inc(
-            report.inferred_verdicts
-        )
-        metrics.counter("oracle.questions_saved").inc(
-            report.reused_replacements
-            + report.rejected_skips
-            + report.inferred_verdicts
-        )
-        for column, asked in report.questions_by_column.items():
-            metrics.counter("stream.questions", column=column).inc(asked)
-        metrics.counter("stream.groups_approved").inc(
-            report.groups_approved
-        )
-        metrics.counter("stream.cells_changed").inc(report.cells_changed)
+        counts = report.counts()
         if self.fusion is not None:
-            metrics.counter("stream.clusters_refused").inc(
-                report.clusters_refused
-            )
-            metrics.counter("stream.golden_changed").inc(
-                len(report.golden_changed)
-            )
-            metrics.counter("stream.golden_removed").inc(
-                len(report.golden_removed)
-            )
+            counts.update(report.fusion_counts())
             metrics.gauge("stream.clusters_live").set(report.clusters_live)
             metrics.counter(
                 "stream.fusion_seconds", deterministic=False
             ).inc(round(report.fusion_seconds, 9))
+        for name, value in counts.items():
+            space = "oracle" if name in ORACLE_COUNTS else "stream"
+            metrics.counter(f"{space}.{name}").inc(value)
+        for column, asked in report.questions_by_column.items():
+            metrics.counter("stream.questions", column=column).inc(asked)
         if report.version is not None:
             metrics.counter("stream.publishes").inc()
         # Volatile: wall-clock and IPC volume vary run to run.
@@ -1291,10 +1280,7 @@ class GoldenStreamConsolidator:
         """Oracle work the incremental state avoided (cached approvals
         re-applied, cached rejections silenced, transitively inferred
         verdicts — all columns)."""
-        return sum(
-            r.reused_replacements + r.rejected_skips + r.inferred_verdicts
-            for r in self.reports
-        )
+        return sum(r.counts()["questions_saved"] for r in self.reports)
 
     @property
     def inferred_verdicts(self) -> int:

@@ -186,10 +186,6 @@ class IncrementalResolver:
     def num_records(self) -> int:
         return len(self._position)
 
-    def cluster_keys(self) -> List[str]:
-        """Keys of non-empty clusters, table order."""
-        return [c.key for c in self.table.clusters if c.records]
-
     # -- ingestion ---------------------------------------------------------
 
     def add_batch(self, records: Sequence[Record]) -> BatchResolution:

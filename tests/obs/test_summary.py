@@ -134,6 +134,7 @@ class TestSummarize:
                 "records": 20,
                 "seconds": 1.0,
                 "questions_asked": 5,
+                "questions_by_column": {"address": 5},
                 "stage_seconds": {"learn": 0.8, "engine": 0.1},
             },
             {
@@ -142,6 +143,7 @@ class TestSummarize:
                 "records": 30,
                 "seconds": 2.0,
                 "questions_asked": 3,
+                "questions_by_column": {"address": 3},
                 "stage_seconds": {"learn": 1.5, "engine": 0.2},
             },
             {
@@ -181,9 +183,63 @@ class TestSummarize:
             "learn": pytest.approx(2.3),
         }
 
-    def test_snapshot_questions_win(self):
+    def test_questions_by_column_from_batch_rows(self):
         summary = summarize(self.rows())
         assert summary["questions_by_column"] == {"address": 8}
+
+    def test_resumed_run_sums_every_process(self, tmp_path):
+        # A resumed run appends a second process to the same file: its
+        # snapshot restarts from zero, so per-column questions come
+        # from the batch rows and apply counters from each run's last
+        # snapshot.
+        def run(questions, rows_applied):
+            return [
+                {"type": "meta", "command": "stream"},
+                {
+                    "type": "batch",
+                    "batch": 0,
+                    "records": 10,
+                    "seconds": 0.1,
+                    "questions_asked": sum(questions.values()),
+                    "questions_by_column": questions,
+                },
+                {
+                    "type": "snapshot",
+                    "deterministic": False,
+                    "metrics": {
+                        "apply.rows{column=a}": rows_applied // 2,
+                        "apply.rows{column=b}": rows_applied // 2,
+                        "apply.misses{column=a}": rows_applied // 2,
+                        **{
+                            metric_key("stream.questions", {"column": c}): n
+                            for c, n in questions.items()
+                        },
+                    },
+                },
+            ]
+
+        path = tmp_path / "m.jsonl"
+        write_rows(path, run({"a": 4, "b": 6}, 20) + run({"a": 1, "b": 2}, 10))
+        summary = summarize(iter_rows(path))
+        assert summary["questions_asked"] == 13
+        assert summary["questions_by_column"] == {"a": 5, "b": 8}
+        assert sum(summary["questions_by_column"].values()) == (
+            summary["questions_asked"]
+        )
+        assert summary["apply"]["rows"] == 30
+        assert summary["apply"]["hit_ratios"]["misses"] == (
+            pytest.approx(0.5)
+        )
+
+    def test_last_snapshot_of_a_run_wins(self):
+        # Within one process snapshots are cumulative (serve flushes
+        # one periodically): only the last counts.
+        rows = [
+            {"type": "meta", "command": "serve"},
+            {"type": "snapshot", "metrics": {"apply.rows": 5}},
+            {"type": "snapshot", "metrics": {"apply.rows": 9}},
+        ]
+        assert summarize(rows)["apply"]["rows"] == 9
 
     def test_apply_hit_ratios(self):
         summary = summarize(self.rows())

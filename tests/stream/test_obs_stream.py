@@ -204,6 +204,48 @@ class TestRecordedRows:
         assert snap["shards.bytes_shipped"] >= 0
 
 
+class TestBatchCountMirror:
+    """The batch row and the registry are driven by one declaration
+    (:meth:`BatchReport.counts` / :meth:`BatchReport.fusion_counts`):
+    each declared count's registry counter equals the sum of its batch
+    row column."""
+
+    @staticmethod
+    def check(obs, reports, declared):
+        from repro.stream.golden import ORACLE_COUNTS
+
+        snap = obs.metrics.snapshot(deterministic_only=True)
+        rows = [r for r in obs.sink.rows if r["type"] == "batch"]
+        assert len(rows) == len(reports)
+        for name in declared:
+            space = "oracle" if name in ORACLE_COUNTS else "stream"
+            total = sum(row[name] for row in rows)
+            assert snap[f"{space}.{name}"] == total, name
+        return snap
+
+    def test_single_column(self, stream):
+        obs = Obs(sink=MemorySink())
+        _consolidator, reports = run_single(stream, obs)
+        snap = self.check(obs, reports, reports[0].counts())
+        assert snap["oracle.questions_saved"] > 0
+        # Without fusion the registry carries no fusion counters.
+        for name in reports[0].fusion_counts():
+            assert f"stream.{name}" not in snap
+
+    def test_golden_stream(self, gstream):
+        obs = Obs(sink=MemorySink())
+        consolidator = run_golden(gstream, obs, question_order="yield")
+        reports = consolidator.reports
+        declared = {**reports[0].counts(), **reports[0].fusion_counts()}
+        snap = self.check(obs, reports, declared)
+        assert snap["stream.golden_changed"] > 0
+        assert consolidator.questions_saved == sum(
+            row["questions_saved"]
+            for row in obs.sink.rows
+            if row["type"] == "batch"
+        )
+
+
 class TestDriftEvents:
     def test_relearn_trigger_flows_through_event_stream(self, stream):
         monitor = DriftMonitor(

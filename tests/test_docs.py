@@ -286,6 +286,27 @@ def test_docs_cover_the_network_serving_tier():
     assert "serving.md" in arch and "ModelSource" in arch
 
 
+def test_observability_catalog_covers_the_batch_counts():
+    """Every registry counter the batch-count declaration emits has a
+    catalog row, and the documented batch row shows every row key."""
+    from repro.stream import BatchReport
+    from repro.stream.golden import ORACLE_COUNTS
+
+    obs_text = (REPO / "docs" / "observability.md").read_text(
+        encoding="utf-8"
+    )
+    report = BatchReport(index=0, records=0)
+    for name in {**report.counts(), **report.fusion_counts()}:
+        space = "oracle" if name in ORACLE_COUNTS else "stream"
+        assert f"| `{space}.{name}` |" in obs_text, (
+            f"{space}.{name} missing from the observability catalog"
+        )
+    for key in report.stats():
+        assert f'"{key}":' in obs_text, (
+            f"batch row key {key!r} missing from the documented row"
+        )
+
+
 def test_docs_cover_the_oracle_scheduling_release():
     """Yield-ranked scheduling and the decisions tooling are taught
     where users will look, and the taught invocations are real."""
