@@ -16,9 +16,10 @@ This module closes the loop:
   direction.  A row declares each field's direction under
   ``"directions"`` (``higher``, ``lower``, or ``info`` for workload
   constants and other never-gated context), and only its declared
-  ``higher``/``lower`` fields become series.  Rows recorded before
-  declarations existed fall back to inferring the direction from the
-  field name (:func:`direction_of`);
+  ``higher``/``lower`` fields become series.  An undeclared field is
+  ``info``: a name never says which way a number improves (a
+  ``precision`` read as lower-is-better would gate quality the wrong
+  way);
 * :func:`check` — compare each series' *latest* value against the
   baseline with a multiplicative tolerance; a ``lower`` metric
   regresses when ``latest > baseline * tolerance``, a ``higher``
@@ -70,21 +71,6 @@ _NON_METRIC_FIELDS = {
 #: fields are recorded context (config constants) and never gated.
 DIRECTIONS = ("higher", "lower", "info")
 
-#: headline-field name fragments that mean *higher* is better; every
-#: other numeric field (seconds, overheads, byte counts) gates as
-#: lower-is-better, the conservative default for a perf gate.
-_HIGHER_IS_BETTER = ("speedup", "throughput", "ratio", "per_second")
-
-
-def direction_of(field: str) -> str:
-    """``"higher"`` or ``"lower"`` — which way the metric improves,
-    guessed from the field name.  Only rows without declared
-    ``"directions"`` (recorded before declarations existed) use it."""
-    lowered = field.lower()
-    if any(marker in lowered for marker in _HIGHER_IS_BETTER):
-        return "higher"
-    return "lower"
-
 
 def _series_of(bench: str, row: Row) -> List[Tuple[str, float, str]]:
     """The ``(series key, value, direction)`` points of one row.
@@ -94,8 +80,7 @@ def _series_of(bench: str, row: Row) -> List[Tuple[str, float, str]]:
     test passed: a failed run's timing measures the failure, not the
     code.  Headline rows (which may name their ``test`` too) contribute
     every numeric field that is not provenance, with the direction the
-    row declares for it (``info`` when a declaring row leaves it out)
-    or, in a row without declarations, the one inferred from its name.
+    row declares for it (``info`` when the row leaves it undeclared).
     """
     points: List[Tuple[str, float, str]] = []
     if "outcome" in row:
@@ -107,15 +92,14 @@ def _series_of(bench: str, row: Row) -> List[Tuple[str, float, str]]:
             )
         return points
     declared = row.get("directions")
+    if not isinstance(declared, dict):
+        declared = {}
     for field, value in row.items():
         if field in _NON_METRIC_FIELDS:
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             continue
-        if isinstance(declared, dict):
-            direction = declared.get(field, "info")
-        else:
-            direction = direction_of(field)
+        direction = declared.get(field, "info")
         points.append((f"{bench}:{field}", float(value), direction))
     return points
 
@@ -124,7 +108,8 @@ def _load(results_dir: PathLike) -> Tuple[Dict[str, List[float]], Dict[str, str]
     """Every gated series' points in append order, and its direction.
 
     The latest row decides a series' direction, so declaring a field
-    ``info`` retires the series its older, undeclared rows started.
+    ``info`` (or leaving it undeclared) retires the series older rows
+    started.
     """
     series: Dict[str, List[float]] = {}
     directions: Dict[str, str] = {}

@@ -6,9 +6,10 @@ with the decision-log crash discipline (a torn *final* line is
 skipped; corruption anywhere else raises), :func:`validate_rows`
 checks rows against the documented schema (docs/observability.md —
 the CI perf-smoke job runs this via ``repro stats --metrics --check``),
-and :func:`summarize` / :func:`format_summary` fold a recorded run
-into the Fig. 9-style per-stage runtime breakdown plus oracle
-questions per column and apply-tier hit ratios.
+and :class:`RunFold` — the one reader of what a row means, shared
+with ``repro top`` — feeds :func:`summarize` / :func:`format_summary`,
+the Fig. 9-style per-stage runtime breakdown plus oracle questions
+per column and apply-tier hit ratios.
 
 Row types (the stable schema)::
 
@@ -32,10 +33,12 @@ per-node count / total / self time (``repro stats --trace-tree``).
 
 from __future__ import annotations
 
+from collections import deque
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Deque, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..jsonl import read_rows
+from .metrics import Histogram
 
 PathLike = Union[str, Path]
 
@@ -338,6 +341,94 @@ def forest_shape(rows, include_shards: bool = False):
     )
 
 
+class RunFold:
+    """The one fold of a recorded run: the only code that interprets a
+    metrics row, shared by :func:`summarize` (``repro stats``) and
+    :class:`~repro.obs.top.TopModel` (``repro top``).
+
+    A snapshot is cumulative within one process only, and each process
+    appending to the file starts with a ``meta`` row, so the fold keeps
+    the last snapshot of every run; ``meta`` is the first run's header.
+    """
+
+    def __init__(self, window: int = 20) -> None:
+        self.meta: Optional[Row] = None
+        self.rows_seen = 0
+        self.batches = 0
+        self.records = 0
+        self.wall_seconds = 0.0  # summed batch seconds
+        self.questions = 0
+        self.questions_by_column: Dict[str, int] = {}
+        self.stage_hist: Dict[str, Histogram] = {}
+        #: ``(records, questions, seconds)`` of the recent batches.
+        self.recent: Deque[Tuple[int, int, float]] = deque(maxlen=window)
+        self.drift_events: List[Row] = []
+        self.spans: Dict[str, Dict[str, float]] = {}
+        self.snapshots: List[Dict[str, object]] = [{}]
+
+    def consume(self, row: Row) -> None:
+        self.rows_seen += 1
+        kind = row.get("type")
+        if kind == "meta":
+            if self.meta is None:
+                self.meta = row
+            self.snapshots.append({})
+        elif kind == "batch":
+            records = int(row.get("records", 0))
+            seconds = float(row.get("seconds", 0.0))
+            questions = int(row.get("questions_asked", 0))
+            self.batches += 1
+            self.records += records
+            self.wall_seconds += seconds
+            self.questions += questions
+            self.recent.append((records, questions, seconds))
+            for stage, value in (row.get("stage_seconds") or {}).items():
+                hist = self.stage_hist.get(stage)
+                if hist is None:
+                    hist = self.stage_hist[stage] = Histogram(stage, {})
+                hist.observe(value)
+            asked_by_column = row.get("questions_by_column") or {}
+            for column, asked in asked_by_column.items():
+                by_column = self.questions_by_column
+                by_column[column] = by_column.get(column, 0) + int(asked)
+        elif kind == "span":
+            name = str(row.get("span"))
+            entry = self.spans.setdefault(name, {"count": 0, "seconds": 0.0})
+            entry["count"] += 1
+            entry["seconds"] += float(row.get("seconds", 0.0))
+        elif kind == "event" and row.get("event") == "drift":
+            self.drift_events.append(row)
+        elif kind == "snapshot":
+            self.snapshots[-1] = row.get("metrics") or {}
+
+    def consume_all(self, rows) -> None:
+        for row in rows:
+            self.consume(row)
+
+    def stage_totals(self) -> Dict[str, float]:
+        """Per-stage total seconds (the Fig. 9 view)."""
+        return {stage: hist.total for stage, hist in self.stage_hist.items()}
+
+    def snapshot_sum(
+        self, prefix: str, label: Optional[str] = None
+    ) -> Dict[str, float]:
+        """Numeric snapshot values named ``prefix...``, summed over each
+        run's last snapshot and keyed by the rest of the name — or, with
+        ``label``, by that label's value."""
+        totals: Dict[str, float] = {}
+        for snapshot in self.snapshots:
+            for key, value in snapshot.items():
+                name, labels = parse_metric_key(key)
+                group = labels.get(label) if label else name[len(prefix):]
+                if (
+                    name.startswith(prefix)
+                    and group is not None
+                    and isinstance(value, (int, float))
+                ):
+                    totals[group] = totals.get(group, 0) + value
+        return totals
+
+
 def summarize(rows) -> Dict[str, object]:
     """Fold a recorded run into the headline operational numbers.
 
@@ -354,58 +445,12 @@ def summarize(rows) -> Dict[str, object]:
     * ``spans`` — per-span-name (count, total seconds) when tracing
       was on.
     """
-    batches = 0
-    records = 0
-    total_seconds = 0.0
-    questions_total = 0
-    stages: Dict[str, float] = {}
-    questions_by_column: Dict[str, int] = {}
-    spans: Dict[str, Dict[str, float]] = {}
-    drift_events: List[Row] = []
-    # A snapshot is cumulative within one process only, and each
-    # process appending to the file starts with a ``meta`` row: keep
-    # the last snapshot of every run.
-    snapshots: List[Dict[str, object]] = [{}]
-    meta: Optional[Row] = None
-
-    for row in rows:
-        kind = row.get("type")
-        if kind == "meta":
-            meta = meta or row
-            snapshots.append({})
-        elif kind == "batch":
-            batches += 1
-            records += int(row.get("records", 0))
-            total_seconds += float(row.get("seconds", 0.0))
-            questions_total += int(row.get("questions_asked", 0))
-            for stage, seconds in (row.get("stage_seconds") or {}).items():
-                stages[stage] = stages.get(stage, 0.0) + float(seconds)
-            for column, asked in (
-                row.get("questions_by_column") or {}
-            ).items():
-                questions_by_column[column] = (
-                    questions_by_column.get(column, 0) + int(asked)
-                )
-        elif kind == "span":
-            name = str(row.get("span"))
-            entry = spans.setdefault(name, {"count": 0, "seconds": 0.0})
-            entry["count"] += 1
-            entry["seconds"] += float(row.get("seconds", 0.0))
-        elif kind == "event" and row.get("event") == "drift":
-            drift_events.append(row)
-        elif kind == "snapshot":
-            snapshots[-1] = row.get("metrics") or {}
-
-    apply_counters: Dict[str, int] = {}
-    for snapshot in snapshots:
-        for key, value in snapshot.items():
-            name, _labels = parse_metric_key(key)
-            if name.startswith("apply.") and isinstance(value, (int, float)):
-                field = name[len("apply."):]
-                apply_counters[field] = (
-                    apply_counters.get(field, 0) + int(value)
-                )
-
+    fold = RunFold()
+    fold.consume_all(rows)
+    apply_counters = {
+        field: int(total)
+        for field, total in fold.snapshot_sum("apply.").items()
+    }
     rows_applied = apply_counters.get("rows", 0)
     tiers = ("exact_hits", "program_hits", "token_hits", "misses")
     apply_summary: Dict[str, object] = dict(apply_counters)
@@ -416,38 +461,49 @@ def summarize(rows) -> Dict[str, object]:
         }
 
     return {
-        "meta": meta,
-        "batches": batches,
-        "records": records,
-        "total_seconds": round(total_seconds, 6),
-        "questions_asked": questions_total,
+        "meta": fold.meta,
+        "batches": fold.batches,
+        "records": fold.records,
+        "total_seconds": round(fold.wall_seconds, 6),
+        "questions_asked": fold.questions,
         "stages": {
             stage: round(seconds, 6)
-            for stage, seconds in sorted(stages.items())
+            for stage, seconds in sorted(fold.stage_totals().items())
         },
-        "questions_by_column": dict(sorted(questions_by_column.items())),
+        "questions_by_column": dict(sorted(fold.questions_by_column.items())),
         "apply": apply_summary,
-        "drift_events": drift_events,
+        "drift_events": fold.drift_events,
         "spans": {
             name: {
                 "count": int(entry["count"]),
                 "seconds": round(entry["seconds"], 6),
             }
-            for name, entry in sorted(spans.items())
+            for name, entry in sorted(fold.spans.items())
         },
     }
+
+
+def run_label(meta: Row) -> str:
+    """``command (dataset)`` of a run's ``meta`` row."""
+    dataset = meta.get("dataset")
+    return str(meta.get("command", "?")) + (f" ({dataset})" if dataset else "")
+
+
+def drift_label(event: Row) -> str:
+    """``batch=N [column=C ]miss_rate=R`` of a drift ``event`` row."""
+    return (
+        f"batch={event.get('batch', '?')} "
+        + (f"column={event['column']} " if "column" in event else "")
+        + f"miss_rate={event.get('miss_rate', '?')}"
+    )
 
 
 def format_summary(summary: Dict[str, object]) -> str:
     """Render :func:`summarize` output for the terminal (`repro stats
     --metrics`)."""
     lines: List[str] = []
-    meta = summary.get("meta") or {}
-    if meta:
-        lines.append(
-            "run: " + str(meta.get("command", "?"))
-            + (f" ({meta.get('dataset')})" if meta.get("dataset") else "")
-        )
+    if summary.get("meta"):
+        lines.append("run: " + run_label(summary["meta"]))
     lines.append(
         f"batches={summary['batches']} records={summary['records']} "
         f"questions={summary['questions_asked']} "
@@ -458,7 +514,9 @@ def format_summary(summary: Dict[str, object]) -> str:
     if stages:
         lines.append("")
         lines.append("per-stage runtime (Fig. 9 view):")
-        total = sum(stages.values()) or 1.0
+        # Shares of the summed batch seconds, not of the stage sum:
+        # ``oracle`` is review time measured inside ``learn``/``drift``.
+        total = summary["total_seconds"] or 1.0
         width = max(len(s) for s in stages)
         for stage, seconds in sorted(
             stages.items(), key=lambda item: -item[1]
@@ -506,10 +564,7 @@ def format_summary(summary: Dict[str, object]) -> str:
         lines.append(f"drift events: {len(drift_events)}")
         for event in drift_events:
             lines.append(
-                f"  batch={event.get('batch', '?')} "
-                + (f"column={event['column']} " if "column" in event else "")
-                + f"miss_rate={event.get('miss_rate', '?')} "
-                f"rows={event.get('rows', '?')}"
+                f"  {drift_label(event)} rows={event.get('rows', '?')}"
             )
 
     spans = summary.get("spans") or {}

@@ -1,9 +1,8 @@
 """Sharded execution of the streaming learner (``repro stream --shards``).
 
-The serve side has sharded for a while (`ApplyEngine.apply_values`
-fans unique values across a process pool); this module gives the
-*learner* the same treatment without giving up two properties the
-whole subsystem is built on:
+This module fans the streaming *learner*'s pure per-batch work across
+a pool of shard worker processes without giving up two properties
+the whole subsystem is built on:
 
 * **determinism** — the same batch sequence must publish byte-identical
   models at any shard count, and

@@ -9,7 +9,6 @@ from repro.obs.baseline import (
     DEFAULT_TOLERANCE,
     build_baseline,
     check,
-    direction_of,
     load_baseline,
     load_history,
     save_baseline,
@@ -49,22 +48,13 @@ def stable_history(results_dir, runs=3):
                     "seconds_total": 2.0,
                     "git": "abc",
                     "rows": 1000,
+                    "directions": {
+                        "speedup": "higher",
+                        "seconds_total": "lower",
+                    },
                 },
             ],
         )
-
-
-class TestDirection:
-    def test_higher_is_better_markers(self):
-        assert direction_of("speedup") == "higher"
-        assert direction_of("throughput_rows") == "higher"
-        assert direction_of("hit_ratio") == "higher"
-        assert direction_of("pairs_per_second") == "higher"
-
-    def test_lower_is_better_default(self):
-        assert direction_of("seconds") == "lower"
-        assert direction_of("enabled_overhead") == "lower"
-        assert direction_of("bytes_shipped") == "lower"
 
 
 def budget_row(cells_correct, questions=84, records=528):
@@ -116,20 +106,24 @@ class TestDeclaredDirections:
         bad = [result.series for result in results if not result.ok]
         assert bad == ["budget:cells_correct_yield"]
 
-    def test_undeclared_rows_fall_back_to_name_inference(self, tmp_path):
-        legacy = {
-            key: value
-            for key, value in budget_row(1284).items()
-            if key != "directions"
-        }
-        write_bench(tmp_path, "budget", [legacy])
+    def test_undeclared_fields_are_never_gated(self, tmp_path):
+        # A name never says which way a number improves: an undeclared
+        # ``precision`` must not gate as lower-is-better (or at all).
+        undeclared = {"bench": "quality", "precision": 0.9, "records": 528}
+        write_bench(tmp_path, "quality", [undeclared])
+        assert load_history(tmp_path) == {}
         baseline = build_baseline(tmp_path)
-        assert baseline["metrics"]["budget:records"]["direction"] == "lower"
-        assert baseline["metrics"]["budget:inferred_verdicts"]
+        assert baseline["metrics"] == {}
+        write_bench(tmp_path, "quality", [dict(undeclared, precision=0.1)])
+        assert check(tmp_path, baseline) == ([], [])
 
-    def test_declaring_info_retires_an_inferred_series(self, tmp_path):
-        legacy = {"bench": "budget", "records": 528}
-        write_bench(tmp_path, "budget", [legacy, budget_row(1284)])
+    def test_declaring_info_retires_a_series(self, tmp_path):
+        older = {
+            "bench": "budget",
+            "records": 528,
+            "directions": {"records": "lower"},
+        }
+        write_bench(tmp_path, "budget", [older, budget_row(1284)])
         assert "budget:records" not in load_history(tmp_path)
         assert "budget:records" not in build_baseline(tmp_path)["metrics"]
 
@@ -232,12 +226,18 @@ class TestBuildBaseline:
 
     def test_unstable_series_skipped(self, tmp_path):
         stable_history(tmp_path, runs=1)
-        write_bench(
-            tmp_path, "noisy", [{"bench": "noisy", "jitter_seconds": 0.001}]
-        )
-        write_bench(
-            tmp_path, "noisy", [{"bench": "noisy", "jitter_seconds": 0.1}]
-        )
+        for jitter in (0.001, 0.1):
+            write_bench(
+                tmp_path,
+                "noisy",
+                [
+                    {
+                        "bench": "noisy",
+                        "jitter_seconds": jitter,
+                        "directions": {"jitter_seconds": "lower"},
+                    }
+                ],
+            )
         baseline = build_baseline(tmp_path, max_spread=4.0)
         assert "noisy:jitter_seconds" not in baseline["metrics"]
         assert "unstable history" in baseline["skipped"][
@@ -246,7 +246,15 @@ class TestBuildBaseline:
 
     def test_non_positive_series_skipped(self, tmp_path):
         write_bench(
-            tmp_path, "odd", [{"bench": "odd", "delta_seconds": 0.0}]
+            tmp_path,
+            "odd",
+            [
+                {
+                    "bench": "odd",
+                    "delta_seconds": 0.0,
+                    "directions": {"delta_seconds": "lower"},
+                }
+            ],
         )
         baseline = build_baseline(tmp_path)
         assert baseline["metrics"] == {}
@@ -300,7 +308,17 @@ class TestCheck:
         write_bench(
             tmp_path,
             "kernels",
-            [{"bench": "kernels", "speedup": 1.5, "seconds_total": 2.0}],
+            [
+                {
+                    "bench": "kernels",
+                    "speedup": 1.5,
+                    "seconds_total": 2.0,
+                    "directions": {
+                        "speedup": "higher",
+                        "seconds_total": "lower",
+                    },
+                }
+            ],
         )
         results, _ = check(tmp_path, baseline)
         by_series = {result.series: result for result in results}

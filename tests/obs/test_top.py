@@ -3,6 +3,7 @@
 import io
 import json
 
+from repro.obs.summary import format_summary, summarize
 from repro.obs.top import TailReader, TopModel, _REFRESH, run_top
 
 
@@ -138,3 +139,62 @@ class TestRunTop:
         out = io.StringIO()
         assert run_top(path, interval=0.01, out=out, max_refreshes=2) == 0
         assert out.getvalue().count(_REFRESH) == 2
+
+
+def two_runs():
+    """A file a resumed run appended to: each process writes a ``meta``
+    row, its batches, and a snapshot whose gauges restart from zero."""
+    rows = []
+    for dataset, busy in (("Address", (0.6, 0.3)), ("Title", (0.15, 0.45))):
+        rows.append({"type": "meta", "command": "stream", "dataset": dataset})
+        rows.extend(batch_row(batch) for batch in range(3))
+        rows.append(
+            {
+                "type": "snapshot",
+                "deterministic": False,
+                "metrics": {
+                    "shards.busy_seconds{shard=0}": busy[0],
+                    "shards.busy_seconds{shard=1}": busy[1],
+                },
+            }
+        )
+    return rows
+
+
+class TestOneFold:
+    def test_busy_sums_each_run_last_snapshot(self):
+        model = TopModel()
+        model.consume_all(two_runs())
+        frame = model.frame()
+        # (0.6 + 0.15) / 3.0 s and (0.3 + 0.45) / 3.0 s of batch time.
+        assert "shard busy: s0=25% s1=25%" in frame
+        assert "repro top — stream (Address)" in frame
+
+    def test_top_and_stats_agree_on_totals(self):
+        rows = two_runs()
+        model = TopModel()
+        model.consume_all(rows)
+        summary = summarize(rows)
+        assert (
+            model.batches,
+            model.records,
+            round(model.wall_seconds, 6),
+            model.questions,
+        ) == (
+            summary["batches"],
+            summary["records"],
+            summary["total_seconds"],
+            summary["questions_asked"],
+        )
+
+    def test_stage_shares_use_batch_seconds(self):
+        # ``oracle`` is review time measured inside ``learn``: dividing
+        # by the stage sum (1.5 s) would count it twice.
+        stages = {"learn": 0.8, "oracle": 0.5, "resolve": 0.2}
+        rows = [batch_row(0, seconds=1.0, stages=stages)]
+        model = TopModel()
+        model.consume_all(rows)
+        frame = model.frame()
+        assert "80.0%" in frame and "50.0%" in frame
+        text = format_summary(summarize(rows))
+        assert "80.0%" in text and "50.0%" in text
