@@ -36,9 +36,9 @@ from repro.datagen import address_dataset, dataset_stream
 from repro.datagen.base import GeneratorSpec
 from repro.resolution.blocking import lsh_keys, token_keys
 from repro.stream import (
+    GoldenStreamConsolidator,
     IncrementalResolver,
-    StreamConsolidator,
-    ground_truth_oracle_factory,
+    golden_ground_truth_oracle_factory,
 )
 
 from conftest import SCALE, print_banner, record_result, report
@@ -228,24 +228,28 @@ def lsh_stream():
 
 
 def run_consolidator(stream, shards):
-    consolidator = StreamConsolidator(
-        column=stream.column,
-        oracle_factory=ground_truth_oracle_factory(
-            stream.canonical_by_rid, seed=SEED
+    consolidator = GoldenStreamConsolidator(
+        columns=[stream.column],
+        oracle_factory=golden_ground_truth_oracle_factory(
+            {stream.column: stream.canonical_by_rid}, seed=SEED
         ),
+        fusion=None,
         attribute=stream.column,
         similarity_threshold=THRESHOLD,
         block_keys=lsh_keys(bands=8, rows=2),
         budget_per_batch=60,
         use_engine=False,
         shards=shards,
-        model_name="lsh-bench",
+        bundle_name="lsh-bench",
         persist_decisions=False,
     )
     with consolidator:
         consolidator.run(stream.batches)
         questions = [r.questions_asked for r in consolidator.reports]
-        groups = [g.to_dict() for g in consolidator.build_model().groups]
+        groups = [
+            g.to_dict()
+            for g in consolidator.build_column_model(stream.column).groups
+        ]
         final = {
             r.rid: r.values[stream.column]
             for c in consolidator.table.clusters

@@ -10,9 +10,9 @@ not to everything seen so far.
 
 Measured on one Address stream of B batches:
 
-* ``incremental`` — one warm :class:`~repro.stream.StreamConsolidator`
-  processing batches 2..B (batch 1 is cold start for both sides and
-  excluded);
+* ``incremental`` — one warm one-column
+  :class:`~repro.stream.GoldenStreamConsolidator` processing batches
+  2..B (batch 1 is cold start for both sides and excluded);
 * ``full relearn`` — for each batch 2..B, consolidating the cumulative
   records from scratch (cluster by key, generate candidates, group,
   review), which is what a batch pipeline without persistent state
@@ -41,7 +41,10 @@ from repro.datagen import address_dataset, dataset_stream
 from repro.pipeline.oracle import GroundTruthOracle
 from repro.pipeline.standardize import Standardizer
 from repro.resolution.matcher import cluster_by_key
-from repro.stream import StreamConsolidator, ground_truth_oracle_factory
+from repro.stream import (
+    GoldenStreamConsolidator,
+    golden_ground_truth_oracle_factory,
+)
 
 from conftest import BASE_SCALES, SCALE, print_banner, record_result, report
 
@@ -78,11 +81,12 @@ def full_relearn(stream, upto):
 
 def test_stream_incremental_vs_full_relearn(stream):
     # -- incremental: one long-lived consolidator ------------------------
-    consolidator = StreamConsolidator(
-        column=stream.column,
-        oracle_factory=ground_truth_oracle_factory(
-            stream.canonical_by_rid, seed=SEED
+    consolidator = GoldenStreamConsolidator(
+        columns=[stream.column],
+        oracle_factory=golden_ground_truth_oracle_factory(
+            {stream.column: stream.canonical_by_rid}, seed=SEED
         ),
+        fusion=None,
         key_attribute=stream.key_column,
         budget_per_batch=BUDGET,
         use_engine=False,  # same machinery as the baseline: exact compare

@@ -44,8 +44,11 @@ import pytest
 from repro.data.table import Record
 from repro.datagen import address_dataset, dataset_stream
 from repro.datagen.base import GeneratorSpec
-from repro.serve.registry import ModelRegistry
-from repro.stream import StreamConsolidator, ground_truth_oracle_factory
+from repro.serve.bundle import BundleRegistry
+from repro.stream import (
+    GoldenStreamConsolidator,
+    golden_ground_truth_oracle_factory,
+)
 
 from conftest import SCALE, print_banner, record_result, report
 
@@ -77,15 +80,16 @@ def stream():
 
 
 def run(stream, registry=None, budget=BUDGET, **kwargs):
-    consolidator = StreamConsolidator(
-        column=stream.column,
-        oracle_factory=ground_truth_oracle_factory(
-            stream.canonical_by_rid, seed=SEED
+    consolidator = GoldenStreamConsolidator(
+        columns=[stream.column],
+        oracle_factory=golden_ground_truth_oracle_factory(
+            {stream.column: stream.canonical_by_rid}, seed=SEED
         ),
+        fusion=None,
         key_attribute=stream.key_column,
         budget_per_batch=budget,
         registry=registry,
-        model_name="sharded-bench",
+        bundle_name="sharded-bench",
         use_engine=False,  # identical machinery both sides: exact compare
         **kwargs,
     )
@@ -100,7 +104,8 @@ def run(stream, registry=None, budget=BUDGET, **kwargs):
             for r in c.records
         }
         groups = [
-            g.to_dict() for g in consolidator.build_model().groups
+            g.to_dict()
+            for g in consolidator.build_column_model(stream.column).groups
         ]
     return elapsed, questions, final, groups
 
@@ -190,7 +195,7 @@ def test_restart_resume_zero_repeat_questions(stream, tmp_path):
     # Unbounded budget: the first run judges *all* of the stream's
     # variation, so the decision log fully covers the replay and every
     # restart question would necessarily be a repeat.
-    registry = ModelRegistry(tmp_path / "registry")
+    registry = BundleRegistry(tmp_path / "registry")
     _, q_first, final_first, _ = run(
         stream, registry=registry, budget=10**9
     )
@@ -251,15 +256,16 @@ def test_shard_resident_state_ships_only_new_values():
             for i in range(batch_size)
         ]
 
-    consolidator = StreamConsolidator(
-        column="name",
-        oracle_factory=lambda c: None,
+    consolidator = GoldenStreamConsolidator(
+        columns=["name"],
+        oracle_factory=lambda c, column: None,
+        fusion=None,
         attribute="name",
         similarity_threshold=0.9,
         budget_per_batch=0,
         use_engine=False,
         shards=min(4, os.cpu_count() or 1) if (os.cpu_count() or 1) > 1 else 2,
-        model_name="resident-bytes",
+        bundle_name="resident-bytes",
         persist_decisions=False,
         max_block_size=10**9,
         block_retention=64,

@@ -1,12 +1,12 @@
-"""Streaming consolidation: batches in, model versions out.
+"""Streaming consolidation: batches in, bundle versions out.
 
 Records arrive in batches; each batch is folded into persistent
 consolidation state instead of re-clustering and re-learning from
 scratch.  The current model standardizes arrivals first (the serve fast
 path), cached oracle decisions absorb repeated variation for free, only
 genuinely novel variation is reviewed, and every batch of new
-confirmations publishes the next model version into a registry with the
-serving engine hot-reloaded in place.
+confirmations publishes the next (one-column) model bundle version into
+a registry with the serving engine hot-reloaded in place.
 
 Run::
 
@@ -18,11 +18,11 @@ import tempfile
 from pathlib import Path
 
 from repro.datagen import address_dataset, dataset_stream
-from repro.serve import ModelRegistry
+from repro.serve import BundleRegistry
 from repro.stream import (
     DriftMonitor,
-    StreamConsolidator,
-    ground_truth_oracle_factory,
+    GoldenStreamConsolidator,
+    golden_ground_truth_oracle_factory,
 )
 
 
@@ -36,16 +36,19 @@ def main(scale: float = 0.08) -> None:
     )
 
     registry_root = Path(tempfile.mkdtemp(prefix="repro-stream-"))
-    consolidator = StreamConsolidator(
-        column=stream.column,
-        oracle_factory=ground_truth_oracle_factory(
-            stream.canonical_by_rid, seed=seed
+    consolidator = GoldenStreamConsolidator(
+        columns=[stream.column],
+        oracle_factory=golden_ground_truth_oracle_factory(
+            {stream.column: stream.canonical_by_rid}, seed=seed
         ),
+        fusion=None,
         key_attribute=stream.key_column,
         budget_per_batch=60,
-        registry=ModelRegistry(registry_root),
-        model_name="address-stream",
-        monitor=DriftMonitor(window=3, miss_rate_threshold=0.8),
+        registry=BundleRegistry(registry_root),
+        bundle_name="address-stream",
+        monitors={
+            stream.column: DriftMonitor(window=3, miss_rate_threshold=0.8)
+        },
     )
 
     for batch in stream.batches:
@@ -57,12 +60,12 @@ def main(scale: float = 0.08) -> None:
         f"{consolidator.questions_saved} saved by reusing prior "
         f"decisions"
     )
-    registry = ModelRegistry(registry_root)
+    registry = BundleRegistry(registry_root)
     print(
         f"published versions: {registry.catalog()} "
         f"(under {registry_root})"
     )
-    engine = consolidator.engine
+    engine = consolidator.engine and consolidator.engine.engine(stream.column)
     if engine is not None and engine.exact:
         example = next(iter(engine.exact))
         print(

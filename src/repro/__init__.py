@@ -44,10 +44,10 @@ from .serve import (
 )
 from .stream import (
     DriftMonitor,
+    GoldenStreamConsolidator,
     IncrementalResolver,
     IncrementalStandardizer,
     ModelPublisher,
-    StreamConsolidator,
 )
 
 __version__ = "1.2.0"
@@ -55,12 +55,12 @@ __version__ = "1.2.0"
 __all__ = [
     "ApplyEngine",
     "DriftMonitor",
+    "GoldenStreamConsolidator",
     "IncrementalResolver",
     "IncrementalStandardizer",
     "ModelPublisher",
     "ModelRegistry",
     "ModelReplayer",
-    "StreamConsolidator",
     "TransformationModel",
     "build_model",
     "CellRef",

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -307,9 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     stream_p.add_argument("--error-rate", type=float, default=0.0)
     stream_p.add_argument(
         "--registry",
-        help="publish model versions into this registry directory",
+        help="publish model bundle versions into this registry "
+        "directory",
     )
-    stream_p.add_argument("--name", help="model name (default: dataset)")
+    stream_p.add_argument(
+        "--name",
+        help="bundle name (default: dataset, or the joined --columns)",
+    )
     stream_p.add_argument(
         "--no-engine",
         action="store_true",
@@ -321,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="shard the streaming learner across this many worker "
         "processes (matching, candidate alignment, grouping feed); "
-        "published models and question counts are identical at any "
+        "published bundles and question counts are identical at any "
         "shard count",
     )
     stream_p.add_argument(
@@ -401,10 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream_p.add_argument(
         "--decision-log",
-        help="JSON-lines file for durable oracle verdicts (default: "
-        "<registry>/<name>/decisions.jsonl when --registry is given); "
-        "with --columns it names the *directory* holding the "
-        "per-column decisions-<column>.jsonl logs",
+        help="directory holding the durable per-column oracle-verdict "
+        "logs, decisions-<column>.jsonl (default: <registry>/<name> "
+        "when --registry is given)",
     )
     stream_p.add_argument(
         "--no-decision-log",
@@ -416,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fresh",
         action="store_true",
         help="ignore existing registry state instead of resuming from "
-        "the latest published model; an existing decision log is "
+        "the latest published bundle; an existing decision log is "
         "archived (*.pre-fresh-N), not replayed",
     )
     stream_p.add_argument(
@@ -437,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     decisions_p = sub.add_parser(
         "decisions",
         help="inspect and maintain durable oracle-verdict logs "
-        "(decisions.jsonl): compact duplicates, diff two logs, audit "
-        "health",
+        "(decisions-<column>.jsonl): compact duplicates, diff two "
+        "logs, audit health",
     )
     decisions_sub = decisions_p.add_subparsers(
         dest="decisions_command", required=True
@@ -449,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         "exact repeats; first verdict per pair wins) — replaying the "
         "compacted log is byte-for-byte equivalent",
     )
-    dec_compact.add_argument("log", help="the decisions.jsonl file")
+    dec_compact.add_argument("log", help="the verdict log")
     dec_compact.add_argument(
         "--write",
         action="store_true",
@@ -462,15 +466,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare two logs by their effective verdicts (first per "
         "pair, either orientation); exits 1 when they differ",
     )
-    dec_diff.add_argument("log_a", help="first decisions.jsonl")
-    dec_diff.add_argument("log_b", help="second decisions.jsonl")
+    dec_diff.add_argument("log_a", help="first verdict log")
+    dec_diff.add_argument("log_b", help="second verdict log")
     dec_audit = decisions_sub.add_parser(
         "audit",
         help="health report: effective verdicts, duplicate and "
         "conflicting lines, asked vs inferred split, tail damage; "
         "exits 1 on conflicts or damage",
     )
-    dec_audit.add_argument("log", help="the decisions.jsonl file")
+    dec_audit.add_argument("log", help="the verdict log")
     dec_audit.add_argument(
         "--json",
         action="store_true",
@@ -721,13 +725,18 @@ def _load_model(args) -> TransformationModel:
         raise SystemExit(f"error: cannot load model: {exc}")
     if not isinstance(artifact, ModelBundle):
         return artifact
-    if args.column not in artifact.models:
+    column = args.column
+    if column is None and len(artifact.models) == 1:
+        # A one-column bundle (what `repro stream --dataset` publishes)
+        # needs no --column, like the bare model it replaced.
+        [column] = artifact.columns
+    if column not in artifact.models:
         raise SystemExit(
             f"error: bundle {artifact.name!r} needs --column, one of "
             f"{artifact.columns}"
-            + (f" (not {args.column!r})" if args.column else "")
+            + (f" (not {column!r})" if column else "")
         )
-    return artifact.models[args.column]
+    return artifact.models[column]
 
 
 def cmd_learn(args) -> int:
@@ -1029,9 +1038,7 @@ def cmd_stream(args) -> int:
     from .stream import (
         DriftMonitor,
         GoldenStreamConsolidator,
-        StreamConsolidator,
         golden_ground_truth_oracle_factory,
-        ground_truth_oracle_factory,
     )
 
     if args.columns:
@@ -1045,11 +1052,18 @@ def cmd_stream(args) -> int:
             )
         except ValueError as exc:  # unknown or missing column names
             raise SystemExit(f"error: {exc}")
+        canonical = stream.canonical_by_rid
+        fusion = {
+            "majority": majority.fuse,
+            "truthfinder": truthfinder.fuse,
+            "accu": accu.fuse,
+        }[args.fusion or "majority"]
+        name = args.name or "-".join(columns)
         source = {"columns": columns}
         label = f"{len(columns)} columns: {', '.join(columns)}"
     else:
-        # The golden-only flags must not silently no-op in
-        # single-column mode.
+        # The golden-only flags must not silently no-op in a fusion-free
+        # one-column stream.
         for flag, value in (
             ("--golden-out", args.golden_out),
             ("--fusion", args.fusion),
@@ -1064,6 +1078,9 @@ def cmd_stream(args) -> int:
             dataset, batches=args.batches, seed=args.seed
         )
         columns = [stream.column]
+        canonical = {stream.column: stream.canonical_by_rid}
+        fusion = None
+        name = args.name or args.dataset.lower()
         source = {"dataset": args.dataset, "column": stream.column}
         label = dataset.name
     obs = _make_obs(args)
@@ -1083,30 +1100,20 @@ def cmd_stream(args) -> int:
         meta["fusion"] = args.fusion or "majority"
     obs.emit(meta)
 
-    kwargs = dict(
-        budget_per_batch=args.budget,
-        use_engine=not args.no_engine,
-        shards=args.shards,
-        block_retention=args.block_retention,
-        persist_decisions=not args.no_decision_log,
-        resume=not args.fresh,
-        obs=obs,
-        question_order=args.question_order,
-    )
     if args.blocking == "key":
-        kwargs["key_attribute"] = stream.key_column
+        resolution = {"key_attribute": stream.key_column}
     else:
         # Similarity mode: resolve arrivals by blocked matching on the
         # (first) consolidated column instead of the synthetic key.
-        kwargs["attribute"] = columns[0]
-        kwargs["similarity_threshold"] = args.similarity_threshold
         bands, rows = _resolve_lsh_params(args)
-        kwargs["block_keys"] = make_block_keys(
-            args.blocking,
-            bands=bands,
-            rows=rows,
-            shingle=args.lsh_shingle,
-        )
+        resolution = {
+            "attribute": columns[0],
+            "similarity_threshold": args.similarity_threshold,
+            "block_keys": make_block_keys(
+                args.blocking, bands=bands, rows=rows,
+                shingle=args.lsh_shingle,
+            ),
+        }
     monitors = {}
     if args.drift_threshold is not None:
         monitors = {
@@ -1116,43 +1123,26 @@ def cmd_stream(args) -> int:
             )
             for column in columns
         }
-    if args.columns:
-        artifact = "bundle"
-        consolidator = GoldenStreamConsolidator(
-            columns=columns,
-            oracle_factory=golden_ground_truth_oracle_factory(
-                stream.canonical_by_rid,
-                seed=args.seed,
-                error_rate=args.error_rate,
-            ),
-            fusion={
-                "majority": majority.fuse,
-                "truthfinder": truthfinder.fuse,
-                "accu": accu.fuse,
-            }[args.fusion or "majority"],
-            registry=(
-                BundleRegistry(args.registry) if args.registry else None
-            ),
-            bundle_name=args.name or "-".join(columns),
-            monitors=monitors,
-            decision_log_dir=args.decision_log,
-            **kwargs,
-        )
-    else:
-        artifact = "model"
-        consolidator = StreamConsolidator(
-            column=stream.column,
-            oracle_factory=ground_truth_oracle_factory(
-                stream.canonical_by_rid,
-                seed=args.seed,
-                error_rate=args.error_rate,
-            ),
-            registry=ModelRegistry(args.registry) if args.registry else None,
-            model_name=args.name or args.dataset.lower(),
-            monitor=monitors.get(stream.column),
-            decision_log=args.decision_log,
-            **kwargs,
-        )
+    consolidator = GoldenStreamConsolidator(
+        columns=columns,
+        oracle_factory=golden_ground_truth_oracle_factory(
+            canonical, seed=args.seed, error_rate=args.error_rate
+        ),
+        budget_per_batch=args.budget,
+        fusion=fusion,
+        registry=BundleRegistry(args.registry) if args.registry else None,
+        bundle_name=name,
+        use_engine=not args.no_engine,
+        monitors=monitors,
+        shards=args.shards,
+        decision_log_dir=args.decision_log,
+        persist_decisions=not args.no_decision_log,
+        block_retention=args.block_retention,
+        resume=not args.fresh,
+        obs=obs,
+        question_order=args.question_order,
+        **resolution,
+    )
     print(
         f"streaming {stream.num_records} records in "
         f"{len(stream.batches)} batches ({label})"
@@ -1181,8 +1171,7 @@ def cmd_stream(args) -> int:
                     for standardizer in consolidator.standardizers.values()
                 )
                 print(
-                    f"resumed from {artifact} "
-                    f"v{consolidator.resumed_from} "
+                    f"resumed from bundle v{consolidator.resumed_from} "
                     f"(+{replayed} replayed verdicts)"
                 )
             golden = consolidator.golden_records() if args.columns else []
@@ -1203,7 +1192,7 @@ def cmd_stream(args) -> int:
             if args.columns
             else ""
         )
-        + f"{artifact} at v{consolidator.bundle_version}"
+        + f"bundle at v{consolidator.bundle_version}"
     )
     if args.metrics:
         print(
@@ -1227,7 +1216,7 @@ def cmd_stream(args) -> int:
                 )
         print(f"golden records written: {args.golden_out}")
     if args.registry:
-        print(f"{artifact} versions published under: {args.registry}")
+        print(f"bundle versions published under: {args.registry}")
         for column in columns:
             path = consolidator.decision_log_path(column)
             if path is not None:
@@ -1331,12 +1320,25 @@ def cmd_decisions(args) -> int:
             + (f" ({damage})" if damage else "")
         )
         if args.write and (dropped or damage):
+            # Crash-safe: the compacted log is durable beside the live
+            # one before the original is linked (not moved) to the
+            # backup and the new file renamed over it, so a kill at any
+            # point leaves a whole log at the live path — a torn one
+            # would rehydrate groups whose verdicts are gone.
             path = Path(args.log)
             backup = path.with_name(path.name + ".pre-compact")
-            path.replace(backup)
-            with open(path, "w", encoding="utf-8") as handle:
-                for entry in kept:
-                    handle.write(entry.to_json() + "\n")
+            pending = path.with_name(path.name + ".compacting")
+            try:
+                with open(pending, "w", encoding="utf-8") as handle:
+                    for entry in kept:
+                        handle.write(entry.to_json() + "\n")
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                backup.unlink(missing_ok=True)
+                os.link(path, backup)
+                os.replace(pending, path)
+            finally:
+                pending.unlink(missing_ok=True)
             print(f"rewrote {path} (original kept as {backup})")
         elif args.write:
             print("nothing to drop; log left untouched")
@@ -1417,7 +1419,17 @@ COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    try:
+        status = COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`| head`, a closed pipe).  Python's
+        # documented recipe: point stdout at devnull so the exit-time
+        # flush cannot raise again, and exit non-zero.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -644,6 +644,11 @@ class ServeServer:
                     "version": version,
                 }
             column = request.get("column")
+            if column is None and len(engine.columns) == 1:
+                # A one-column bundle (a `repro stream --dataset` run)
+                # answers column-less requests like the bare model it
+                # replaced.
+                [column] = engine.columns
             if not isinstance(column, str):
                 return {
                     "ok": False,

@@ -15,7 +15,7 @@ re-learn:
   decision cache that re-applies prior oracle verdicts for free, and
   budgeted learning over only the genuinely novel variation;
 * :mod:`repro.stream.publisher` — confirmed knowledge republished as
-  new model (or bundle) versions through
+  new bundle versions through
   :class:`~repro.serve.registry.ModelRegistry` with in-place
   :meth:`~repro.serve.engine.ApplyEngine.reload`;
 * :mod:`repro.stream.monitor` — unmatched-rate drift detection, one
@@ -25,10 +25,8 @@ re-learn:
   one ``process_batch`` call: Algorithm 1 folded over the stream, with
   per-column standardizers over one shared resolver, incremental
   (touched-clusters-only) truth discovery, and atomic per-column model
-  bundles;
-* :mod:`repro.stream.consolidator` — the single-column stream: the
-  same lifecycle with one column and no fusion, publishing a bare
-  model instead of a bundle;
+  bundles (a single-column stream is the same lifecycle with one
+  column and no fusion);
 * :mod:`repro.stream.batches` — batch sources (in-memory iterators and
   JSON-lines files);
 * :mod:`repro.stream.shards` — the sharded learner: blocking index,
@@ -54,7 +52,6 @@ from .batches import (
     read_jsonl_records,
     write_jsonl_records,
 )
-from .consolidator import StreamConsolidator, ground_truth_oracle_factory
 from .decision_tools import (
     LogEntry,
     audit_log,
@@ -101,7 +98,6 @@ __all__ = [
     "ShardPool",
     "ShardStandardizer",
     "ShardedGroupFeed",
-    "StreamConsolidator",
     "YieldRankedFeed",
     "allocate_budget",
     "audit_log",
@@ -109,7 +105,6 @@ __all__ = [
     "compact_log",
     "diff_logs",
     "golden_ground_truth_oracle_factory",
-    "ground_truth_oracle_factory",
     "group_yield",
     "iter_jsonl_batches",
     "member_yield",

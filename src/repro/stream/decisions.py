@@ -73,8 +73,7 @@ def archive_log(path: Optional[Path]) -> Optional[Path]:
     then favor the stale verdicts over the fresh run's on every later
     resume).  The old log is renamed — never deleted: it is paid-for
     human review history — to the first free ``<name>.pre-fresh-<k>``
-    slot.  Shared by the single-column and golden consolidators so the
-    archival discipline cannot diverge.
+    slot.
     """
     if path is None or not path.exists():
         return None

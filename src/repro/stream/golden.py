@@ -5,9 +5,8 @@ discovery* — :class:`~repro.pipeline.consolidate.GoldenRecordCreation`
 runs it once over a static table.  :class:`GoldenStreamConsolidator`
 is the same algorithm folded over a record stream, and the one
 implementation of the batch lifecycle: ``repro stream --columns``
-runs it on N columns, and the single-column
-:class:`~repro.stream.consolidator.StreamConsolidator` is this class
-with one column, no fusion, and a bare model as its artifact.
+runs it on N columns, and ``repro stream --dataset`` on one column
+with no fusion (N=1 of the same loop, publishing a one-column bundle).
 
 One :meth:`GoldenStreamConsolidator.process_batch` call:
 
@@ -65,11 +64,16 @@ mode.
 (``decisions-<column>.jsonl``) next to the published bundle, and a
 consolidator pointed at a registry that already holds its bundle
 resumes — rehydrated per-column logs, replayed verdicts, zero repeat
-questions.
+questions.  A one-column stream also resumes a registry written
+before streams published bundles: a bare model as the latest version,
+with its verdicts in an unnamed ``decisions.jsonl`` (see
+:meth:`GoldenStreamConsolidator._maybe_resume` and
+:meth:`GoldenStreamConsolidator._adopt_legacy_log`).
 """
 
 from __future__ import annotations
 
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -107,8 +111,8 @@ from ..serve.bundle import (
     BundleRegistry,
     ModelBundle,
     build_bundle,
+    load_artifact,
 )
-from ..serve.engine import ApplyEngine
 from ..serve.model import TransformationModel, build_model
 from ..serve.registry import slugify
 from .decisions import DecisionCache, archive_log
@@ -282,9 +286,8 @@ def golden_ground_truth_oracle_factory(
     error_rate: float = 0.0,
 ) -> GoldenOracleFactory:
     """A :data:`GoldenOracleFactory` simulating the expert per column
-    from ``column -> rid -> canonical`` ground truth (the multi-column
-    analogue of
-    :func:`~repro.stream.consolidator.ground_truth_oracle_factory`)."""
+    from ``column -> rid -> canonical`` ground truth (the streaming
+    analogue of the one-shot harness)."""
 
     def factory(
         consolidator: "GoldenStreamConsolidator", column: str
@@ -369,13 +372,8 @@ class BatchReport:
         return sum(self.questions_by_column.values())
 
     @property
-    def model_version(self) -> Optional[int]:
-        """The published version (single-column name)."""
-        return self.version
-
-    @property
     def bundle_version(self) -> Optional[int]:
-        """The published version (multi-column name)."""
+        """The published version (``None``: nothing published)."""
         return self.version
 
     def describe(self) -> str:
@@ -506,7 +504,8 @@ class GoldenStreamConsolidator:
         this :class:`~repro.serve.bundle.BundleRegistry` under this
         name.  With a registry, per-column decision logs default to
         ``<registry>/<name>/decisions-<column>.jsonl`` and an existing
-        bundle resumes (see ``resume``).
+        bundle (or, for one column, a legacy bare model) resumes (see
+        ``resume``).
     use_engine:
         Serve fast path: standardize arrivals with the live
         :class:`~repro.serve.bundle.BundleApplyEngine` before
@@ -546,9 +545,6 @@ class GoldenStreamConsolidator:
         question.  Both orders are byte-identical across ``--shards``
         values.
     """
-
-    #: serves the published artifact on the fast path
-    ENGINE = BundleApplyEngine
 
     def __init__(
         self,
@@ -655,7 +651,7 @@ class GoldenStreamConsolidator:
         self._delta_log: Optional[GoldenDeltaLog] = None
 
         self.publisher = ModelPublisher(registry, self.bundle_name)
-        self.engine = None
+        self.engine: Optional[BundleApplyEngine] = None
         self.resolver: Optional[IncrementalResolver] = None
         self.standardizers: Dict[str, IncrementalStandardizer] = {}
         self.oracles: Dict[str, Oracle] = {}
@@ -665,28 +661,11 @@ class GoldenStreamConsolidator:
         #: cluster slot -> column -> current golden value (live slots)
         self._golden: Dict[int, Dict[str, Optional[str]]] = {}
 
-    # -- artifact hooks (the single-column adapter overrides these) ------
-
     def decision_log_path(self, column: str) -> Optional[Path]:
         """The column's durable verdict log, or ``None`` in-memory."""
         if self.decision_log_dir is None:
             return None
         return self.decision_log_dir / f"decisions-{slugify(column)}.jsonl"
-
-    def _column_model_name(self, column: str) -> str:
-        return f"{self.bundle_name}-{column}"
-
-    def _build_artifact(self):
-        """What one confirming batch publishes."""
-        return self.build_bundle()
-
-    def _artifact_models(self, artifact) -> Mapping[str, TransformationModel]:
-        """``column -> model`` inside a published artifact (resume)."""
-        return artifact.models
-
-    def _column_engine(self, column: str) -> Optional[ApplyEngine]:
-        """The live engine standardizing ``column`` (engine present)."""
-        return self.engine.engine(column)
 
     # -- state accessors ---------------------------------------------------
 
@@ -725,7 +704,7 @@ class GoldenStreamConsolidator:
         return build_model(
             standardizer.log,
             column,
-            name=self._column_model_name(column),
+            name=f"{self.bundle_name}-{column}",
             config=self.config,
             vocabulary=self.vocabulary,
             provenance=provenance,
@@ -882,6 +861,7 @@ class GoldenStreamConsolidator:
             block_retention=self.block_retention,
             **resolver_kwargs,
         )
+        self._adopt_legacy_log()
         if not self.resume:
             for column in self.columns:
                 archive_log(self.decision_log_path(column))
@@ -905,8 +885,26 @@ class GoldenStreamConsolidator:
                 # and event stream (an explicitly attached obs wins).
                 monitor.obs = self.obs
 
+    def _adopt_legacy_log(self) -> None:
+        """Rename a legacy single-column verdict log into place.
+
+        Before one-column streams published bundles they logged their
+        verdicts to ``<dir>/decisions.jsonl``.  Those rows carry no
+        column, so only a one-column stream can adopt them: it renames
+        the file to its ``decisions-<column>.jsonl`` before anything
+        replays or archives it, so an upgraded stream still asks zero
+        repeat questions (and ``--fresh`` archives the adopted log).  A
+        log already at the new name wins; the legacy file stays put.
+        """
+        if len(self.columns) != 1 or self.decision_log_dir is None:
+            return
+        legacy = self.decision_log_dir / "decisions.jsonl"
+        adopted = self.decision_log_path(self.columns[0])
+        if legacy.exists() and not adopted.exists():
+            os.replace(legacy, adopted)
+
     def _maybe_resume(self) -> None:
-        """Warm-start every column from the registry's latest artifact.
+        """Warm-start every column from the registry's latest bundle.
 
         Rehydrating a column's group sequence is only sound when that
         column's verdicts are in its decision cache: without them the
@@ -923,8 +921,14 @@ class GoldenStreamConsolidator:
         versions = self.registry.versions(self.bundle_name)
         if not versions:
             return
-        artifact = self.registry.load(self.bundle_name)
-        models = self._artifact_models(artifact)
+        bundle = load_artifact(
+            self.registry.path(self.bundle_name, versions[-1])
+        )
+        if isinstance(bundle, TransformationModel):
+            # A legacy single-column registry's latest version is a bare
+            # model; it resumes as the one-column bundle it stands for.
+            bundle = build_bundle({bundle.column: bundle}, self.bundle_name)
+        models = bundle.models
         for column in self.columns:
             model = models.get(column)
             if (
@@ -939,12 +943,12 @@ class GoldenStreamConsolidator:
             model = models.get(column)
             if model is not None:
                 self.standardizers[column].log = _log_from_model(model)
-        self._start_engine(artifact)
+        self._start_engine(bundle)
 
-    def _start_engine(self, artifact) -> None:
-        """Serve ``artifact`` on the fast path, reloading on publish."""
+    def _start_engine(self, bundle: ModelBundle) -> None:
+        """Serve ``bundle`` on the fast path, reloading on publish."""
         if self.use_engine and self.engine is None:
-            self.engine = self.ENGINE(artifact, obs=self.obs)
+            self.engine = BundleApplyEngine(bundle, obs=self.obs)
             self.publisher.subscribe(self.engine)
 
     # -- the lifecycle -----------------------------------------------------
@@ -981,7 +985,7 @@ class GoldenStreamConsolidator:
         with _timed_stage(self.obs, stage, "engine"):
             if self.engine is not None and records:
                 for column in self.columns:
-                    engine = self._column_engine(column)
+                    engine = self.engine.engine(column)
                     if engine is None:
                         continue
                     values = [r.values.get(column, "") for r in records]
@@ -1148,9 +1152,9 @@ class GoldenStreamConsolidator:
         # 8. publish one artifact; every column hot-reloads atomically.
         with _timed_stage(self.obs, stage, "publish"):
             if report.groups_approved:
-                artifact = self._build_artifact()
-                report.version, _path = self.publisher.publish(artifact)
-                self._start_engine(artifact)
+                bundle = self.build_bundle()
+                report.version, _path = self.publisher.publish(bundle)
+                self._start_engine(bundle)
 
         # Append the batch's golden delta (changed clusters only) to the
         # durable log the serving tier tails.

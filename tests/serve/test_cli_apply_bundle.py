@@ -1,6 +1,7 @@
 """``repro apply`` reads a bundle registry too: ``--column`` picks the
 bundled model to apply, and a missing or unknown column is an error
-that lists the bundle's columns."""
+that lists the bundle's columns — except that a one-column bundle
+needs no ``--column``."""
 
 import pytest
 
@@ -70,3 +71,19 @@ def test_missing_or_unknown_column_lists_the_columns(
     message = str(exc.value)
     assert "['address', 'title']" in message
     assert "--column" in message
+
+
+def test_one_column_bundle_needs_no_column(
+    learned_model, csv_input, changing_values, tmp_path
+):
+    """A one-column bundle (what ``repro stream --dataset`` publishes)
+    applies like the bare model it replaced."""
+    registry = BundleRegistry(tmp_path / "one")
+    registry.save(build_bundle({"address": learned_model}, name=NAME))
+    out = tmp_path / "out.csv"
+    assert main(apply_args(registry, csv_input, "--out", str(out))) == 0
+    standardized = [r.values["address"] for r in read_csv_records(out)]
+    assert standardized == ApplyEngine(learned_model).apply_values(
+        changing_values
+    )
+    assert standardized != changing_values

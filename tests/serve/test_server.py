@@ -210,6 +210,39 @@ def test_bundle_mode_column_record_and_unknown_column(
     run(scenario())
 
 
+def test_one_column_bundle_apply_needs_no_column(
+    learned_model, identity_model, changing_values
+):
+    """A one-column bundle (what ``repro stream --dataset`` publishes)
+    answers column-less applies like the bare model it replaced; a
+    wider bundle still needs the column."""
+    column = learned_model.column
+    one = build_bundle({column: learned_model}, name="one")
+    two = build_bundle(
+        {column: learned_model, "title": identity_model}, name="two"
+    )
+    plain = ApplyEngine(learned_model)
+    value = changing_values[0]
+
+    async def scenario(bundle):
+        server = await start_test_server(ModelSource(model=bundle))
+        try:
+            async with await ServeClient.connect(*server.address) as client:
+                return (
+                    await client.rpc(op="apply", value=value),
+                    await client.rpc(op="apply", values=changing_values),
+                )
+        finally:
+            await server.stop()
+
+    single, batch = run(scenario(one))
+    assert single["value"] == plain.transform(value) != value
+    assert batch["values"] == plain.apply_values(changing_values)
+    single, batch = run(scenario(two))
+    for reply in (single, batch):
+        assert not reply["ok"] and "needs 'column'" in reply["error"]
+
+
 def test_lookup_and_subscribe_track_the_delta_log(learned_model, tmp_path):
     from repro.serve.server import GoldenTable
 

@@ -357,6 +357,43 @@ def test_cli_stdio_serves_a_stream_bundle(stream_registry):
     assert bye == {"ok": True, "bye": True}
 
 
+def test_cli_stdio_serves_a_one_column_stream(tmp_path):
+    """A ``repro stream --dataset`` registry holds one-column bundles:
+    column-less applies answer like the bare model single-column
+    streams used to publish, and ``lookup`` (no fusion, so no delta
+    log) finds nothing."""
+    root = tmp_path / "reg"
+    proc = run_cli(
+        [
+            "stream", "--dataset", "Address", "--scale", "0.05",
+            "--seed", "7", "--batches", "2", "--budget", "20",
+            "--no-engine", "--registry", str(root), "--name", "addr",
+        ]
+    )
+    assert proc.returncode == 0, proc.stderr
+    bundle = ModelBundle.load(ModelRegistry(root).path("addr"))
+    assert bundle.columns == ["address"]
+    value = sample_record(bundle)["address"]
+    requests = "".join(
+        json.dumps(r) + "\n"
+        for r in (
+            {"op": "apply", "value": value},
+            {"op": "lookup", "key": "k0"},
+            {"op": "shutdown"},
+        )
+    )
+    proc = run_cli(
+        ["serve", "--registry", str(root), "--name", "addr"],
+        input=requests.encode(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    apply, lookup, _bye = map(json.loads, proc.stdout.splitlines())
+    engine = BundleApplyEngine(bundle).engine("address")
+    assert apply["ok"] and apply["value"] == engine.transform(value)
+    assert apply["value"] != value
+    assert lookup["ok"] and lookup["found"] is False
+
+
 def equivalence_script(column, values, record, key):
     """Every op whose reply carries no timings, as raw request lines."""
     requests = [

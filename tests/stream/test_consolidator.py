@@ -1,11 +1,11 @@
 """End-to-end streaming consolidation tests (the acceptance properties).
 
 The anchor test proves the subsystem's contract: streaming N batches
-through :class:`StreamConsolidator` converges to the *same* final
-replacement state as one-shot consolidation of the concatenated table
-under the same (content-determined) oracle, while batches 2..N each ask
-strictly fewer oracle questions than either the one-shot run or a full
-relearn over the cumulative data at that point.
+through a one-column :class:`GoldenStreamConsolidator` converges to the
+*same* final replacement state as one-shot consolidation of the
+concatenated table under the same (content-determined) oracle, while
+batches 2..N each ask strictly fewer oracle questions than either the
+one-shot run or a full relearn over the cumulative data at that point.
 """
 
 from collections import Counter
@@ -21,8 +21,8 @@ from repro.pipeline.standardize import Standardizer
 from repro.resolution.matcher import cluster_by_key
 from repro.stream import (
     DriftMonitor,
-    StreamConsolidator,
-    ground_truth_oracle_factory,
+    GoldenStreamConsolidator,
+    golden_ground_truth_oracle_factory,
 )
 
 SEED = 3
@@ -74,11 +74,12 @@ def one_shot(stream, records=None):
 
 
 def streaming(stream, **kwargs):
-    consolidator = StreamConsolidator(
-        column=stream.column,
-        oracle_factory=ground_truth_oracle_factory(
-            stream.canonical_by_rid, seed=0
+    consolidator = GoldenStreamConsolidator(
+        columns=[stream.column],
+        oracle_factory=golden_ground_truth_oracle_factory(
+            {stream.column: stream.canonical_by_rid}, seed=0
         ),
+        fusion=None,
         key_attribute=stream.key_column,
         budget_per_batch=UNBOUNDED,
         **kwargs,
@@ -117,14 +118,15 @@ class TestStreamingEqualsOneShot:
         assert final_by_rid(consolidator.table) == final_by_rid(table)
 
     def test_decisions_consistent_on_shared_members(self, runs):
-        _stream, _table, log, consolidator, _reports = runs
+        stream, _table, log, consolidator, _reports = runs
         one_shot_decisions = {}
         for step in log.steps:
             for member in step.group.replacements:
                 one_shot_decisions.setdefault(
                     member, step.decision.approved
                 )
-        for member, decision in consolidator.standardizer.decisions.items():
+        standardizer = consolidator.standardizers[stream.column]
+        for member, decision in standardizer.decisions.items():
             if member in one_shot_decisions:
                 assert decision.approved == one_shot_decisions[member], member
 
@@ -154,21 +156,21 @@ class TestStreamingEqualsOneShot:
 class TestEngineFastPath:
     def test_engine_explains_and_versions_advance(self, stream):
         consolidator, reports = streaming(stream, use_engine=True)
-        # A model exists after batch 1 and explains later arrivals.
+        # A bundle exists after batch 1 and explains later arrivals.
         assert consolidator.engine is not None
         assert sum(r.explained_cells for r in reports[1:]) > 0
         versions = [
-            r.model_version for r in reports if r.model_version is not None
+            r.bundle_version for r in reports if r.bundle_version is not None
         ]
         assert versions and versions == sorted(versions)
-        assert consolidator.model_version == versions[-1]
+        assert consolidator.bundle_version == versions[-1]
 
     def test_engine_hot_reloads_between_batches(self, stream):
         consolidator, reports = streaming(stream, use_engine=True)
         engine = consolidator.engine
-        # The subscribed engine serves the *latest* published model.
-        assert engine.model.groups_confirmed == (
-            consolidator.build_model().groups_confirmed
+        # The subscribed engine serves the *latest* published bundle.
+        assert engine.bundle.groups_confirmed == (
+            consolidator.build_bundle().groups_confirmed
         )
 
     def test_drift_monitor_wiring(self, stream):
@@ -176,7 +178,7 @@ class TestEngineFastPath:
             window=2, miss_rate_threshold=0.0, min_rows=1
         )
         consolidator, reports = streaming(
-            stream, use_engine=True, monitor=monitor
+            stream, use_engine=True, monitors={stream.column: monitor}
         )
         # Threshold 0 means any unexplained cell triggers: the monitor
         # is exercised and reset along the way.
@@ -189,7 +191,7 @@ class TestEngineFastPath:
             window=2, miss_rate_threshold=0.0, min_rows=1
         )
         _consolidator, reports = streaming(
-            stream, use_engine=False, monitor=monitor
+            stream, use_engine=False, monitors={stream.column: monitor}
         )
         assert any(r.drift_triggered for r in reports)
         assert monitor.triggered > 0
@@ -206,9 +208,11 @@ class TestSameBatchAppendAndMerge:
         def tok_overlap(a, b):
             return overlap(a.split(), b.split())
 
-        consolidator = StreamConsolidator(
-            column="name",
-            oracle_factory=lambda c: None,  # budget 0: learning unused
+        consolidator = GoldenStreamConsolidator(
+            columns=["name"],
+            # budget 0: learning unused
+            oracle_factory=lambda c, column: None,
+            fusion=None,
             attribute="name",
             similarity_threshold=0.5,
             similarity=tok_overlap,
@@ -238,7 +242,7 @@ class TestSameBatchAppendAndMerge:
         consolidator, report = self.run_similarity_stream()
         assert report.merges == 1
         table = consolidator.table
-        for cell in consolidator.store._indexed:
+        for cell in consolidator.standardizers["name"].store._indexed:
             assert cell.row < len(table.clusters[cell.cluster].records), (
                 f"stale indexed cell {cell}"
             )
@@ -255,7 +259,9 @@ class TestSameBatchAppendAndMerge:
                 {r: frozenset(e) for r, e in store.token_entries.items() if e},
             )
 
-        assert snapshot(consolidator.store) == snapshot(fresh)
+        assert snapshot(consolidator.standardizers["name"].store) == (
+            snapshot(fresh)
+        )
 
     def test_novelty_of_moved_arrivals_counted(self):
         _consolidator, report = self.run_similarity_stream()
@@ -284,9 +290,10 @@ class TestConsolidatorBehaviour:
         the consolidated column must not crash the stream."""
         from repro.pipeline.oracle import ApproveAllOracle
 
-        consolidator = StreamConsolidator(
-            column="name",
-            oracle_factory=lambda c: ApproveAllOracle(),
+        consolidator = GoldenStreamConsolidator(
+            columns=["name"],
+            oracle_factory=lambda c, column: ApproveAllOracle(),
+            fusion=None,
             key_attribute="k",
             budget_per_batch=10,
             use_engine=False,
@@ -302,11 +309,12 @@ class TestConsolidatorBehaviour:
         assert consolidator.table.num_records == 3
 
     def test_requires_batch_before_state_access(self, stream):
-        consolidator = StreamConsolidator(
-            column=stream.column,
-            oracle_factory=ground_truth_oracle_factory(
-                stream.canonical_by_rid
+        consolidator = GoldenStreamConsolidator(
+            columns=[stream.column],
+            oracle_factory=golden_ground_truth_oracle_factory(
+                {stream.column: stream.canonical_by_rid}
             ),
+            fusion=None,
             key_attribute=stream.key_column,
         )
         with pytest.raises(RuntimeError):

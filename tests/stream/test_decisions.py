@@ -1,13 +1,16 @@
 """Decision-cache durability: restarts never re-spend the oracle.
 
-The tentpole guarantee: verdicts persist as JSON-lines next to the
-model, so a *restarted* consolidator — fresh process, empty cluster /
+The central guarantee: verdicts persist as JSON-lines next to the
+bundle, so a *restarted* consolidator — fresh process, empty cluster /
 candidate state — re-streaming data whose variation was fully judged
-asks **zero** repeat questions, and its republished models extend the
-prior version sequence.
+asks **zero** repeat questions, and its republished bundles extend the
+prior version sequence.  A registry written before one-column streams
+published bundles (bare models and an unnamed ``decisions.jsonl``)
+resumes the same way.
 """
 
 import json
+import os
 
 import pytest
 
@@ -16,11 +19,12 @@ from repro.datagen.address import address_dataset
 from repro.datagen.base import GeneratorSpec
 from repro.datagen.stream import dataset_stream
 from repro.pipeline.oracle import FORWARD, REVERSE, Decision
+from repro.serve.bundle import BundleRegistry
 from repro.serve.registry import ModelRegistry
 from repro.stream import (
     DecisionCache,
-    StreamConsolidator,
-    ground_truth_oracle_factory,
+    GoldenStreamConsolidator,
+    golden_ground_truth_oracle_factory,
 )
 
 SEED = 7
@@ -202,15 +206,16 @@ def stream():
 
 
 def make_consolidator(stream, registry, **kwargs):
-    return StreamConsolidator(
-        column=stream.column,
-        oracle_factory=ground_truth_oracle_factory(
-            stream.canonical_by_rid, seed=0
+    return GoldenStreamConsolidator(
+        columns=[stream.column],
+        oracle_factory=golden_ground_truth_oracle_factory(
+            {stream.column: stream.canonical_by_rid}, seed=0
         ),
+        fusion=None,
         key_attribute=stream.key_column,
         budget_per_batch=UNBOUNDED,
         registry=registry,
-        model_name="addr",
+        bundle_name="addr",
         **kwargs,
     )
 
@@ -222,13 +227,13 @@ class TestRestartResume:
     @pytest.fixture(scope="class")
     def first_run(self, stream, tmp_path_factory):
         root = tmp_path_factory.mktemp("registry")
-        registry = ModelRegistry(root)
+        registry = BundleRegistry(root)
         with make_consolidator(
             stream, registry, use_engine=False
         ) as consolidator:
             consolidator.run(stream.batches)
             questions = consolidator.questions_asked
-            version = consolidator.model_version
+            version = consolidator.bundle_version
             final = {
                 r.rid: r.values[stream.column]
                 for c in consolidator.table.clusters
@@ -239,7 +244,7 @@ class TestRestartResume:
 
     def test_decision_log_written_next_to_model(self, first_run):
         registry, _, _, _ = first_run
-        log = registry.root / "addr" / "decisions.jsonl"
+        log = registry.root / "addr" / "decisions-address.jsonl"
         assert log.exists()
         assert len(log.read_text().splitlines()) > 0
 
@@ -250,7 +255,8 @@ class TestRestartResume:
         ) as restarted:
             restarted.run(stream.batches)
             assert restarted.resumed_from == first_version
-            assert restarted.standardizer.decisions.replayed > 0
+            standardizer = restarted.standardizers[stream.column]
+            assert standardizer.decisions.replayed > 0
             # The guarantee: every question of the first run is
             # answered from the durable cache — zero repeats.
             assert restarted.questions_asked == 0
@@ -268,18 +274,16 @@ class TestRestartResume:
         *new* variation (arrivals standardized before resolution pair
         differently), but may never re-ask a judged member."""
         registry, _, _, _ = first_run
-        log_path = registry.root / "addr" / "decisions.jsonl"
+        log_path = registry.root / "addr" / "decisions-address.jsonl"
         judged = {member for member, _ in DecisionCache(log_path).items()}
         with make_consolidator(
             stream, registry, use_engine=True
         ) as restarted:
             restarted.run(stream.batches)
+            steps = restarted.standardizers[stream.column].log.steps
             asked = [
                 member
-                for step in restarted.standardizer.log.steps[
-                    len(restarted.standardizer.log.steps)
-                    - restarted.questions_asked:
-                ]
+                for step in steps[len(steps) - restarted.questions_asked:]
                 for member in step.group.replacements
             ]
         assert not judged.intersection(asked)
@@ -291,14 +295,16 @@ class TestRestartResume:
         with make_consolidator(stream, registry) as restarted:
             restarted.process_batch(stream.batches[0])
             # Zero new confirmations -> nothing published; the engine
-            # still serves the resumed model.
+            # still serves the resumed bundle.
             assert restarted.engine is not None
             assert (
-                restarted.engine.model.groups_confirmed
+                restarted.engine.bundle.groups_confirmed
                 == registry.load("addr").groups_confirmed
             )
-            rebuilt = restarted.build_model()
-            prior = registry.load("addr", first_version)
+            rebuilt = restarted.build_column_model(stream.column)
+            prior = registry.load("addr", first_version).models[
+                stream.column
+            ]
             assert [g.to_dict() for g in rebuilt.groups[: len(prior.groups)]] == [
                 g.to_dict() for g in prior.groups
             ]
@@ -324,8 +330,8 @@ class TestRestartResume:
         stale verdicts and asked ~zero questions.  Starting over must
         neither replay the old log nor mix new verdicts into it — the
         old file moves aside as paid-for review history."""
-        registry = ModelRegistry(tmp_path / "registry")
-        log = registry.root / "addr" / "decisions.jsonl"
+        registry = BundleRegistry(tmp_path / "registry")
+        log = registry.root / "addr" / "decisions-address.jsonl"
         with make_consolidator(
             stream, registry, use_engine=False
         ) as first:
@@ -337,9 +343,9 @@ class TestRestartResume:
             stream, registry, resume=False, use_engine=False
         ) as fresh:
             fresh.process_batch(stream.batches[0])
-            assert fresh.standardizer.decisions.replayed == 0
+            assert fresh.standardizers[stream.column].decisions.replayed == 0
             assert fresh.questions_asked == first_questions
-        backup = log.parent / "decisions.jsonl.pre-fresh-1"
+        backup = log.parent / "decisions-address.jsonl.pre-fresh-1"
         assert backup.read_text() == stale
         # The new log holds only the fresh run's own verdicts (here a
         # deterministic re-judgment of the same data, so the same
@@ -355,7 +361,7 @@ class TestRestartResume:
         """Regression: resuming without a decision log rehydrated the
         prior model's group sequence, then re-judged everything and
         appended — publishing a model with every group twice."""
-        registry = ModelRegistry(tmp_path / "registry")
+        registry = BundleRegistry(tmp_path / "registry")
         with make_consolidator(
             stream,
             registry,
@@ -363,7 +369,9 @@ class TestRestartResume:
             persist_decisions=False,
         ) as first:
             first.run(stream.batches)
-            first_groups = first.build_model().groups_confirmed
+            first_groups = first.build_column_model(
+                stream.column
+            ).groups_confirmed
         assert first_groups > 0
         with make_consolidator(
             stream,
@@ -376,7 +384,9 @@ class TestRestartResume:
             # start), re-judges deterministically, and publishes the
             # same-sized model — never a doubled group sequence.
             assert second.resumed_from is None
-            assert second.build_model().groups_confirmed == first_groups
+            assert second.build_column_model(
+                stream.column
+            ).groups_confirmed == first_groups
 
     def test_sharded_restart_also_zero_questions(self, stream, first_run):
         registry, _, _, _ = first_run
@@ -389,6 +399,105 @@ class TestRestartResume:
         ) as restarted:
             restarted.run(stream.batches)
             assert restarted.questions_asked == 0
+
+
+def legacy_registry(stream, root):
+    """A registry as single-column streams wrote it before they
+    published bundles: bare models under :class:`ModelRegistry` (v1
+    after batch 0, v2 after batch 1) and the verdicts of both batches
+    in an unnamed ``decisions.jsonl``."""
+    directory = root / "addr"
+    registry = ModelRegistry(root)
+    with make_consolidator(
+        stream, None, decision_log_dir=directory, use_engine=False
+    ) as legacy:
+        for batch in stream.batches[:2]:
+            legacy.process_batch(batch)
+            registry.save(legacy.build_column_model(stream.column), "addr")
+    os.replace(
+        directory / "decisions-address.jsonl", directory / "decisions.jsonl"
+    )
+    return registry
+
+
+class TestLegacyMigration:
+    """Upgrading a single-column registry: a bare model resumes as a
+    one-column bundle, and the unnamed verdict log is adopted."""
+
+    def test_resume_adopts_log_and_publishes_next_bundle(
+        self, stream, tmp_path
+    ):
+        registry = legacy_registry(stream, tmp_path / "registry")
+        directory = registry.root / "addr"
+        legacy_log = (directory / "decisions.jsonl").read_text()
+        judged = {
+            member
+            for member, _ in DecisionCache(
+                directory / "decisions.jsonl"
+            ).items()
+        }
+        legacy_groups = [g.to_dict() for g in registry.load("addr").groups]
+        with make_consolidator(
+            stream, BundleRegistry(registry.root), use_engine=False
+        ) as resumed:
+            reports = resumed.run(stream.batches)
+            steps = resumed.standardizers[stream.column].log.steps
+            asked = [
+                member
+                for step in steps[len(steps) - resumed.questions_asked:]
+                for member in step.group.replacements
+            ]
+        assert resumed.resumed_from == 2
+        # The log moved to its per-column name, nothing lost.
+        assert not (directory / "decisions.jsonl").exists()
+        adopted = (directory / "decisions-address.jsonl").read_text()
+        assert adopted.startswith(legacy_log)
+        # Zero repeat questions: the judged batches replay for free, and
+        # the third batch's questions are all new variation.
+        assert [r.questions_asked for r in reports[:2]] == [0, 0]
+        assert resumed.questions_asked > 0
+        assert not judged.intersection(asked)
+        # The next version is a one-column bundle extending the model.
+        assert resumed.bundle_version == 3
+        bundle = BundleRegistry(registry.root).load("addr", 3)
+        assert bundle.columns == [stream.column]
+        groups = bundle.models[stream.column].groups
+        assert [
+            g.to_dict() for g in groups[: len(legacy_groups)]
+        ] == legacy_groups
+
+    def test_fresh_archives_the_adopted_log(self, stream, tmp_path):
+        registry = legacy_registry(stream, tmp_path / "registry")
+        directory = registry.root / "addr"
+        legacy_log = (directory / "decisions.jsonl").read_text()
+        with make_consolidator(
+            stream,
+            BundleRegistry(registry.root),
+            resume=False,
+            use_engine=False,
+        ) as fresh:
+            fresh.process_batch(stream.batches[0])
+            assert fresh.resumed_from is None
+            assert fresh.standardizers[stream.column].decisions.replayed == 0
+            assert fresh.questions_asked > 0
+        assert not (directory / "decisions.jsonl").exists()
+        backup = directory / "decisions-address.jsonl.pre-fresh-1"
+        assert backup.read_text() == legacy_log
+
+    def test_only_a_one_column_stream_adopts(self, tmp_path):
+        """The legacy rows name no column, so a multi-column stream
+        cannot tell whose they are and leaves the file alone."""
+        legacy = tmp_path / "decisions.jsonl"
+        legacy.write_text("")
+        with GoldenStreamConsolidator(
+            columns=["address", "title"],
+            oracle_factory=lambda consolidator, column: None,
+            key_attribute="k",
+            decision_log_dir=tmp_path,
+        ) as golden:
+            golden.process_batch([])
+        assert legacy.exists()
+        assert not (tmp_path / "decisions-address.jsonl").exists()
 
 
 class TestOrientation:

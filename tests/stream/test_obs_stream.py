@@ -25,9 +25,7 @@ from repro.obs.summary import (
 from repro.stream import (
     DriftMonitor,
     GoldenStreamConsolidator,
-    StreamConsolidator,
     golden_ground_truth_oracle_factory,
-    ground_truth_oracle_factory,
 )
 
 SEED = 11
@@ -63,11 +61,12 @@ def gstream():
 
 
 def run_single(stream, obs, shards=1, **kwargs):
-    consolidator = StreamConsolidator(
-        column=stream.column,
-        oracle_factory=ground_truth_oracle_factory(
-            stream.canonical_by_rid, seed=0
+    consolidator = GoldenStreamConsolidator(
+        columns=[stream.column],
+        oracle_factory=golden_ground_truth_oracle_factory(
+            {stream.column: stream.canonical_by_rid}, seed=0
         ),
+        fusion=None,
         key_attribute=stream.key_column,
         budget_per_batch=UNBOUNDED,
         persist_decisions=False,
@@ -253,7 +252,7 @@ class TestDriftEvents:
         )
         obs = Obs(sink=MemorySink())
         # The consolidator binds its obs onto an unbound monitor.
-        run_single(stream, obs, monitor=monitor)
+        run_single(stream, obs, monitors={stream.column: monitor})
         assert monitor.obs is obs
         assert monitor.triggered > 0
         events = [
@@ -297,11 +296,12 @@ def run_similarity(stream, obs, shards=1, **kwargs):
     on the consolidated column, which is the mode that exercises the
     shard pool's resolve/derive data plane (key-blocked runs resolve
     by entity key and never ask the shards to match anything)."""
-    consolidator = StreamConsolidator(
-        column=stream.column,
-        oracle_factory=ground_truth_oracle_factory(
-            stream.canonical_by_rid, seed=0
+    consolidator = GoldenStreamConsolidator(
+        columns=[stream.column],
+        oracle_factory=golden_ground_truth_oracle_factory(
+            {stream.column: stream.canonical_by_rid}, seed=0
         ),
+        fusion=None,
         attribute=stream.column,
         budget_per_batch=UNBOUNDED,
         persist_decisions=False,

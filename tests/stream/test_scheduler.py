@@ -24,13 +24,10 @@ from repro.datagen.base import GeneratorSpec
 from repro.datagen.stream import dataset_stream, golden_stream
 from repro.pipeline.oracle import FORWARD, REVERSE, ApproveAllOracle, Decision
 from repro.serve.bundle import BundleRegistry
-from repro.serve.registry import ModelRegistry
 from repro.stream import (
     DecisionCache,
     GoldenStreamConsolidator,
-    StreamConsolidator,
     golden_ground_truth_oracle_factory,
-    ground_truth_oracle_factory,
 )
 from repro.stream.scheduler import (
     YieldRankedFeed,
@@ -368,16 +365,17 @@ def addr_stream():
 
 
 def run_yield_stream(stream, tmp_path, tag, shards, budget=8):
-    registry = ModelRegistry(tmp_path / f"registry-{tag}")
-    consolidator = StreamConsolidator(
-        column=stream.column,
-        oracle_factory=ground_truth_oracle_factory(
-            stream.canonical_by_rid, seed=0
+    registry = BundleRegistry(tmp_path / f"registry-{tag}")
+    consolidator = GoldenStreamConsolidator(
+        columns=[stream.column],
+        oracle_factory=golden_ground_truth_oracle_factory(
+            {stream.column: stream.canonical_by_rid}, seed=0
         ),
+        fusion=None,
         key_attribute=stream.key_column,
         budget_per_batch=budget,
         registry=registry,
-        model_name="addr",
+        bundle_name="addr",
         persist_decisions=False,
         use_engine=False,
         shards=shards,
@@ -389,7 +387,7 @@ def run_yield_stream(stream, tmp_path, tag, shards, budget=8):
     questions = [r.questions_asked for r in reports]
     programs = [
         step.group.program.describe()
-        for step in consolidator.standardizer.log.steps
+        for step in consolidator.standardizers[stream.column].log.steps
     ]
     return questions, programs, registry.path("addr").read_bytes()
 

@@ -1,7 +1,7 @@
 """Shard-merge determinism: sharding changes wall-clock, nothing else.
 
 The acceptance property of ``--shards``: the same batch sequence run at
-``--shards 1`` and ``--shards N`` publishes **byte-identical** models
+``--shards 1`` and ``--shards N`` publishes **byte-identical** bundles
 while asking **exactly the same** oracle questions — across both the
 in-process and the worker-process backends.  The merge logic this
 rests on (lazy top-k over independent structure buckets, max-merged by
@@ -23,11 +23,11 @@ from repro.datagen.address import address_dataset
 from repro.datagen.base import GeneratorSpec
 from repro.datagen.stream import dataset_stream
 from repro.resolution.blocking import BlockIndex, lsh_keys, stable_hash
-from repro.serve.registry import ModelRegistry
+from repro.serve.bundle import BundleRegistry
 from repro.stream import (
+    GoldenStreamConsolidator,
     ShardPool,
-    StreamConsolidator,
-    ground_truth_oracle_factory,
+    golden_ground_truth_oracle_factory,
 )
 
 SEED = 11
@@ -48,16 +48,17 @@ def stream():
 
 
 def run_stream(stream, tmp_path, tag, budget=100_000, **kwargs):
-    registry = ModelRegistry(tmp_path / f"registry-{tag}")
-    consolidator = StreamConsolidator(
-        column=stream.column,
-        oracle_factory=ground_truth_oracle_factory(
-            stream.canonical_by_rid, seed=0
+    registry = BundleRegistry(tmp_path / f"registry-{tag}")
+    consolidator = GoldenStreamConsolidator(
+        columns=[stream.column],
+        oracle_factory=golden_ground_truth_oracle_factory(
+            {stream.column: stream.canonical_by_rid}, seed=0
         ),
+        fusion=None,
         key_attribute=stream.key_column,
         budget_per_batch=budget,
         registry=registry,
-        model_name="addr",
+        bundle_name="addr",
         persist_decisions=False,
         **kwargs,
     )
@@ -69,7 +70,8 @@ def run_stream(stream, tmp_path, tag, budget=100_000, **kwargs):
 
 
 class TestShardedStreamDeterminism:
-    """``--shards 1`` vs ``--shards 4``: byte-identical publications."""
+    """``--shards 1`` vs ``--shards 2/4``: byte-identical one-column
+    bundles."""
 
     @pytest.fixture(scope="class")
     def frozen_clock(self):
@@ -86,16 +88,17 @@ class TestShardedStreamDeterminism:
         q1, m1, _ = run_stream(
             stream, tmp_path, "s1", shards=1, use_engine=False
         )
-        q4, m4, _ = run_stream(
-            stream,
-            tmp_path,
-            "s4",
-            shards=4,
-            shard_processes=False,
-            use_engine=False,
-        )
-        assert q1 == q4
-        assert m1 == m4
+        for shards in (2, 4):
+            qn, mn, _ = run_stream(
+                stream,
+                tmp_path,
+                f"s{shards}",
+                shards=shards,
+                shard_processes=False,
+                use_engine=False,
+            )
+            assert qn == q1
+            assert mn == m1
 
     def test_process_shards_byte_identical(
         self, stream, tmp_path, frozen_clock
@@ -313,9 +316,10 @@ class TestSimilarityModeSharded:
         def tok_overlap(a, b):  # closure: forces the inline match path
             return overlap(a.split(), b.split())
 
-        consolidator = StreamConsolidator(
-            column="name",
-            oracle_factory=lambda c: None,
+        consolidator = GoldenStreamConsolidator(
+            columns=["name"],
+            oracle_factory=lambda c, column: None,
+            fusion=None,
             attribute="name",
             similarity_threshold=0.5,
             similarity=tok_overlap,
@@ -425,9 +429,10 @@ class TestShardResidentState:
         """The acceptance property: per-batch shipped values track the
         batch size while the comparison frontier (and so the
         candidate-pair count) keeps growing."""
-        consolidator = StreamConsolidator(
-            column="name",
-            oracle_factory=lambda c: None,
+        consolidator = GoldenStreamConsolidator(
+            columns=["name"],
+            oracle_factory=lambda c, column: None,
+            fusion=None,
             attribute="name",
             similarity_threshold=0.9,
             similarity=self.similarity(),
@@ -513,11 +518,12 @@ class TestLshModeSharded:
 
     @staticmethod
     def run(stream, shards, registry=None, retention=None, budget=100):
-        consolidator = StreamConsolidator(
-            column=stream.column,
-            oracle_factory=ground_truth_oracle_factory(
-                stream.canonical_by_rid, seed=0
+        consolidator = GoldenStreamConsolidator(
+            columns=[stream.column],
+            oracle_factory=golden_ground_truth_oracle_factory(
+                {stream.column: stream.canonical_by_rid}, seed=0
             ),
+            fusion=None,
             attribute=stream.column,
             similarity_threshold=0.6,
             block_keys=lsh_keys(bands=8, rows=2),
@@ -526,7 +532,7 @@ class TestLshModeSharded:
             shards=shards,
             shard_processes=False,
             registry=registry,
-            model_name="lsh-addr",
+            bundle_name="lsh-addr",
             persist_decisions=registry is not None,
             block_retention=retention,
         )
@@ -538,7 +544,10 @@ class TestLshModeSharded:
             for c in consolidator.table.clusters
             for r in c.records
         }
-        groups = [g.to_dict() for g in consolidator.build_model().groups]
+        groups = [
+            g.to_dict()
+            for g in consolidator.build_column_model(stream.column).groups
+        ]
         return questions, final, groups
 
     def test_shards_identical_under_lsh_blocking(self, lsh_stream):
@@ -556,7 +565,7 @@ class TestLshModeSharded:
         """A restarted LSH-mode sharded stream replays the decision log
         against fresh shard replicas: zero repeat questions,
         identical standardization."""
-        registry = ModelRegistry(tmp_path / "registry")
+        registry = BundleRegistry(tmp_path / "registry")
         q_first, final_first, _ = self.run(
             lsh_stream, shards=4, registry=registry
         )

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,8 +223,9 @@ class TestStreamCommand:
         out = capsys.readouterr().out
         assert "batch 0" in out and "batch 2" in out
         assert "saved by reuse" in out
-        # Versions were actually published.
+        # Versions were actually published, next to the column's log.
         assert sorted((registry / "address").glob("v*.json"))
+        assert (registry / "address" / "decisions-address.jsonl").exists()
 
     def test_stream_no_engine_runs(self, capsys):
         assert (
@@ -244,6 +249,19 @@ class TestStreamCommand:
         )
         out = capsys.readouterr().out
         assert "stream done" in out
+
+    def test_decision_log_names_a_directory(self, capsys, tmp_path):
+        """``--decision-log`` is the directory of per-column logs in
+        both stream modes."""
+        logs = tmp_path / "logs"
+        assert main(
+            [
+                "stream", "--dataset", "Address", "--scale", "0.03",
+                "--seed", "2", "--batches", "2", "--budget", "10",
+                "--no-engine", "--decision-log", str(logs),
+            ]
+        ) == 0
+        assert [p.name for p in logs.iterdir()] == ["decisions-address.jsonl"]
 
     def test_apply_stats_prints_counters(self, capsys, tmp_path):
         model_path = tmp_path / "m.json"
@@ -729,6 +747,54 @@ class TestDecisionsCommand:
         capsys.readouterr()
         assert main(["decisions", "audit", str(log)]) == 0
 
+    def test_compact_write_failing_mid_write_keeps_the_live_log(
+        self, monkeypatch, tmp_path
+    ):
+        """A rewrite that dies partway (disk full, a kill) must leave
+        the live log whole: a torn one would rehydrate groups whose
+        verdicts are gone, and the next resume would emit them twice."""
+        import builtins
+
+        import repro.cli as cli
+
+        log = self.write_log(
+            tmp_path / "decisions-address.jsonl",
+            [
+                {"lhs": "a", "rhs": "b", "approved": True},
+                {"lhs": "b", "rhs": "a", "approved": True},
+                {"lhs": "x", "rhs": "y", "approved": False},
+            ],
+        )
+        before = log.read_bytes()
+        real_open = builtins.open
+
+        class HalfWriter:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                raise OSError(28, "No space left on device")
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            handle = real_open(path, mode, *args, **kwargs)
+            return HalfWriter(handle) if "w" in mode else handle
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        with pytest.raises(OSError):
+            main(["decisions", "compact", "--write", str(log)])
+        assert log.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [log.name]
+
     def test_diff_exit_codes(self, capsys, tmp_path):
         rows = [{"lhs": "a", "rhs": "b", "approved": True}]
         log_a = self.write_log(tmp_path / "a.jsonl", rows)
@@ -756,3 +822,28 @@ class TestDecisionsCommand:
         )
         assert main(["decisions", "diff", str(log_a), str(log_b)]) == 1
         assert "1 conflicting" in capsys.readouterr().out
+
+
+def test_closed_stdout_exits_without_traceback():
+    """A reader that went away (``| head``, a closed pipe) ends the
+    command with a non-zero status and no traceback."""
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes a byte
+    try:
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "stats",
+                "--dataset", "Address", "--scale", "0.03", "--seed", "1",
+            ],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode != 0
+    # Nothing at all on stderr: no traceback, no "Exception ignored".
+    assert proc.stderr == b"", proc.stderr.decode()
