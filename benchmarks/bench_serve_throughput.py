@@ -246,7 +246,7 @@ def test_hot_swap_latency(tmp_path):
         best = min(best, time.perf_counter() - start)
         assert swapped == i + 1, "publish must have swapped"
     sample = [g.members[0].lhs for g in versions[-1].groups[:32]]
-    _, engine = source.current()
+    engine = source.current()[1].engine(versions[-1].column)
     assert engine.apply_values(sample) == ApplyEngine(
         versions[-1]
     ).apply_values(sample), "swapped engine must serve byte-identical outputs"

@@ -1,7 +1,8 @@
 """Learn once, apply forever: the ``repro.serve`` workflow.
 
 1. Run the human-in-the-loop standardization on a synthetic Address
-   sample and persist everything it learned as a versioned model;
+   sample and persist everything it learned as a versioned one-column
+   bundle (what ``repro learn --registry`` publishes);
 2. reload the model and standardize a *fresh* table with the compiled
    O(N) apply engine — no graphs, no pivot search, no human;
 3. answer a couple of transform requests the way ``repro serve`` does
@@ -16,15 +17,19 @@ import io
 import json
 import sys
 import tempfile
-from pathlib import Path
 
 from repro import ApplyEngine, ModelRegistry, Standardizer, build_model
 from repro.datagen import address_dataset
 from repro.pipeline.oracle import GroundTruthOracle
-from repro.serve import ModelSource, ServeServer
+from repro.serve import ModelSource, ServeServer, as_bundle
 
 
 def main(scale: float = 0.08) -> None:
+    with tempfile.TemporaryDirectory(prefix="repro_models_") as root:
+        run(ModelRegistry(root), scale)
+
+
+def run(registry: ModelRegistry, scale: float) -> None:
     # 1. Learn and persist.
     dataset = address_dataset(scale=scale, seed=11)
     table = dataset.fresh_table()
@@ -37,13 +42,12 @@ def main(scale: float = 0.08) -> None:
         name="address",
         provenance={"dataset": dataset.name, "seed": 11, "scale": scale},
     )
-    registry = ModelRegistry(Path(tempfile.mkdtemp(prefix="repro_models_")))
-    path = registry.save(model)
+    path = registry.save(as_bundle(model))
     print(f"learned:  {model.describe()}")
     print(f"saved:    {path}")
 
     # 2. Reload and batch-apply to fresh data.
-    engine = ApplyEngine(registry.load("address"))
+    engine = ApplyEngine(registry.load("address").models[dataset.column])
     fresh = dataset.fresh_table()
     changed = engine.apply_table(fresh)
     stats = engine.stats()

@@ -15,10 +15,9 @@ Run::
 
 import sys
 import tempfile
-from pathlib import Path
 
 from repro.datagen import address_dataset, dataset_stream
-from repro.serve import BundleRegistry
+from repro.serve import ModelRegistry
 from repro.stream import (
     DriftMonitor,
     GoldenStreamConsolidator,
@@ -27,6 +26,11 @@ from repro.stream import (
 
 
 def main(scale: float = 0.08) -> None:
+    with tempfile.TemporaryDirectory(prefix="repro-stream-") as root:
+        run(ModelRegistry(root), scale)
+
+
+def run(registry: ModelRegistry, scale: float) -> None:
     seed = 11
     dataset = address_dataset(scale=scale, seed=seed)
     stream = dataset_stream(dataset, batches=4, seed=seed)
@@ -35,7 +39,6 @@ def main(scale: float = 0.08) -> None:
         f"{len(stream.batches)} batches ({dataset.name})"
     )
 
-    registry_root = Path(tempfile.mkdtemp(prefix="repro-stream-"))
     consolidator = GoldenStreamConsolidator(
         columns=[stream.column],
         oracle_factory=golden_ground_truth_oracle_factory(
@@ -44,7 +47,7 @@ def main(scale: float = 0.08) -> None:
         fusion=None,
         key_attribute=stream.key_column,
         budget_per_batch=60,
-        registry=BundleRegistry(registry_root),
+        registry=registry,
         bundle_name="address-stream",
         monitors={
             stream.column: DriftMonitor(window=3, miss_rate_threshold=0.8)
@@ -60,10 +63,9 @@ def main(scale: float = 0.08) -> None:
         f"{consolidator.questions_saved} saved by reusing prior "
         f"decisions"
     )
-    registry = BundleRegistry(registry_root)
     print(
         f"published versions: {registry.catalog()} "
-        f"(under {registry_root})"
+        f"(under {registry.root})"
     )
     engine = consolidator.engine and consolidator.engine.engine(stream.column)
     if engine is not None and engine.exact:

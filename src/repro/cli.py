@@ -71,9 +71,9 @@ from .pipeline.standardize import Standardizer
 from .serve import (
     ApplyEngine,
     ModelRegistry,
-    ModelBundle,
     ModelReplayer,
     TransformationModel,
+    as_bundle,
     build_model,
     load_artifact,
 )
@@ -228,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument(
         "--golden-log",
         help="golden delta log to tail for lookup/subscribe ops "
-        "(default when --registry serves a bundle: the stream's "
-        "golden-deltas.jsonl next to it)",
+        "(default with --registry: golden-deltas.jsonl next to the "
+        "served name's versions)",
     )
     serve_p.add_argument(
         "--idle-timeout",
@@ -703,9 +703,9 @@ def cmd_consolidate(args) -> int:
 
 
 def _load_model(args) -> TransformationModel:
-    """The model named by the CLI's ``--model FILE`` or ``--registry
-    DIR --name NAME [--model-version N]`` flags; for a bundle, its
-    ``--column`` model."""
+    """The ``--column`` model of the bundle named by the CLI's
+    ``--model FILE`` or ``--registry DIR --name NAME [--model-version
+    N]`` flags (a one-column bundle needs no ``--column``)."""
     try:
         if args.model:
             artifact = load_artifact(args.model)
@@ -723,12 +723,8 @@ def _load_model(args) -> TransformationModel:
         raise SystemExit(f"error: {exc}")
     except (ValueError, KeyError, re.error) as exc:
         raise SystemExit(f"error: cannot load model: {exc}")
-    if not isinstance(artifact, ModelBundle):
-        return artifact
     column = args.column
     if column is None and len(artifact.models) == 1:
-        # A one-column bundle (what `repro stream --dataset` publishes)
-        # needs no --column, like the bare model it replaced.
         [column] = artifact.columns
     if column not in artifact.models:
         raise SystemExit(
@@ -768,10 +764,11 @@ def cmd_learn(args) -> int:
             "learn_seconds": elapsed,
         },
     )
+    bundle = as_bundle(model)
     if args.registry:
-        path = ModelRegistry(args.registry).save(model, args.name)
+        path = ModelRegistry(args.registry).save(bundle, args.name)
     else:
-        path = model.save(args.out or f"{args.dataset.lower()}.model.json")
+        path = bundle.save(args.out or f"{args.dataset.lower()}.model.json")
     print(
         f"learned {log.groups_approved}/{log.groups_confirmed} groups "
         f"({log.cells_changed} cells changed) in {elapsed:.2f}s"
@@ -846,7 +843,6 @@ def cmd_serve(args) -> int:
     """``repro serve``: one :class:`ServeServer`, over stdin/stdout or
     (``--listen``) the concurrent asyncio TCP service."""
     from .obs import NULL_OBS, JsonlSink, Obs
-    from .serve.bundle import BundleApplyEngine
     from .serve.registry import slugify
     from .serve.server import (
         GoldenTable,
@@ -907,8 +903,7 @@ def cmd_serve(args) -> int:
         raise SystemExit(f"error: {exc}")
     except (ValueError, KeyError, re.error) as exc:
         raise SystemExit(f"error: cannot load model: {exc}")
-    bundle = isinstance(engine, BundleApplyEngine)
-    if golden_path is None and bundle and args.registry and args.name:
+    if golden_path is None and args.registry and args.name:
         golden_path = (
             registry.root / slugify(args.name) / "golden-deltas.jsonl"
         )
@@ -933,9 +928,9 @@ def cmd_serve(args) -> int:
         if args.listen:
             return run_server(server, host, port, banner=banner)
         # Stdout carries only protocol lines; a closed stdin is EOF.
-        artifact = engine.bundle if bundle else engine.model
         print(
-            f"serving {artifact.describe()}; one JSON request per line",
+            f"serving {engine.bundle.describe()}; "
+            "one JSON request per line",
             file=sys.stderr,
         )
         served = server.serve_lines(
@@ -1034,7 +1029,6 @@ def cmd_stream(args) -> int:
     over ``--columns a,b,c``; both run the same batch lifecycle."""
     from .datagen.stream import dataset_stream, golden_stream
     from .fusion import accu, majority, truthfinder
-    from .serve.bundle import BundleRegistry
     from .stream import (
         DriftMonitor,
         GoldenStreamConsolidator,
@@ -1130,7 +1124,7 @@ def cmd_stream(args) -> int:
         ),
         budget_per_batch=args.budget,
         fusion=fusion,
-        registry=BundleRegistry(args.registry) if args.registry else None,
+        registry=ModelRegistry(args.registry) if args.registry else None,
         bundle_name=name,
         use_engine=not args.no_engine,
         monitors=monitors,

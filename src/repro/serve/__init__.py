@@ -6,8 +6,8 @@ reusable asset:
 
 * :mod:`repro.serve.model` — a versioned JSON schema for confirmed
   replacement groups, their programs, and full provenance;
-* :mod:`repro.serve.registry` — a directory-backed model store with
-  monotonically increasing versions per model name;
+* :mod:`repro.serve.registry` — a directory-backed bundle store with
+  monotonically increasing versions per name;
 * :mod:`repro.serve.engine` — confirmed groups compiled, in time
   linear in the rules, into an exact-match hash table, a
   per-structure-signature program index and first-token-indexed token
@@ -18,8 +18,9 @@ reusable asset:
 * :mod:`repro.serve.replay` — provenance-aware re-application that
   reproduces a learning run's cell edits exactly on an identical table;
 * :mod:`repro.serve.bundle` — per-column models published as one
-  atomic multi-column artifact, with a record-level apply engine whose
-  single ``reload`` flips every column together;
+  atomic artifact (the only one the registry and the server know; a
+  single-column run is the one-column bundle), with a record-level
+  apply engine whose single ``reload`` flips every column together;
 * :mod:`repro.serve.server` — ``repro serve``: one JSON-lines
   request dispatcher over two transports (stdin/stdout, and the
   concurrent asyncio TCP service of ``--listen``), with a
@@ -31,6 +32,7 @@ from .bundle import (
     BundleApplyEngine,
     BundleRegistry,
     ModelBundle,
+    as_bundle,
     build_bundle,
     load_artifact,
 )
@@ -55,6 +57,7 @@ __all__ = [
     "ReplayReport",
     "ServeServer",
     "TransformationModel",
+    "as_bundle",
     "build_bundle",
     "build_model",
     "load_artifact",

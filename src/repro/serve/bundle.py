@@ -11,10 +11,11 @@ written atomically (write-to-temp + rename, the same discipline as
 :meth:`TransformationModel.save`), so readers see the old column set or
 the new one, never a blend.
 
-:class:`BundleRegistry` versions bundles exactly like
-:class:`~repro.serve.registry.ModelRegistry` versions models (same
-``<root>/<slug>/v<N>.json`` layout, monotone versions, immutable
-files), and :class:`BundleApplyEngine` compiles a bundle into one
+A bundle is the only artifact the registry, the reader and the server
+know: a single-column run publishes the one-column bundle, and a bare
+model file an older release wrote reads as the one-column bundle it
+stands for (:func:`load_artifact`, through :func:`as_bundle`).
+:class:`BundleApplyEngine` compiles a bundle into one
 :class:`~repro.serve.engine.ApplyEngine` per column with a single
 :meth:`~BundleApplyEngine.reload` that flips every column in one call —
 the consumer-side half of the atomicity story.
@@ -26,7 +27,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 from .engine import ApplyEngine
 from .model import TransformationModel, write_json_atomic
@@ -145,17 +146,30 @@ class ModelBundle:
             return cls.from_dict(json.load(handle))
 
 
-def load_artifact(
-    path: PathLike,
-) -> Union[ModelBundle, TransformationModel]:
-    """Read a saved model or bundle; the file's ``kind`` picks which."""
+def as_bundle(
+    artifact: Union[ModelBundle, TransformationModel],
+) -> ModelBundle:
+    """A bundle as is; a bare model as the one-column bundle it stands
+    for, named after the model."""
+    if isinstance(artifact, TransformationModel):
+        return ModelBundle(
+            name=artifact.name,
+            models={artifact.column: artifact},
+            created_at=artifact.created_at,
+        )
+    return artifact
+
+
+def load_artifact(path: PathLike) -> ModelBundle:
+    """Read a saved bundle, or a bare model file as its one-column
+    bundle; the file's ``kind`` picks which."""
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: not a JSON object")
     if payload.get("kind") == BUNDLE_KIND:
         return ModelBundle.from_dict(payload)
-    return TransformationModel.from_dict(payload)
+    return as_bundle(TransformationModel.from_dict(payload))
 
 
 def build_bundle(
@@ -172,18 +186,8 @@ def build_bundle(
     )
 
 
-class BundleRegistry(ModelRegistry):
-    """A :class:`ModelRegistry` whose artifacts are model bundles.
-
-    Saving works unchanged (bundles expose the same ``name`` /
-    ``save(path)`` surface the registry writes through); loading goes
-    through :meth:`ModelBundle.load` so single-column model files in
-    the same tree are rejected instead of half-read.
-    """
-
-    def _load_artifact(self, path) -> ModelBundle:
-        """Parse one bundle file (kind- and schema-checked)."""
-        return ModelBundle.load(path)
+#: The registry's older name (one registry class stores bundles).
+BundleRegistry = ModelRegistry
 
 
 class BundleApplyEngine:
@@ -253,16 +257,6 @@ class BundleApplyEngine:
             if column in out:
                 out[column] = engine.apply_values([out[column]])[0]
         return out
-
-    def apply_column(
-        self, column: str, values: Sequence[str]
-    ) -> List[str]:
-        """Standardize one column of values; unknown columns pass
-        through unchanged (the bundle has nothing to say about them)."""
-        engine = self.engines.get(column)
-        if engine is None:
-            return list(values)
-        return engine.apply_values(values)
 
     def stats(self) -> Dict[str, Dict]:
         """Per-column engine counters (see :meth:`ApplyEngine.stats`)."""

@@ -1,6 +1,6 @@
-"""A directory-backed, versioned store of transformation models.
+"""A directory-backed, versioned store of model bundles.
 
-Layout (one directory per model name, one JSON file per version)::
+Layout (one directory per bundle name, one JSON file per version)::
 
     <root>/
       address/
@@ -11,13 +11,15 @@ Layout (one directory per model name, one JSON file per version)::
 
 Versions are monotonically increasing integers assigned at save time;
 ``load`` without a version returns the latest.  The registry never
-mutates or deletes existing versions — a saved model is an immutable,
-human-curated asset.
+mutates or deletes existing versions — a saved bundle is an immutable,
+human-curated asset.  A bare single-column model file an older release
+wrote loads as its one-column bundle (see
+:func:`repro.serve.bundle.load_artifact`).
 
 Publishes are atomic: the artifact is written in full to a hidden
 pending file and then hard-linked to its version name, so a crash
 mid-publish can never leave a truncated version file and hot-reloading
-consumers (:meth:`repro.serve.engine.ApplyEngine.reload`) may poll
+consumers (:class:`repro.serve.server.ModelSource`) may poll
 ``versions`` and load concurrently with a publisher.  Linking fails
 when the name is taken, so publishers racing on one name each get a
 distinct version instead of overwriting one another.  Files other than
@@ -31,9 +33,10 @@ import os
 import re
 import uuid
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
-from .model import TransformationModel
+if TYPE_CHECKING:
+    from .bundle import ModelBundle
 
 PathLike = Union[str, Path]
 
@@ -48,27 +51,26 @@ def slugify(name: str) -> str:
 
 
 class ModelRegistry:
-    """Save/load :class:`TransformationModel`s under a root directory."""
+    """Save/load :class:`~repro.serve.bundle.ModelBundle`\\ s under a
+    root directory."""
 
     def __init__(self, root: PathLike) -> None:
         self.root = Path(root)
 
     # -- writing -----------------------------------------------------------
 
-    def save(
-        self, model: TransformationModel, name: Optional[str] = None
-    ) -> Path:
-        """Persist ``model`` as the next version of ``name``.
+    def save(self, bundle: ModelBundle, name: Optional[str] = None) -> Path:
+        """Persist ``bundle`` as the next version of ``name``.
 
-        ``name`` defaults to the model's own name; returns the path of
+        ``name`` defaults to the bundle's own name; returns the path of
         the written version file.  A version taken by a concurrent
         publisher since the directory was listed is skipped, never
         overwritten.
         """
-        slug = slugify(name or model.name)
+        slug = slugify(name or bundle.name)
         directory = self.root / slug
         directory.mkdir(parents=True, exist_ok=True)
-        pending = model.save(directory / f".pending-{uuid.uuid4().hex}")
+        pending = bundle.save(directory / f".pending-{uuid.uuid4().hex}")
         try:
             version = (self.versions(slug) or [0])[-1] + 1
             while True:
@@ -84,7 +86,7 @@ class ModelRegistry:
     # -- reading -----------------------------------------------------------
 
     def names(self) -> List[str]:
-        """All model names with at least one saved version."""
+        """All bundle names with at least one saved version."""
         if not self.root.is_dir():
             return []
         return sorted(
@@ -122,15 +124,15 @@ class ModelRegistry:
             )
         return self.root / slug / f"v{version}.json"
 
-    def _load_artifact(self, path: Path):
-        """Parse one artifact file (subclasses load other kinds)."""
-        return TransformationModel.load(path)
-
     def load(
         self, name: str, version: Optional[int] = None
-    ) -> TransformationModel:
+    ) -> ModelBundle:
         """Load one version of ``name`` (default: latest)."""
-        return self._load_artifact(self.path(name, version))
+        # Imported here: bundle.py imports this module for its
+        # BundleRegistry alias.
+        from .bundle import load_artifact
+
+        return load_artifact(self.path(name, version))
 
     def catalog(self) -> Dict[str, List[int]]:
         """``{name: [versions...]}`` for everything in the registry."""

@@ -7,9 +7,9 @@ share one dispatcher, one :class:`ModelSource` and one sorted-key
 reply encoder, so a request gets the same reply bytes on either.
 Three moving parts:
 
-* :class:`ModelSource` — loads the latest published model (or
-  multi-column bundle) from a registry, compiles it, and **atomically
-  swaps** engine instances forwards.  Every request captures one
+* :class:`ModelSource` — loads the latest published bundle from a
+  registry, compiles it, and **atomically swaps** engine instances
+  forwards.  Every request captures one
   ``(version, engine)`` snapshot at dispatch, so a batch reply is
   always computed against a single model version even while a swap
   lands mid-flight — in-flight requests simply keep the instance they
@@ -51,8 +51,7 @@ from pathlib import Path
 from typing import IO, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..obs import NULL_OBS, MemorySink, Obs, prometheus_text
-from .bundle import BundleApplyEngine, ModelBundle, load_artifact
-from .engine import ApplyEngine
+from .bundle import BundleApplyEngine, ModelBundle, as_bundle, load_artifact
 from .model import TransformationModel
 from .registry import ModelRegistry
 
@@ -82,8 +81,9 @@ class ModelSource:
     never changes it.  A **registry** source (``registry`` + ``name``)
     loads it on the first :meth:`current`; after that only
     :meth:`refresh` — the server's poller — changes it, and only
-    forwards.  Each artifact's ``kind`` says whether it is a model or a
-    multi-column bundle.
+    forwards.  Every artifact compiles to a
+    :class:`~repro.serve.bundle.BundleApplyEngine`; a bare model is
+    served as its one-column bundle.
 
     Swaps always install a *fresh* engine instance — never an in-place
     :meth:`~repro.serve.engine.ApplyEngine.reload` — so an in-flight
@@ -112,23 +112,16 @@ class ModelSource:
         self.load_errors = 0
         self.last_load_error: Optional[str] = None
         self._lock = threading.Lock()
-        self.snapshot: Optional[Tuple[int, object]] = None
+        self.snapshot: Optional[Tuple[int, BundleApplyEngine]] = None
         if model is not None:
-            self.snapshot = (model_version, self._compile(model))
+            self.snapshot = (model_version, self._compile(as_bundle(model)))
 
-    def _compile(self, artifact):
-        engine_class = (
-            BundleApplyEngine
-            if isinstance(artifact, ModelBundle)
-            else ApplyEngine
-        )
-        return engine_class(
-            artifact,
-            use_programs=self.use_programs,
-            obs=self.obs,
+    def _compile(self, bundle: ModelBundle) -> BundleApplyEngine:
+        return BundleApplyEngine(
+            bundle, use_programs=self.use_programs, obs=self.obs
         )
 
-    def current(self) -> Tuple[int, object]:
+    def current(self) -> Tuple[int, BundleApplyEngine]:
         """The ``(version, engine)`` snapshot requests dispatch against."""
         if self.snapshot is None:
             self.refresh()
@@ -582,20 +575,13 @@ class ServeServer:
         if op == "ping":
             return {"ok": True, "pong": True, "version": version}
         if op == "version":
-            bundle = isinstance(engine, BundleApplyEngine)
-            artifact = engine.bundle if bundle else engine.model
-            response = {
+            return {
                 "ok": True,
                 "version": version,
-                "mode": "bundle" if bundle else "model",
-                "name": artifact.name,
-                "groups": artifact.groups_confirmed,
+                "name": engine.bundle.name,
+                "groups": engine.bundle.groups_confirmed,
+                "columns": engine.columns,
             }
-            if bundle:
-                response["columns"] = engine.columns
-            else:
-                response["column"] = engine.model.column
-            return response
         if op == "stats":
             return self._stats_response(version, engine)
         if op == "metrics":
@@ -621,60 +607,48 @@ class ServeServer:
         return {"ok": False, "error": f"unknown op: {op!r}"}
 
     def _apply_response(
-        self, request: Dict, version: int, engine
+        self, request: Dict, version: int, engine: BundleApplyEngine
     ) -> Dict:
-        """Pick the ``(values, value)`` callables of the served engine
-        (a model's, or one bundle column's), then answer ``values`` /
-        ``value`` the same way for both; a bundle also takes a whole
-        ``record``.  Always against the one snapshot taken at dispatch."""
-        if isinstance(engine, BundleApplyEngine):
-            if "record" in request:
-                record = request["record"]
-                if not isinstance(record, dict) or any(
-                    not isinstance(k, str) or not isinstance(v, str)
-                    for k, v in record.items()
-                ):
-                    return {
-                        "ok": False,
-                        "error": "record must map column names to strings",
-                    }
-                return {
-                    "ok": True,
-                    "record": engine.apply_record(record),
-                    "version": version,
-                }
-            column = request.get("column")
-            if column is None and len(engine.columns) == 1:
-                # A one-column bundle (a `repro stream --dataset` run)
-                # answers column-less requests like the bare model it
-                # replaced.
-                [column] = engine.columns
-            if not isinstance(column, str):
+        """Answer a whole ``record``, or one column's ``values`` /
+        ``value``, always against the one snapshot taken at dispatch.
+        A one-column bundle needs no ``column``."""
+        if "record" in request:
+            record = request["record"]
+            if not isinstance(record, dict) or any(
+                not isinstance(k, str) or not isinstance(v, str)
+                for k, v in record.items()
+            ):
                 return {
                     "ok": False,
-                    "error": "bundle mode needs 'column' or 'record'",
+                    "error": "record must map column names to strings",
                 }
-            column_engine = engine.engine(column)
-            if column_engine is None:
-                return {
-                    "ok": False,
-                    "error": f"unknown column: {column!r} "
-                    f"(bundle has {engine.columns})",
-                }
-            apply_values = column_engine.apply_values
-
-            def transform(value: str) -> str:
-                return column_engine.apply_values([value])[0]
-
-        else:
-            apply_values, transform = engine.apply_values, engine.transform
+            return {
+                "ok": True,
+                "record": engine.apply_record(record),
+                "version": version,
+            }
+        column = request.get("column")
+        if column is None and len(engine.columns) == 1:
+            [column] = engine.columns
+        if not isinstance(column, str):
+            return {
+                "ok": False,
+                "error": "apply needs 'column' or 'record'",
+            }
+        column_engine = engine.engine(column)
+        if column_engine is None:
+            return {
+                "ok": False,
+                "error": f"unknown column: {column!r} "
+                f"(bundle has {engine.columns})",
+            }
         if "values" in request:
             values = request["values"]
             if not isinstance(values, list) or any(
                 not isinstance(v, str) for v in values
             ):
                 return {"ok": False, "error": "values must be a string list"}
-            outputs = apply_values(values)
+            outputs = column_engine.apply_values(values)
             changed = sum(1 for v, o in zip(values, outputs) if v != o)
             return {
                 "ok": True,
@@ -686,7 +660,11 @@ class ServeServer:
             value = request["value"]
             if not isinstance(value, str):
                 return {"ok": False, "error": "value must be a string"}
-            return {"ok": True, "value": transform(value), "version": version}
+            out = column_engine.transform(value)
+            # apply_values mirrors its counters into obs; transform
+            # leaves that to its caller.
+            column_engine.sync_obs()
+            return {"ok": True, "value": out, "version": version}
         return {"ok": False, "error": "apply needs 'value' or 'values'"}
 
     def _lookup_response(self, request: Dict) -> Dict:
@@ -704,7 +682,9 @@ class ServeServer:
             "seq": self.golden.seq,
         }
 
-    def _stats_response(self, version: int, engine) -> Dict:
+    def _stats_response(
+        self, version: int, engine: BundleApplyEngine
+    ) -> Dict:
         latency = self._m_latency
         serve = {
             "requests": self._m_requests.value,
@@ -728,15 +708,11 @@ class ServeServer:
         if self.golden is not None:
             serve["golden_seq"] = self.golden.seq
             serve["golden_records"] = len(self.golden.records)
-        if isinstance(engine, BundleApplyEngine):
-            engine_stats: Dict[str, object] = engine.stats()
-        else:
-            engine_stats = engine.stats().as_dict()
         return {
             "ok": True,
             "version": version,
             "serve": serve,
-            "engine": engine_stats,
+            "engine": engine.stats(),
         }
 
 

@@ -17,7 +17,7 @@ re-learn:
 * :mod:`repro.stream.publisher` — confirmed knowledge republished as
   new bundle versions through
   :class:`~repro.serve.registry.ModelRegistry` with in-place
-  :meth:`~repro.serve.engine.ApplyEngine.reload`;
+  :meth:`~repro.serve.bundle.BundleApplyEngine.reload`;
 * :mod:`repro.stream.monitor` — unmatched-rate drift detection, one
   monitor per column, that triggers a deeper relearn of its column
   when the serve model stops explaining the traffic;

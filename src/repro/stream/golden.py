@@ -66,8 +66,9 @@ consolidator pointed at a registry that already holds its bundle
 resumes — rehydrated per-column logs, replayed verdicts, zero repeat
 questions.  A one-column stream also resumes a registry written
 before streams published bundles: a bare model as the latest version,
-with its verdicts in an unnamed ``decisions.jsonl`` (see
-:meth:`GoldenStreamConsolidator._maybe_resume` and
+which the registry reads as its one-column bundle
+(:func:`repro.serve.bundle.load_artifact`), with its verdicts in an
+unnamed ``decisions.jsonl`` (see
 :meth:`GoldenStreamConsolidator._adopt_legacy_log`).
 """
 
@@ -106,15 +107,9 @@ from ..pipeline.standardize import (
 )
 from ..resolution.blocking import BlockKeyFn
 from ..resolution.matcher import SimilarityFn, hybrid_similarity
-from ..serve.bundle import (
-    BundleApplyEngine,
-    BundleRegistry,
-    ModelBundle,
-    build_bundle,
-    load_artifact,
-)
+from ..serve.bundle import BundleApplyEngine, ModelBundle, build_bundle
 from ..serve.model import TransformationModel, build_model
-from ..serve.registry import slugify
+from ..serve.registry import ModelRegistry, slugify
 from .decisions import DecisionCache, archive_log
 from .deltas import GoldenDeltaLog
 from .monitor import DriftMonitor
@@ -501,7 +496,7 @@ class GoldenStreamConsolidator:
         ``fusion=None`` skips fusion and the golden delta log.
     registry / bundle_name:
         Publish :class:`~repro.serve.bundle.ModelBundle` versions into
-        this :class:`~repro.serve.bundle.BundleRegistry` under this
+        this :class:`~repro.serve.registry.ModelRegistry` under this
         name.  With a registry, per-column decision logs default to
         ``<registry>/<name>/decisions-<column>.jsonl`` and an existing
         bundle (or, for one column, a legacy bare model) resumes (see
@@ -561,7 +556,7 @@ class GoldenStreamConsolidator:
         cluster_fusion: Optional[ClusterFusionFn] = None,
         config: Config = DEFAULT_CONFIG,
         vocabulary: TermVocabulary = DEFAULT_VOCABULARY,
-        registry: Optional[BundleRegistry] = None,
+        registry: Optional[ModelRegistry] = None,
         bundle_name: Optional[str] = None,
         use_engine: bool = True,
         monitors: Optional[Mapping[str, DriftMonitor]] = None,
@@ -921,13 +916,7 @@ class GoldenStreamConsolidator:
         versions = self.registry.versions(self.bundle_name)
         if not versions:
             return
-        bundle = load_artifact(
-            self.registry.path(self.bundle_name, versions[-1])
-        )
-        if isinstance(bundle, TransformationModel):
-            # A legacy single-column registry's latest version is a bare
-            # model; it resumes as the one-column bundle it stands for.
-            bundle = build_bundle({bundle.column: bundle}, self.bundle_name)
+        bundle = self.registry.load(self.bundle_name, versions[-1])
         models = bundle.models
         for column in self.columns:
             model = models.get(column)

@@ -2,40 +2,31 @@
 
 :class:`ModelPublisher` is the bridge between the streaming learner and
 the serve layer: each time a batch confirms novel groups, the
-cumulative model is published as the next version of its registry name
-(atomically, never over a rival publisher's version, see
-:mod:`repro.serve.registry`) and every subscribed
-:class:`~repro.serve.engine.ApplyEngine` is hot-reloaded in place — the
-next batch's fast path immediately speaks the newest model, with no
-process restart and no engine reconstruction.
+cumulative :class:`~repro.serve.bundle.ModelBundle` is published as the
+next version of its registry name (atomically, never over a rival
+publisher's version, see :mod:`repro.serve.registry`) and every
+subscribed :class:`~repro.serve.bundle.BundleApplyEngine` hot-reloads
+*all* columns in place — the next batch's fast path immediately speaks
+the newest bundle, with no process restart, no engine reconstruction,
+and no consumer ever standardizing a record with a half-upgraded
+column set.
 
 A publisher without a registry still versions in-process: subscribers
 reload, nothing lands on disk.  That keeps the streaming loop usable in
 tests and notebooks where persistence is noise.
-
-Publishing is artifact-agnostic: registries and engines are duck-typed
-on ``save``/``reload``, so the golden-record stream publishes one
-:class:`~repro.serve.bundle.ModelBundle` per confirming batch through
-the same class, and every subscribed
-:class:`~repro.serve.bundle.BundleApplyEngine` hot-reloads *all*
-columns atomically — no consumer ever standardizes a record with a
-half-upgraded column set.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
-from ..serve.bundle import ModelBundle
-from ..serve.engine import ApplyEngine
-from ..serve.model import TransformationModel
+from ..serve.bundle import BundleApplyEngine, ModelBundle
 from ..serve.registry import _VERSION_FILE, ModelRegistry
 
 
 class ModelPublisher:
-    """Publishes model (or bundle) versions and hot-reloads subscribed
-    engines."""
+    """Publishes bundle versions and hot-reloads subscribed engines."""
 
     def __init__(
         self,
@@ -46,31 +37,29 @@ class ModelPublisher:
         self.name = name
         self.version = 0
         self.last_path: Optional[Path] = None
-        self._subscribers: List[ApplyEngine] = []
+        self._subscribers: List[BundleApplyEngine] = []
 
-    def subscribe(self, engine: ApplyEngine) -> None:
+    def subscribe(self, engine: BundleApplyEngine) -> None:
         """Hot-reload this engine on every subsequent publish."""
         if engine not in self._subscribers:
             self._subscribers.append(engine)
 
-    def unsubscribe(self, engine: ApplyEngine) -> None:
+    def unsubscribe(self, engine: BundleApplyEngine) -> None:
         """Stop reloading this engine on publish (no-op if absent)."""
         if engine in self._subscribers:
             self._subscribers.remove(engine)
 
-    def publish(
-        self, model: Union[TransformationModel, ModelBundle]
-    ) -> Tuple[int, Optional[Path]]:
-        """Persist ``model`` as the next version and reload subscribers.
+    def publish(self, bundle: ModelBundle) -> Tuple[int, Optional[Path]]:
+        """Persist ``bundle`` as the next version and reload subscribers.
 
         Returns ``(version, path)``; ``path`` is None for in-process
         publishers.  The registry write happens *before* any engine
         reload, so a crash between the two leaves the durable state
         ahead of the served state — the safe direction (the next reload
-        catches up; nothing serves a model that was never persisted).
+        catches up; nothing serves a bundle that was never persisted).
         """
         if self.registry is not None:
-            path = self.registry.save(model, self.name)
+            path = self.registry.save(bundle, self.name)
             self.last_path = path
             # The version this publisher wrote, read off the returned
             # path — re-listing the directory could pick up a rival
@@ -82,10 +71,9 @@ class ModelPublisher:
             path = None
             self.version += 1
         for engine in self._subscribers:
-            engine.reload(model)
+            engine.reload(bundle)
         return self.version, path
 
 
-#: The bundle-publishing name of :class:`ModelPublisher` (one class
-#: publishes models and bundles alike).
+#: The publisher's older name (one class publishes bundles).
 BundlePublisher = ModelPublisher

@@ -15,7 +15,13 @@ import pytest
 from repro.core.functions import ConstantStr
 from repro.core.program import Program
 from repro.pipeline.oracle import FORWARD
-from repro.serve import TransformationModel, build_bundle, load_artifact
+from repro.serve import (
+    ModelBundle,
+    TransformationModel,
+    as_bundle,
+    build_bundle,
+    load_artifact,
+)
 from repro.serve.model import ConfirmedGroup, ConfirmedMember
 
 DATA = Path(__file__).parent / "data"
@@ -71,9 +77,10 @@ class TestCompactFormat:
         assert loaded.to_dict() == artifact.to_dict()
 
     def test_load_artifact_reads_new_files(self, artifact, tmp_path):
+        # A bare model file reads as the one-column bundle it stands for.
         loaded = load_artifact(artifact.save(tmp_path / "a.json"))
-        assert type(loaded) is type(artifact)
-        assert loaded.to_dict() == artifact.to_dict()
+        assert type(loaded) is ModelBundle
+        assert loaded.to_dict() == as_bundle(artifact).to_dict()
 
 
 @pytest.mark.parametrize(
@@ -88,6 +95,6 @@ class TestCompactFormat:
 def test_indented_artifacts_still_load(path):
     text = path.read_text(encoding="utf-8")
     assert "\n  " in text  # written indented by an older build
-    loaded = load_artifact(path)
+    [loaded] = load_artifact(path).models.values()
     assert isinstance(loaded, TransformationModel)
     assert loaded.to_dict() == json.loads(text)

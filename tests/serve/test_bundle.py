@@ -13,9 +13,10 @@ from repro.serve import (
     ModelBundle,
     TransformationModel,
     build_bundle,
+    load_artifact,
 )
 from repro.serve.bundle import BUNDLE_KIND, BUNDLE_SCHEMA_VERSION
-from repro.serve.model import ConfirmedGroup, ConfirmedMember
+from repro.serve.model import SCHEMA_VERSION, ConfirmedGroup, ConfirmedMember
 
 
 def make_model(rules, name="m", column="addr"):
@@ -113,13 +114,54 @@ class TestBundleRegistry:
             registry.load("g", 2).to_dict()
         )
 
-    def test_rejects_single_column_model_files(self, tmp_path):
-        """A model file in the bundle tree fails loudly, not half-read."""
+    def test_reads_bare_model_files_as_one_column_bundles(self, tmp_path):
+        """A model file an older release wrote into the tree loads as
+        the one-column bundle it stands for, model untouched."""
         registry = BundleRegistry(tmp_path)
         (tmp_path / "g").mkdir()
-        make_model([("a", "b")]).save(tmp_path / "g" / "v1.json")
-        with pytest.raises(ValueError, match="not a model bundle"):
-            registry.load("g")
+        path = make_model([("a", "b")], name="legacy").save(
+            tmp_path / "g" / "v1.json"
+        )
+        loaded = registry.load("g")
+        assert isinstance(loaded, ModelBundle)
+        assert loaded.name == "legacy"
+        assert loaded.columns == ["addr"]
+        assert loaded.models["addr"].to_dict() == json.loads(
+            path.read_text(encoding="utf-8")
+        )
+
+
+def _with_schema(payload, version):
+    return {**payload, "schema_version": version}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (
+            {"kind": "someone.else", "schema_version": 1},
+            "not a transformation model",
+        ),
+        (
+            _with_schema(make_bundle().to_dict(), BUNDLE_SCHEMA_VERSION + 1),
+            "unsupported bundle schema",
+        ),
+        (
+            _with_schema(
+                make_model([("a", "b")]).to_dict(), SCHEMA_VERSION + 1
+            ),
+            "unsupported model schema",
+        ),
+    ],
+    ids=["foreign-kind", "newer-bundle", "newer-model"],
+)
+def test_load_artifact_rejects_foreign_and_newer_files(
+    payload, message, tmp_path
+):
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_artifact(path)
 
 
 class TestBundleApplyEngine:
@@ -139,11 +181,6 @@ class TestBundleApplyEngine:
         values = {"addr": "st"}
         engine.apply_record(values)
         assert values == {"addr": "st"}
-
-    def test_apply_column_unknown_passes_through(self):
-        engine = BundleApplyEngine(make_bundle())
-        assert engine.apply_column("nope", ["a", "b"]) == ["a", "b"]
-        assert engine.apply_column("addr", ["st", "z"]) == ["street", "z"]
 
     def test_reload_flips_all_columns_at_once(self):
         engine = BundleApplyEngine(make_bundle())
@@ -181,8 +218,8 @@ class TestBundleApplyEngine:
         )
         engine.reload(swapped)
         assert engine.columns == ["addr", "authors"]
-        assert engine.apply_column("title", ["intl"]) == ["intl"]
-        assert engine.apply_column("authors", ["j."]) == ["john"]
+        assert engine.apply_record({"title": "intl"}) == {"title": "intl"}
+        assert engine.apply_record({"authors": "j."}) == {"authors": "john"}
 
     def test_stats_per_column(self):
         engine = BundleApplyEngine(make_bundle())

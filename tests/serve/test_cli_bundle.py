@@ -1,6 +1,5 @@
-"""``repro serve`` serves a multi-column bundle with no extra flag: the
-artifact's ``kind`` says it is a bundle, both behind ``--registry`` and
-as a ``--model`` file."""
+"""``repro serve`` serves a multi-column bundle with no extra flag, both
+behind ``--registry`` and as a ``--model`` file."""
 
 import asyncio
 import os
@@ -54,7 +53,7 @@ def _serve_and_check(args, bundle, golden):
         async def scenario():
             async with await ServeClient.connect(host, port) as client:
                 version = await client.rpc(op="version")
-                assert version["mode"] == "bundle"
+                assert "mode" not in version
                 assert version["columns"] == bundle.columns
                 reply = await client.rpc(op="apply", record=values)
                 assert reply["ok"], reply

@@ -10,7 +10,7 @@ from repro.datagen import DATASETS
 from repro.pipeline.consolidate import GoldenRecordCreation
 from repro.pipeline.oracle import GroundTruthOracle
 from repro.pipeline.standardize import Standardizer
-from repro.serve import ApplyEngine, TransformationModel
+from repro.serve import ApplyEngine, ModelBundle
 
 SCALE = "0.05"
 SEED = "3"
@@ -41,7 +41,8 @@ def model_path(tmp_path_factory):
 
 class TestLearnApply:
     def test_learn_writes_a_loadable_model(self, model_path):
-        model = TransformationModel.load(model_path)
+        # `learn` writes the one-column bundle of its model.
+        [model] = ModelBundle.load(model_path).models.values()
         assert model.groups_confirmed > 0
         assert model.provenance["seed"] == 3
         assert model.provenance["dataset"] == "Address"
@@ -152,7 +153,7 @@ class TestSeedDeterminism:
         )
         out = capsys.readouterr().out
         printed_seed = int(out.split("seed: ")[1].split()[0])
-        model = TransformationModel.load(path)
+        [model] = ModelBundle.load(path).models.values()
         assert model.provenance["seed"] == printed_seed
 
 

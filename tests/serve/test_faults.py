@@ -194,7 +194,9 @@ def test_sigkill_mid_request_leaves_artifacts_usable(
                 reply = await client.rpc(op="apply", value="9th St")
                 assert reply["ok"] and reply["version"] == 1
                 offline = ApplyEngine(
-                    ModelRegistry(registry_root).load("addr")
+                    ModelRegistry(registry_root).load("addr").models[
+                        "address"
+                    ]
                 )
                 assert reply["value"] == offline.transform("9th St")
                 bye = await client.rpc(op="shutdown")

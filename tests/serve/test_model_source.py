@@ -136,6 +136,6 @@ def test_swaps_only_forward_under_a_glitchy_registry(identity_model, ops):
                 version, engine = source.current()
                 assert version >= served, "served version moved backwards"
                 assert version == expected
-                assert engine.model.name == f"v{version}"
+                assert engine.bundle.name == f"v{version}"
                 assert source.load_errors == errors
                 served = version

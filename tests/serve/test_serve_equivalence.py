@@ -66,7 +66,9 @@ def test_responses_after_hot_swap_equal_a_fresh_engine(
                 after = await client.rpc(op="apply", values=changing_values)
                 assert after["version"] == 2
                 # Exactly what a fresh engine over the fresh load gives.
-                fresh = ApplyEngine(registry.load("addr", 2))
+                fresh = ApplyEngine(
+                    registry.load("addr", 2).models[identity_model.column]
+                )
                 assert after["values"] == fresh.apply_values(changing_values)
                 # ...and visibly different from v1 (the swap is real).
                 assert after["values"] != before["values"]

@@ -47,8 +47,8 @@ def test_ping_version_apply_roundtrip(static_source, learned_model):
                     "id": 7,
                 }
                 version = await client.rpc(op="version")
-                assert version["mode"] == "model"
-                assert version["column"] == learned_model.column
+                assert "mode" not in version
+                assert version["columns"] == [learned_model.column]
                 reply = await client.rpc(op="apply", value="9th St")
                 assert reply["ok"] and reply["version"] == 1
                 batch = await client.rpc(
@@ -181,15 +181,17 @@ def test_bundle_mode_column_record_and_unknown_column(
         try:
             async with await ServeClient.connect(*server.address) as client:
                 version = await client.rpc(op="version")
-                assert version["mode"] == "bundle"
+                assert "mode" not in version
                 assert version["columns"] == [column]
                 one = await client.rpc(op="apply", column=column, value="9th St")
-                assert one["value"] == offline.apply_column(column, ["9th St"])[0]
+                assert one["value"] == offline.engine(column).apply_values(
+                    ["9th St"]
+                )[0]
                 many = await client.rpc(
                     op="apply", column=column, values=["9th St", "Elm"]
                 )
-                assert many["values"] == offline.apply_column(
-                    column, ["9th St", "Elm"]
+                assert many["values"] == offline.engine(column).apply_values(
+                    ["9th St", "Elm"]
                 )
                 record = await client.rpc(
                     op="apply", record={column: "9th St", "city": "NYC"}
@@ -314,7 +316,7 @@ def test_registry_source_serves_latest_and_skips_older(
     version, engine = source.current()
     assert version == 2
     # v2 is the identity variant: engine output == input everywhere.
-    assert engine.transform("9th St") == "9th St"
+    assert engine.engine("address").transform("9th St") == "9th St"
     # Stable on repeated reads (cache hit, same object).
     assert source.current()[1] is engine
 

@@ -22,10 +22,12 @@ from repro.serve import (
     ModelRegistry,
     ModelSource,
     ServeServer,
+    TransformationModel,
+    as_bundle,
     build_bundle,
     load_artifact,
 )
-from repro.serve.server import GoldenTable
+from repro.serve.server import GoldenTable, encode_reply
 
 from harness import REPO_ROOT, ServeClient
 
@@ -81,7 +83,45 @@ class TestProtocol:
         )
         assert version["name"] == learned_model.name
         assert version["groups"] == learned_model.groups_confirmed
-        assert "rows" in stats["engine"]
+        assert "rows" in stats["engine"][learned_model.column]
+
+    @pytest.mark.parametrize(
+        "wrap", [lambda m: m, as_bundle], ids=["model", "bundle"]
+    )
+    def test_value_and_values_take_one_tier_path_each(
+        self, learned_model, wrap
+    ):
+        """``value`` is the column engine's ``transform`` and ``values``
+        its ``apply_values``, whatever artifact is served: the served
+        counters equal an offline engine's driven the same way."""
+        server = ServeServer(ModelSource(model=wrap(learned_model)))
+        values = ["9th St", "Elm", "9th St"]
+        _, (_, _, stats) = run_session(
+            server,
+            {"op": "apply", "value": "9th St"},
+            {"op": "apply", "values": values},
+            {"op": "stats"},
+        )
+        offline = ApplyEngine(learned_model)
+        offline.transform("9th St")
+        offline.apply_values(values)
+        assert stats["engine"] == {
+            learned_model.column: offline.stats().as_dict()
+        }
+
+    def test_value_requests_reach_the_apply_metrics(self, learned_model):
+        from repro.obs import MemorySink, Obs
+
+        obs = Obs(sink=MemorySink())
+        source = ModelSource(model=learned_model, obs=obs)
+        server = ServeServer(source, obs=obs)
+        run_session(server, {"op": "apply", "value": "9th St"})
+        column = learned_model.column
+        stats = source.current()[1].stats()[column]
+        assert any(stats.values())
+        for name, value in stats.items():
+            counter = obs.metrics.counter(f"apply.{name}", column=column)
+            assert counter.value == value, name
 
     def test_shutdown_stops_the_loop(self, server):
         served, responses = run_session(
@@ -189,15 +229,14 @@ class TestStdioTransport:
             {"op": "apply", "column": column, "value": "9th St"},
             {"op": "apply", "column": column, "values": ["9th St", "Elm"]},
         )
-        assert version["mode"] == "bundle"
+        assert "mode" not in version
         assert version["groups"] == bundle.groups_confirmed
         assert record["record"] == offline.apply_record(
             {column: "9th St", "city": "NYC"}
         )
-        assert one["value"] == offline.apply_column(column, ["9th St"])[0]
-        assert many["values"] == offline.apply_column(
-            column, ["9th St", "Elm"]
-        )
+        engine = offline.engine(column)
+        assert one["value"] == engine.apply_values(["9th St"])[0]
+        assert many["values"] == engine.apply_values(["9th St", "Elm"])
 
     def test_hot_swap_between_requests(
         self, learned_model, identity_model, changing_values, tmp_path
@@ -292,6 +331,38 @@ def test_real_stdin_from_a_regular_file(learned_model, tmp_path):
     assert b"served 3 requests" in proc.stderr
 
 
+def test_cli_serves_the_golden_model_file_like_its_engine():
+    """The checked-in model file an early build wrote serves as its
+    one-column bundle: column-less replies are byte-equal to the bare
+    model's engine."""
+    golden = REPO_ROOT / "tests" / "serve" / "data" / "golden_model.json"
+    engine = ApplyEngine(TransformationModel.load(golden))
+    values = ["9th", "42nd", "5 St", "untouched"]
+    requests = [{"op": "apply", "value": v} for v in values]
+    requests.append({"op": "apply", "values": values})
+    proc = run_cli(
+        ["serve", "--model", str(golden)],
+        input="".join(json.dumps(r) + "\n" for r in requests).encode(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    outputs = [engine.transform(v) for v in values]
+    expected = [
+        encode_reply({"ok": True, "value": out, "version": 1})
+        for out in outputs
+    ]
+    expected.append(
+        encode_reply(
+            {
+                "ok": True,
+                "values": engine.apply_values(values),
+                "changed": sum(o != v for o, v in zip(outputs, values)),
+                "version": 1,
+            }
+        )
+    )
+    assert proc.stdout == b"".join(expected)
+
+
 def test_closed_stdin_is_eof(learned_model, tmp_path):
     model = learned_model.save(tmp_path / "m.json")
     proc = run_cli(
@@ -350,7 +421,7 @@ def test_cli_stdio_serves_a_stream_bundle(stream_registry):
     )
     assert proc.returncode == 0, proc.stderr
     version, reply, bye = map(json.loads, proc.stdout.splitlines())
-    assert version["mode"] == "bundle"
+    assert "mode" not in version
     assert version["version"] == stream_registry.versions(BUNDLE_NAME)[-1]
     assert reply["record"] == BundleApplyEngine(bundle).apply_record(record)
     assert reply["record"] != record

@@ -436,7 +436,10 @@ class TestLegacyMigration:
                 directory / "decisions.jsonl"
             ).items()
         }
-        legacy_groups = [g.to_dict() for g in registry.load("addr").groups]
+        legacy_groups = [
+            g.to_dict()
+            for g in registry.load("addr").models[stream.column].groups
+        ]
         with make_consolidator(
             stream, BundleRegistry(registry.root), use_engine=False
         ) as resumed:

@@ -127,11 +127,11 @@ class TestPublisher:
         publisher = ModelPublisher(registry, "addr")
         v1 = make_model([("Main St", "Main Street")])
         publisher.publish(v1)
-        engine = ApplyEngine(registry.load("addr"))
+        engine = ApplyEngine(registry.load("addr").models["addr"])
         exact_id = id(engine.exact)
 
         publisher.publish(extend(v1, [("9th Ave", "9th Avenue")]))
-        reloaded = registry.load("addr")
+        reloaded = registry.load("addr").models["addr"]
         engine.reload(reloaded)
         assert id(engine.exact) == exact_id
         assert engine.transform("9th Ave") == "9th Avenue"

@@ -52,7 +52,10 @@ def test_example_runs(script, tmp_path):
     args = list(SMOKE_ARGS[script])
     if script == "csv_workflow.py":
         args.append(str(tmp_path))
-    env = dict(os.environ)
+    # A private temp dir: an example must clean up what it puts there.
+    temp_root = tmp_path / "tmp"
+    temp_root.mkdir()
+    env = dict(os.environ, TMPDIR=str(temp_root))
     env["PYTHONPATH"] = str(REPO / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
@@ -68,3 +71,4 @@ def test_example_runs(script, tmp_path):
         f"{script} failed:\n{result.stdout}\n{result.stderr}"
     )
     assert EXPECTED_OUTPUT[script] in result.stdout
+    assert list(temp_root.iterdir()) == []
