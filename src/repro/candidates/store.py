@@ -340,25 +340,28 @@ class ReplacementStore:
             self._generate_for_pair(cell, mate, allow_new=False)
 
     def _remove_cell_from(self, r: Replacement, cell: CellRef) -> None:
+        """Drop ``r``'s entries holding ``cell``; a mate left in none of
+        ``r``'s entries leaves the reverse index under ``r``."""
+        mates: List[CellRef] = []
+        kept: List[Set[CellPair]] = []
         for entries in (self.pair_entries.get(r), self.token_entries.get(r)):
-            if entries is None:
+            if not entries:
                 continue
             for pair in [p for p in entries if cell in p]:
                 entries.discard(pair)
-                for other in pair:
-                    if other != cell and not self._participates(r, other):
-                        self._by_cell.get(other, set()).discard(r)
+                mates.extend(other for other in pair if other != cell)
+            kept.append(entries)
+        if mates:
+            held = {other for entries in kept for pair in entries for other in pair}
+            for other in mates:
+                if other not in held:
+                    self._by_cell.get(other, set()).discard(r)
         if not self.pair_entries.get(r) and not self.token_entries.get(r):
             # Mark dead but keep the (empty) key: re-derivation during
             # the same refresh may legitimately revive it, and the
             # no-new-keys rule must not block that.  Truly dead keys
             # are dropped at drain time.
             self._dead.add(r)
-
-    def _participates(self, r: Replacement, cell: CellRef) -> bool:
-        if any(cell in pair for pair in self.pair_entries.get(r, ())):
-            return True
-        return any(cell in pair for pair in self.token_entries.get(r, ()))
 
     def drain_dead(self) -> Set[Replacement]:
         """Candidates invalidated since the last call (for the grouper).

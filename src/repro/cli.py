@@ -1249,6 +1249,8 @@ def cmd_bench(args) -> int:
             )
         for series, reason in sorted(base["skipped"].items()):
             print(f"skipped {series}: {reason}")
+        if base["scale"] is not None:
+            print(f"baseline scale: {base['scale']:g} (REPRO_BENCH_SCALE)")
         if not metrics:
             print(f"no usable series under {args.results_dir}")
             return 1
@@ -1269,18 +1271,21 @@ def cmd_bench(args) -> int:
         )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    results, missing = bench_baseline.check(
+    results, missing, skipped = bench_baseline.check(
         args.results_dir, base, tolerance=args.tolerance
     )
     for result in results:
         print(result.describe())
     for series in missing:
         print(f"no data    {series}: no row in {args.results_dir}")
+    for series, reason in skipped.items():
+        print(f"skipped    {series}: {reason}")
     regressions = [result for result in results if not result.ok]
     print(
         f"bench check: {len(results)} series checked, "
         f"{len(regressions)} regression(s), {len(missing)} without "
-        f"data (tolerance {args.tolerance:g}x)"
+        f"data, {len(skipped)} with rows only at another scale "
+        f"(tolerance {args.tolerance:g}x)"
     )
     return 1 if regressions else 0
 

@@ -136,65 +136,106 @@ def build_graph(
     positions = table.position_ids(
         ctx, config.max_position_functions, config.boundary_positions_only
     )
-    occurrences = _occurrence_index(source, len(target))
     boundaries = (
         _unit_boundaries(target) if config.aligned_constants else None
     )
 
     label, functions = table.label, table.positions
+    m, last = len(source), len(target) + 1
+    cap = config.max_occurrences_per_edge
+    budget = config.max_substr_labels_per_edge
+    whitelist = constant_whitelist
+    # Source positions some position function locates: a SubStr label
+    # needs one at both ends of its span.
+    anchors = {k for k, pids in positions.items() if pids}
+    # SubStr ids per source span ``(x, y)``: every target span with the
+    # text of ``s[x, y)`` reads the same list.
+    spans: Dict[Edge, List[int]] = {}
+
+    def substr_ids(x: int, y: int) -> List[int]:
+        lids = spans.get((x, y))
+        if lids is None:
+            lids = spans[(x, y)] = []
+            for f in positions[x]:
+                for g in positions[y]:
+                    lids.append(label((f, g), SubStr, functions[f], functions[g]))
+                    if len(lids) >= budget:
+                        return lids
+        return lids
+
+    where: Dict[str, List[int]] = {}
+    for x, ch in enumerate(source, start=1):
+        where.setdefault(ch, []).append(x)
     edges: Dict[Edge, List[int]] = {}
-    n = len(target)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 2):
-            sub = target[i - 1 : j - 1]
+    for i in range(1, last):
+        # Constants may start at i (a unit boundary under
+        # aligned_constants) until t[i, j) holds a whole token outside
+        # the whitelist: every longer span from i holds it too.
+        constants = boundaries is None or i in boundaries
+        # Ascending 1-based starts x with s[x, x + j - i) == t[i, j).
+        starts = where.get(target[i - 1], ())
+        for j in range(i + 1, last + 1):
             labels: List[int] = []
-            if (
-                (boundaries is None or (i in boundaries and j in boundaries))
-                and _constant_admitted(sub, constant_whitelist)
-            ) or (i == 1 and j == n + 1):
-                labels.append(label(sub, ConstantStr, sub))
-            starts = occurrences.get(sub, ())
-            for x in starts[: config.max_occurrences_per_edge]:
-                y = x + len(sub)
-                budget = config.max_substr_labels_per_edge
-                emitted = 0
-                for f in positions.get(x, ()):
-                    for g in positions.get(y, ()):
-                        labels.append(
-                            label((f, g), SubStr, functions[f], functions[g])
-                        )
-                        emitted += 1
-                        if emitted >= budget:
-                            break
-                    if emitted >= budget:
-                        break
-            edges[(i, j)] = labels
+            if constants and (boundaries is None or j in boundaries):
+                sub = target[i - 1 : j - 1]
+                if whitelist is None:
+                    labels.append(label(sub, ConstantStr, sub))
+                else:
+                    tokens = _ALNUM_TOKEN.findall(sub)
+                    if whitelist.issuperset(tokens):
+                        labels.append(label(sub, ConstantStr, sub))
+                    elif not whitelist.issuperset(tokens[:-1]) or _token_ends(
+                        target, j - 1
+                    ):
+                        constants = False
+            if starts:
+                # The cap counts every occurrence, with or without labels.
+                for x in starts[:cap]:
+                    y = x + j - i
+                    if x in anchors and y in anchors:
+                        labels += substr_ids(x, y)
+                if j < last:
+                    ch, off = target[j - 1], j - i
+                    starts = [
+                        x for x in starts if x + off <= m and source[x - 1 + off] == ch
+                    ]
+            elif not constants:
+                break
+            if labels:
+                edges[(i, j)] = labels
+    # The whole-target edge always has its constant, so every
+    # replacement keeps a consistent program.
+    whole = edges.setdefault((1, last), [])
+    lid = label(target, ConstantStr, target)
+    if lid not in whole:
+        whole.append(lid)
 
     if config.use_affix:
         _add_affix_labels(ctx, target, edges, table)
 
-    # Unlabeled edges (possible under aligned_constants) are dropped:
     # Definition 2 gives every span an edge, but an edge without labels
-    # can never appear on a transformation path.
+    # (possible under aligned_constants) can never appear on a
+    # transformation path, so only labeled edges are written.
     key = table.keys.__getitem__
     frozen: Dict[Edge, Tuple[int, ...]] = {
-        edge: tuple(sorted(set(labels), key=key))
-        for edge, labels in edges.items()
-        if labels
+        edge: (lids[0],) if len(lids) == 1 else tuple(sorted(set(lids), key=key))
+        for edge, lids in edges.items()
     }
     return TransformationGraph(source, target, frozen, table)
 
 
+#: The alphanumeric tokens of scored-constant admission (Appendix E's
+#: freqStruc order): a ``ConstantStr`` is admitted when each of its
+#: tokens recurs within the structure group; pure separators always are.
 _ALNUM_TOKEN = re.compile(r"[A-Za-z]+|[0-9]+")
 
 
-def _constant_admitted(sub: str, whitelist: Optional[frozenset]) -> bool:
-    """Scored-constant check: every alphanumeric token of ``sub`` must
-    recur within the structure group (Appendix E's freqStruc order).
-    Pure separators (whitespace/punctuation) always pass."""
-    if whitelist is None:
-        return True
-    return all(token in whitelist for token in _ALNUM_TOKEN.findall(sub))
+def _token_ends(target: str, q: int) -> bool:
+    """Whether the cut before 0-based position ``q`` ends every
+    alphanumeric token: none holds both ``target[q - 1]`` and
+    ``target[q]``."""
+    run = _ALNUM_TOKEN.match(target, q - 1)
+    return run is None or run.end() == q
 
 
 def _unit_boundaries(target: str) -> frozenset:
@@ -222,17 +263,6 @@ def _unit_boundaries(target: str) -> frozenset:
     return frozenset(boundaries)
 
 
-def _occurrence_index(source: str, max_len: int) -> Dict[str, Tuple[int, ...]]:
-    """Map every substring of ``source`` (up to ``max_len`` chars) to its
-    1-based start positions."""
-    index: Dict[str, List[int]] = {}
-    n = len(source)
-    for length in range(1, min(n, max_len) + 1):
-        for start in range(n - length + 1):
-            index.setdefault(source[start : start + length], []).append(start + 1)
-    return {sub: tuple(starts) for sub, starts in index.items()}
-
-
 def _add_affix_labels(
     ctx: MatchContext,
     target: str,
@@ -250,6 +280,10 @@ def _add_affix_labels(
     """
     n = len(target)
     label = table.label
+    # 1-based positions of each character of t
+    where: Dict[str, List[int]] = {}
+    for k, ch in enumerate(target, start=1):
+        where.setdefault(ch, []).append(k)
     for term in ctx.vocabulary.regex_terms:
         slot = table.slot(term)
         matches = ctx.matches(term)
@@ -260,25 +294,22 @@ def _add_affix_labels(
                 continue
             back = idx - m - 1
             # Longest proper prefix of `text` starting at each i in t.
-            for i in range(1, n + 1):
-                if target[i - 1] != text[0]:
-                    continue
+            for i in where.get(text[0], ()):
                 length = _common_prefix_len(target, i - 1, text)
                 length = min(length, len(text) - 1, n + 1 - i)
                 if length >= 1:
-                    edge = (i, i + length)
-                    edges[edge].append(label((Prefix, slot, idx), Prefix, term, idx))
-                    edges[edge].append(label((Prefix, slot, back), Prefix, term, back))
+                    labels = edges.setdefault((i, i + length), [])
+                    labels.append(label((Prefix, slot, idx), Prefix, term, idx))
+                    labels.append(label((Prefix, slot, back), Prefix, term, back))
             # Longest proper suffix of `text` ending at each j in t.
-            for j in range(2, n + 2):
-                if target[j - 2] != text[-1]:
-                    continue
+            for k in where.get(text[-1], ()):
+                j = k + 1
                 length = _common_suffix_len(target, j - 1, text)
                 length = min(length, len(text) - 1, j - 1)
                 if length >= 1:
-                    edge = (j - length, j)
-                    edges[edge].append(label((Suffix, slot, idx), Suffix, term, idx))
-                    edges[edge].append(label((Suffix, slot, back), Suffix, term, back))
+                    labels = edges.setdefault((j - length, j), [])
+                    labels.append(label((Suffix, slot, idx), Suffix, term, idx))
+                    labels.append(label((Suffix, slot, back), Suffix, term, back))
 
 
 def _common_prefix_len(target: str, start: int, text: str) -> int:

@@ -123,7 +123,8 @@ def constant_whitelist(
 #: Edges of built graphs as label-id tuples, keyed so that a hit is
 #: exactly the graph a fresh ``build_graph`` would return (see
 #: :func:`graph_memo_key`).  Ids mean something only under the table
-#: that issued them, so the memo owns that table, under the key ``None``.
+#: that issued them, so the memo holds that table, under the key ``None``
+#: (an incremental grouper hands every source's memo the same table).
 GraphMemo = Dict[Optional[Tuple], object]
 
 
@@ -134,8 +135,8 @@ def graph_memo_key(
 
     Vocabulary and config are fixed per group; the whitelist is not (it
     is recomputed over the surviving members), so the key keeps the part
-    of it that can reach this graph.  ``_constant_admitted`` looks up
-    the tokens of *substrings* of ``rhs`` — a ``"2"`` cut from ``"12"``
+    of it that can reach this graph.  Constant admission looks up the
+    tokens of *substrings* of ``rhs`` — a ``"2"`` cut from ``"12"``
     counts — so that part is every whitelisted token occurring anywhere
     in ``rhs``, not only ``rhs``'s own tokens.
     """

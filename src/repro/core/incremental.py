@@ -17,6 +17,7 @@ magnitude upfront-cost reduction comes from.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -29,6 +30,7 @@ from .grouping import (
     singleton_group,
 )
 from .index import InvertedIndex
+from .labels import LabelTable
 from .pivot import (
     GlobalBounds,
     PivotCandidate,
@@ -53,6 +55,7 @@ class _Source:
         vocabulary: TermVocabulary,
         config: Config,
         stats: SearchStats,
+        table: LabelTable,
     ) -> None:
         self.order = order
         self.skey = skey
@@ -61,7 +64,7 @@ class _Source:
         self.config = config
         self.stats = stats
         self.index: Optional[InvertedIndex] = None
-        self.memo: GraphMemo = {}
+        self.memo: GraphMemo = {None: table}
         self.by_gid: Dict[int, Replacement] = {}
         self.graphless: List[Replacement] = []
         self.live: Set[int] = set()
@@ -248,8 +251,14 @@ class IncrementalGrouper:
         self.config = config
         self.stats = SearchStats()
         unique = list(dict.fromkeys(replacements))
+        #: sources by order, and a heap of ``(-bound, order)``, one entry
+        #: per non-exhausted source, built by the first :meth:`peek_best`
         self._sources: List[_Source] = []
+        self._heap: Optional[List[Tuple[int, int]]] = None
         self._best: Optional[_Source] = None
+        # One label table for every source: most labels recur across
+        # structure groups, so each is made and keyed once per grouper.
+        table = LabelTable()
         if config.use_structure:
             buckets = partition_by_structure(unique)
             for order, skey in enumerate(sorted(buckets)):
@@ -258,14 +267,14 @@ class IncrementalGrouper:
                     bucket, vocabulary, config, global_counts
                 )
                 self._sources.append(
-                    _Source(order, skey, bucket, vocab, config, self.stats)
+                    _Source(order, skey, bucket, vocab, config, self.stats, table)
                 )
         elif unique:
             vocab = build_group_vocabulary(
                 unique, vocabulary, config, global_counts
             )
             self._sources.append(
-                _Source(0, None, unique, vocab, config, self.stats)
+                _Source(0, None, unique, vocab, config, self.stats, table)
             )
 
     def peek_best(self) -> Optional[Tuple[Group, Optional[StructureKey]]]:
@@ -282,30 +291,34 @@ class IncrementalGrouper:
         comparing ``(size desc, key asc)`` across shards reproduces the
         single-process emission order exactly.
 
-        Classic lazy top-k: repeatedly tighten the max-bound source's
-        candidate until no rival source's upper bound exceeds it.
+        Classic lazy top-k: tighten the max-bound source (largest
+        bound, then lowest order) until it holds a cached group.  A
+        cached group's size *is* its source's bound, so once the
+        max-bound source holds one, no rival's upper bound exceeds it.
         """
-        while True:
-            candidates = [s for s in self._sources if not s.exhausted()]
-            if not candidates:
-                return None
-            best = max(candidates, key=lambda s: (s.bound(), -s.order))
-            if best.bound() <= 0:
-                return None
-            if best.cached is None:
-                if best.peek() is None:
-                    # Source turned out to be exhausted.
-                    continue
-                continue
-            size = best.cached.size
-            rivals = [
-                s for s in candidates if s is not best and s.bound() > size
+        heap, sources = self._heap, self._sources
+        if heap is None:
+            heap = self._heap = [
+                (-s.bound(), s.order) for s in sources if not s.exhausted()
             ]
-            if not rivals:
+            heapq.heapify(heap)
+        while heap:
+            negative, order = heap[0]
+            best = sources[order]
+            bound = best.bound()
+            if bound != -negative:
+                # Sources are peeked and popped only from the top, so a
+                # stale entry surfaces here: re-file it at its bound.
+                if bound > 0:
+                    heapq.heapreplace(heap, (-bound, order))
+                else:
+                    heapq.heappop(heap)
+                continue
+            if best.cached is not None:
                 self._best = best
                 return best.cached, best.skey
-            rivals.sort(key=lambda s: (-s.bound(), s.order))
-            rivals[0].peek()
+            best.peek()
+        return None
 
     def pop_best(self) -> Group:
         """Emit the group the last :meth:`peek_best` returned, retiring
@@ -344,3 +357,4 @@ class IncrementalGrouper:
         self._best = None
         for source in self._sources:
             source.remove_replacements(dead_set)
+        self._heap = None

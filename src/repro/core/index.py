@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from .functions import StringFunction
 from .graph import TransformationGraph
 from .labels import LabelTable
 
@@ -42,13 +43,17 @@ class InvertedIndex:
 
     def __init__(self, table: Optional[LabelTable] = None) -> None:
         self.table = table if table is not None else LabelTable()
-        self.ids = self.table.ids
         self.labels = self.table.labels
         self.keys = self.table.keys
         self.postings: Dict[int, Posting] = {}
         self.graphs: Dict[int, TransformationGraph] = {}
         self.last_node: Dict[int, int] = {}
         self.out_edges: Dict[int, IdEdges] = {}
+
+    @property
+    def ids(self) -> Dict[StringFunction, int]:
+        """The table's label -> id map (built when first read)."""
+        return self.table.ids
 
     def add_graph(self, graph: TransformationGraph) -> int:
         """Register a graph; assigns and returns its gid."""

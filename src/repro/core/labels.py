@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .functions import StringFunction, label_sort_key
 from .positions import BEGIN, END, ConstPos, MatchPos, PositionFunction, _static_key
@@ -21,12 +21,17 @@ class LabelTable:
     ``Suffix`` by ``(kind, term slot, k)``.  An object is created and
     keyed only the first time its key is seen.  The table issues the
     term slots itself, so it can serve any vocabulary.
+
+    Keys map one to one to labels, so a label found by key is appended
+    without hashing the object: ``ids`` is built from ``labels`` the
+    first time it is read (by :meth:`intern`, for graphs of another
+    table, or by a caller) and kept up to date from then on.
     """
 
     def __init__(self) -> None:
         self.labels: List[StringFunction] = []
         self.keys: List[Tuple] = []
-        self.ids: Dict[StringFunction, int] = {}
+        self._ids: Optional[Dict[StringFunction, int]] = None
         #: position id -> position function, and its Appendix E order key
         self.positions: List[PositionFunction] = []
         self._position_order: List[Tuple] = []
@@ -34,21 +39,35 @@ class LabelTable:
         self._label_ids: Dict[object, int] = {}
         self._slots: Dict[object, int] = {}
 
+    @property
+    def ids(self) -> Dict[StringFunction, int]:
+        """Each label's id."""
+        if self._ids is None:
+            self._ids = {label: lid for lid, label in enumerate(self.labels)}
+        return self._ids
+
     def intern(self, label: StringFunction) -> int:
         """The id of ``label``, issuing one if the table has not seen it."""
-        lid = self.ids.get(label)
+        ids = self.ids
+        lid = ids.get(label)
         if lid is None:
-            lid = self.ids[label] = len(self.labels)
-            self.labels.append(label)
-            self.keys.append(label_sort_key(label))
+            lid = ids[label] = self._append(label)
         return lid
 
     def label(self, key, make, *args) -> int:
         """The id of the label ``make(*args)``, found by ``key``."""
         lid = self._label_ids.get(key)
         if lid is None:
-            lid = self._label_ids[key] = self.intern(make(*args))
+            made = make(*args)
+            lid = self._label_ids[key] = (
+                self._append(made) if self._ids is None else self.intern(made)
+            )
         return lid
+
+    def _append(self, label: StringFunction) -> int:
+        self.labels.append(label)
+        self.keys.append(label_sort_key(label))
+        return len(self.labels) - 1
 
     def slot(self, term) -> int:
         """The slot of ``term`` in the keys of its labels."""
@@ -73,22 +92,31 @@ class LabelTable:
         :func:`~repro.core.positions.position_candidates`)."""
         last = len(ctx) + 1
         table: Dict[int, List[int]] = {k: [] for k in range(1, last + 1)}
-        position = self._position
+        ids, position = self._position_ids, self._position
         for term in ctx.vocabulary.all_terms:
             slot = self.slot(term)
             matches = ctx.matches(term)
             m = len(matches)
             for idx, (x, y) in enumerate(matches, start=1):
                 for k in (idx, idx - m - 1):
-                    table[x].append(position((slot, k, BEGIN), MatchPos, term, k, BEGIN))
-                    table[y].append(position((slot, k, END), MatchPos, term, k, END))
+                    key = (slot, k, BEGIN)
+                    pid = ids.get(key)
+                    table[x].append(
+                        position(key, MatchPos, term, k, BEGIN) if pid is None else pid
+                    )
+                    key = (slot, k, END)
+                    pid = ids.get(key)
+                    table[y].append(
+                        position(key, MatchPos, term, k, END) if pid is None else pid
+                    )
         order = self._position_order.__getitem__
-        for k in range(1, last + 1):
-            if boundaries_only and not table[k] and k not in (1, last):
+        for k, entries in table.items():
+            if boundaries_only and not entries and k not in (1, last):
                 continue
-            back = k - last - 1
-            table[k] += (position(k, ConstPos, k), position(back, ConstPos, back))
-            entries = sorted(set(table[k]), key=order)
+            for const in (k, k - last - 1):
+                pid = ids.get(const)
+                entries.append(position(const, ConstPos, const) if pid is None else pid)
+            entries = sorted(set(entries), key=order)
             if max_per_position > 0:
                 entries = entries[:max_per_position]
             table[k] = entries

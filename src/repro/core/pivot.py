@@ -317,11 +317,15 @@ def initial_upper_bound(
     """
     n = len(graph.target)
     ub = [0] * (n + 1)  # 1-based positions 1..n
+    postings = index.postings
     for i, targets in index.out_edges[graph.gid].items():
         for j, lids in targets:
-            edge_max = max(
-                (index.posting_size_live(lid, live) for lid in lids), default=0
-            )
+            if live is None:
+                edge_max = max((len(postings[lid]) for lid in lids), default=0)
+            else:
+                edge_max = max(
+                    (index.posting_size_live(lid, live) for lid in lids), default=0
+                )
             for k in range(i, j):
                 if edge_max > ub[k]:
                     ub[k] = edge_max

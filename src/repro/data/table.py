@@ -9,12 +9,23 @@ standardization pipeline can update values in place;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 
-@dataclass(frozen=True, order=True)
-class CellRef:
-    """One attribute value: (cluster index, row within cluster, column)."""
+class CellRef(NamedTuple):
+    """One attribute value: (cluster index, row within cluster, column).
+
+    A named tuple: the candidate store keeps cells in sets and pairs,
+    so equality and hashing run in C."""
 
     cluster: int
     row: int

@@ -25,6 +25,11 @@ This module closes the loop:
   regresses when ``latest > baseline * tolerance``, a ``higher``
   metric when ``latest < baseline / tolerance``.
 
+Every row records the ``REPRO_BENCH_SCALE`` it ran at, and a run at
+another scale does other work.  So a baseline is built at one scale
+(the newest row's, recorded as ``"scale"``), and :func:`check` gates
+only rows at that scale: the rest can neither fail nor pass the gate.
+
 ``repro bench check`` exits nonzero on any regression, which is what
 makes the CI perf-smoke job self-enforcing: the benches append fresh
 rows, then the gate compares them against ``benchmarks/baseline.json``
@@ -41,7 +46,7 @@ from __future__ import annotations
 import json
 import statistics
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..jsonl import TailReader
 
@@ -104,8 +109,53 @@ def _series_of(bench: str, row: Row) -> List[Tuple[str, float, str]]:
     return points
 
 
-def _load(results_dir: PathLike) -> Tuple[Dict[str, List[float]], Dict[str, str]]:
-    """Every gated series' points in append order, and its direction.
+def _rows(results_dir: PathLike) -> List[Tuple[str, Row]]:
+    """Every ``(bench, row)`` of a results directory, in file order."""
+    rows: List[Tuple[str, Row]] = []
+    for path in sorted(Path(results_dir).glob("BENCH_*.json")):
+        bench = path.stem[len("BENCH_"):]
+        # Lenient on purpose: the file is appended per run across many
+        # machines, and one bad line must not take the history gate down.
+        rows.extend((bench, row) for row in TailReader(path).poll())
+    return rows
+
+
+def _scale_of(row: Row) -> Optional[float]:
+    """The ``REPRO_BENCH_SCALE`` a row was recorded at (``None`` on
+    rows older than the field)."""
+    scale = row.get("scale")
+    if isinstance(scale, bool) or not isinstance(scale, (int, float)):
+        return None
+    return float(scale)
+
+
+def _newest_scale(rows: List[Tuple[str, Row]]) -> Optional[float]:
+    """The scale of the newest row (latest ``timestamp``, then the
+    last one read): the scale a baseline built now is built at."""
+
+    def stamp(item: Tuple[str, Row]) -> float:
+        value = item[1].get("timestamp")
+        return float(value) if isinstance(value, (int, float)) else float("-inf")
+
+    if not rows:
+        return None
+    return _scale_of(max(reversed(rows), key=stamp)[1])
+
+
+#: per series, the scales of the rows a scale filter left out
+OffScale = Dict[str, List[Optional[float]]]
+
+
+def _load(
+    rows: List[Tuple[str, Row]], scale: Optional[float] = None
+) -> Tuple[Dict[str, List[float]], Dict[str, str], OffScale]:
+    """Every gated series' points in append order, its direction, and
+    per series the scales of the rows left out.
+
+    With ``scale`` only rows recorded at that scale count: a bench run
+    at another scale does other work, so its numbers neither fail nor
+    pass a baseline built at this one.  ``None`` counts every row (a
+    baseline from before scales were recorded).
 
     The latest row decides a series' direction, so declaring a field
     ``info`` (or leaving it undeclared) retires the series older rows
@@ -113,22 +163,35 @@ def _load(results_dir: PathLike) -> Tuple[Dict[str, List[float]], Dict[str, str]
     """
     series: Dict[str, List[float]] = {}
     directions: Dict[str, str] = {}
-    root = Path(results_dir)
-    for path in sorted(root.glob("BENCH_*.json")):
-        bench = path.stem[len("BENCH_"):]
-        # Lenient on purpose: the file is appended per run across many
-        # machines, and one bad line must not take the history gate down.
-        for row in TailReader(path).poll():
-            for key, value, direction in _series_of(bench, row):
-                series.setdefault(key, []).append(value)
-                directions[key] = direction
+    other: OffScale = {}
+    for bench, row in rows:
+        points = _series_of(bench, row)
+        row_scale = _scale_of(row)
+        if scale is not None and row_scale != scale:
+            for key, _value, direction in points:
+                if direction != "info":
+                    other.setdefault(key, []).append(row_scale)
+            continue
+        for key, value, direction in points:
+            series.setdefault(key, []).append(value)
+            directions[key] = direction
     gated = {k: v for k, v in series.items() if directions[k] != "info"}
-    return gated, directions
+    return gated, directions, other
 
 
-def load_history(results_dir: PathLike) -> Dict[str, List[float]]:
-    """All series in a results directory, points in append order."""
-    return _load(results_dir)[0]
+def _off_scale_reason(scales: List[Optional[float]], scale: float) -> str:
+    shown = ", ".join(
+        sorted({"unrecorded" if s is None else f"{s:g}" for s in scales})
+    )
+    return f"{len(scales)} row(s) at scale {shown}, baseline is at {scale:g}"
+
+
+def load_history(
+    results_dir: PathLike, scale: Optional[float] = None
+) -> Dict[str, List[float]]:
+    """All series in a results directory, points in append order (only
+    rows recorded at ``scale`` when one is given)."""
+    return _load(_rows(results_dir), scale)[0]
 
 
 def build_baseline(
@@ -138,6 +201,10 @@ def build_baseline(
 ) -> Dict[str, object]:
     """The committed reference: per-series median and direction.
 
+    The baseline is built at the scale of the newest row (``"scale"``
+    in the result): only rows at that scale count, and series seen only
+    at other scales are listed under ``"skipped"``.
+
     Series whose own history already varies by more than
     ``max_spread`` (max/min) are excluded and listed under
     ``"skipped"``: a multiplicative gate on a series that swings 10x
@@ -145,9 +212,15 @@ def build_baseline(
     Series with non-positive values are excluded for the same reason —
     a multiplicative tolerance has no meaning at or below zero.
     """
-    series, directions = _load(results_dir)
+    rows = _rows(results_dir)
+    scale = _newest_scale(rows)
+    series, directions, other = _load(rows, scale)
     metrics: Dict[str, Dict[str, object]] = {}
-    skipped: Dict[str, str] = {}
+    skipped: Dict[str, str] = {
+        key: _off_scale_reason(scales, scale)
+        for key, scales in other.items()
+        if key not in series
+    }
     for key, values in sorted(series.items()):
         if len(values) < min_points:
             continue
@@ -168,9 +241,10 @@ def build_baseline(
         }
     return {
         "version": 1,
+        "scale": scale,
         "max_spread": max_spread,
         "metrics": metrics,
-        "skipped": skipped,
+        "skipped": dict(sorted(skipped.items())),
     }
 
 
@@ -215,24 +289,31 @@ def check(
     results_dir: PathLike,
     baseline: Dict[str, object],
     tolerance: float = DEFAULT_TOLERANCE,
-) -> Tuple[List[CheckResult], List[str]]:
+) -> Tuple[List[CheckResult], List[str], Dict[str, str]]:
     """Gate the latest point of every baselined series.
 
-    Returns ``(results, missing)`` where ``missing`` names baselined
-    series with no point in the history at all — reported but not
-    failed, because benches legitimately run as subsets (CI smoke runs
-    three of five files).
+    Returns ``(results, missing, skipped)``.  Only rows at the
+    baseline's ``scale`` are gated: ``skipped`` says, per baselined
+    series whose rows are all at other scales, which scales those were.
+    ``missing`` names baselined series with no row at all — reported
+    but not failed, because benches legitimately run as subsets (CI
+    smoke runs three of five files).
     """
     if tolerance <= 1.0:
         raise ValueError("tolerance must be > 1.0 (multiplicative)")
-    history = load_history(results_dir)
+    scale = baseline.get("scale")
+    history, _directions, other = _load(_rows(results_dir), scale)
     metrics: Dict[str, Dict[str, object]] = baseline.get("metrics", {})
     results: List[CheckResult] = []
     missing: List[str] = []
+    skipped: Dict[str, str] = {}
     for series, entry in sorted(metrics.items()):
         points = history.get(series)
         if not points:
-            missing.append(series)
+            if series in other:
+                skipped[series] = _off_scale_reason(other[series], scale)
+            else:
+                missing.append(series)
             continue
         latest = points[-1]
         reference = float(entry["baseline"])
@@ -246,4 +327,4 @@ def check(
         results.append(
             CheckResult(series, reference, latest, direction, limit, ok)
         )
-    return results, missing
+    return results, missing, skipped

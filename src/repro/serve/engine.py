@@ -266,12 +266,17 @@ class ApplyEngine:
     def transform(self, value: str) -> str:
         """Standardize one value through the intern memo
         :meth:`apply_values` fills: a memoized value is a lookup, a new
-        one is computed and interned while the table is below its cap."""
+        one is computed and interned while the table is below its cap.
+        It counts one row of one distinct value, like a one-value
+        :meth:`apply_values`."""
+        stats = self._stats
+        stats.rows += 1
+        stats.unique_values += 1
         code = self._intern.code_of.get(value)
         if code is not None:
             out = self._slot_outputs[code]
             if out is not None:
-                self._stats.cache_hits += 1
+                stats.cache_hits += 1
                 return out
         out = self._compute(value)
         if code is not None:
@@ -279,7 +284,7 @@ class ApplyEngine:
         elif len(self._intern) < self.intern_size:
             self._intern.add(value)
             self._slot_outputs.append(out)
-            self._stats.distinct_values += 1
+            stats.distinct_values += 1
         return out
 
     def _compute(self, value: str) -> str:

@@ -186,7 +186,7 @@ class TestGraphMemo:
     ]
 
     def test_partial_token_of_rhs_is_in_the_key(self):
-        """``_constant_admitted`` tokenizes substrings of rhs, so a
+        """Constant admission tokenizes substrings of rhs, so a
         whitelisted "2" reaches "12 Main" though it is none of its own
         tokens: the graphs differ and so must the keys."""
         target = self.BUCKET[0]

@@ -95,14 +95,14 @@ class TestDeclaredDirections:
         write_bench(tmp_path, "budget", [budget_row(1284)])
         baseline = build_baseline(tmp_path)
         write_bench(tmp_path, "budget", [budget_row(9000, records=99999)])
-        results, _ = check(tmp_path, baseline)
+        results, _, _ = check(tmp_path, baseline)
         assert results and all(result.ok for result in results)
 
     def test_drop_in_cells_correct_fails(self, tmp_path):
         write_bench(tmp_path, "budget", [budget_row(1284)])
         baseline = build_baseline(tmp_path)
         write_bench(tmp_path, "budget", [budget_row(600)])
-        results, _ = check(tmp_path, baseline)
+        results, _, _ = check(tmp_path, baseline)
         bad = [result.series for result in results if not result.ok]
         assert bad == ["budget:cells_correct_yield"]
 
@@ -115,7 +115,7 @@ class TestDeclaredDirections:
         baseline = build_baseline(tmp_path)
         assert baseline["metrics"] == {}
         write_bench(tmp_path, "quality", [dict(undeclared, precision=0.1)])
-        assert check(tmp_path, baseline) == ([], [])
+        assert check(tmp_path, baseline) == ([], [], {})
 
     def test_declaring_info_retires_a_series(self, tmp_path):
         older = {
@@ -278,7 +278,7 @@ class TestCheck:
     def test_stable_history_passes(self, tmp_path):
         stable_history(tmp_path, runs=3)
         baseline = build_baseline(tmp_path)
-        results, missing = check(tmp_path, baseline)
+        results, missing, _ = check(tmp_path, baseline)
         assert results and all(result.ok for result in results)
         assert missing == []
 
@@ -297,7 +297,7 @@ class TestCheck:
                 }
             ],
         )
-        results, _ = check(tmp_path, baseline)
+        results, _, _ = check(tmp_path, baseline)
         bad = [r for r in results if not r.ok]
         assert [r.series for r in bad] == ["kernels::test_match"]
         assert "REGRESSION" in bad[0].describe()
@@ -320,7 +320,7 @@ class TestCheck:
                 }
             ],
         )
-        results, _ = check(tmp_path, baseline)
+        results, _, _ = check(tmp_path, baseline)
         by_series = {result.series: result for result in results}
         assert not by_series["kernels:speedup"].ok  # 1.5 < 3.9 / 1.5
         assert by_series["kernels:seconds_total"].ok
@@ -333,7 +333,7 @@ class TestCheck:
             "direction": "lower",
             "points": 2,
         }
-        results, missing = check(tmp_path, baseline)
+        results, missing, _ = check(tmp_path, baseline)
         assert missing == ["other::test_gone"]
         assert all(result.ok for result in results)
 
@@ -344,6 +344,84 @@ class TestCheck:
             check(tmp_path, baseline, tolerance=1.0)
 
 
+def timing_row(seconds, scale, timestamp):
+    """An auto timing row as ``benchmarks/conftest.py`` stamps it."""
+    return {
+        "bench": "kernels",
+        "test": "test_match",
+        "outcome": "passed",
+        "seconds": seconds,
+        "scale": scale,
+        "timestamp": timestamp,
+    }
+
+
+class TestScale:
+    """A bench run at another ``REPRO_BENCH_SCALE`` does other work, so
+    the gate compares only rows at the scale its baseline was built at."""
+
+    def scaled_baseline(self, tmp_path):
+        write_bench(
+            tmp_path,
+            "kernels",
+            [timing_row(4.0, 1.0, 10.0)]  # an older run at another scale
+            + [timing_row(1.0 + 0.05 * k, 0.5, 20.0 + k) for k in range(3)],
+        )
+        return build_baseline(tmp_path)
+
+    def test_baseline_is_built_at_the_newest_rows_scale(self, tmp_path):
+        baseline = self.scaled_baseline(tmp_path)
+        assert baseline["scale"] == 0.5
+        entry = baseline["metrics"]["kernels::test_match"]
+        assert (entry["baseline"], entry["points"]) == (1.05, 3)
+        row = dict(timing_row(1.0, 1.0, 5.0), bench="other", test="t")
+        write_bench(tmp_path, "other", [row])
+        skipped = build_baseline(tmp_path)["skipped"]
+        assert skipped["other::t"] == "1 row(s) at scale 1, baseline is at 0.5"
+
+    def test_a_row_at_another_scale_cannot_fail_the_gate(self, tmp_path):
+        baseline = self.scaled_baseline(tmp_path)
+        write_bench(tmp_path, "kernels", [timing_row(9.0, 1.0, 30.0)])
+        results, missing, skipped = check(tmp_path, baseline)
+        assert [(r.series, r.latest, r.ok) for r in results] == [
+            ("kernels::test_match", 1.1, True)
+        ]
+        assert (missing, skipped) == ([], {})
+
+    def test_a_row_at_another_scale_cannot_pass_the_gate(self, tmp_path):
+        baseline = self.scaled_baseline(tmp_path)
+        write_bench(
+            tmp_path,
+            "kernels",
+            [timing_row(2.2, 0.5, 30.0), timing_row(1.0, 1.0, 31.0)],
+        )
+        results, _, _ = check(tmp_path, baseline)
+        assert [(r.series, r.latest, r.ok) for r in results] == [
+            ("kernels::test_match", 2.2, False)
+        ]
+
+    def test_rows_only_at_other_scales_are_skipped(self, tmp_path):
+        baseline = self.scaled_baseline(tmp_path)
+        other = tmp_path / "other"
+        write_bench(other, "kernels", [timing_row(9.0, 1.0, 30.0)])
+        assert check(other, baseline) == (
+            [],
+            [],
+            {"kernels::test_match": "1 row(s) at scale 1, baseline is at 0.5"},
+        )
+
+    def test_a_baseline_without_a_scale_gates_every_row(self, tmp_path):
+        baseline = self.scaled_baseline(tmp_path)
+        del baseline["scale"]
+        write_bench(tmp_path, "kernels", [timing_row(9.0, 1.0, 30.0)])
+        results, _, skipped = check(tmp_path, baseline)
+        assert not results[0].ok
+        assert skipped == {}
+
+    def test_committed_baseline_is_at_the_ci_scale(self):
+        assert load_baseline(REPO_BASELINE)["scale"] == 0.5
+
+
 class TestCommittedBaseline:
     """The repo's own committed baseline stays green against the
     committed history — the exact gate CI's perf-smoke job runs."""
@@ -352,7 +430,7 @@ class TestCommittedBaseline:
         if not REPO_BASELINE.exists():
             pytest.skip("no committed baseline")
         baseline = load_baseline(REPO_BASELINE)
-        results, _missing = check(
+        results, _missing, _skipped = check(
             REPO_RESULTS, baseline, tolerance=DEFAULT_TOLERANCE
         )
         failing = [r.describe() for r in results if not r.ok]

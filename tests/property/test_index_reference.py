@@ -316,6 +316,41 @@ class TestSearchPivotMatchesReference:
         assert bounds == ref_bounds
 
 
+class TestOneIndexAsLiveShrinks:
+    @SETTINGS
+    @given(pools, st.sampled_from(CONFIGS), st.randoms(use_true_random=False))
+    def test_repeated_searches_match_reference(self, replacements, config, rng):
+        """One index searched round after round while each round's
+        winner is popped from ``live``, as a structure source does:
+        whatever the index carries from one search to the next must
+        give what the reference computes afresh."""
+        graphs = [build_graph(r.lhs, r.rhs, config=config) for r in replacements]
+        graphs = [g for g in graphs if g is not None]
+        index, reference = InvertedIndex(), ReferenceIndex()
+        for graph in graphs:
+            assert reference.add_graph(graph) == index.add_graph(graph)
+        live = set(index.graphs)
+        bounds, ref_bounds = GlobalBounds(), GlobalBounds()
+        stats, ref_stats = SearchStats(), SearchStats()
+        while live:
+            bounds.refresh(live)
+            ref_bounds.refresh(live)
+            winner = None
+            for gid in sorted(live):
+                threshold = rng.randint(0, 1)
+                graph = index.graphs[gid]
+                found = search_pivot(graph, index, config, live, threshold, bounds, stats)
+                expected = reference_search_pivot(
+                    graph, reference, config, live, threshold, ref_bounds, ref_stats
+                )
+                assert found == expected
+                if found is not None and (winner is None or found.count > winner.count):
+                    winner = found
+            assert counters(stats) == counters(ref_stats)
+            assert bounds == ref_bounds
+            live -= set(winner.members) if winner is not None else {min(live)}
+
+
 class TestGroupingMatchesReference:
     @SETTINGS
     @given(pools, st.sampled_from(CONFIGS))

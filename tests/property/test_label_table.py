@@ -8,6 +8,7 @@ vocabulary, reads exactly the labels of the same graph built with a
 table of its own, and every label still produces its edge's text.
 """
 
+import copy
 import random
 
 from hypothesis import HealthCheck, given, settings
@@ -58,7 +59,16 @@ class TestSharedTable:
         table = LabelTable()
         order = list(replacements)
         rng.shuffle(order)
-        for r in order:
+        lazy_ids_at = rng.randint(0, len(order))
+        for at, r in enumerate(order):
+            if at == lazy_ids_at:
+                # ``ids`` is built on first read: an equal (not
+                # identical) object finds the id ``label()`` issued by
+                # key, and later keys keep ``ids`` up to date.
+                issued = len(table.labels)
+                for lid, label in enumerate(list(table.labels)):
+                    assert table.intern(copy.copy(label)) == lid
+                assert len(table.labels) == issued
             vocabulary = rng.choice(VOCABULARIES)
             graph = build_graph(r.lhs, r.rhs, vocabulary, config, whitelist, table)
             if graph is not None:

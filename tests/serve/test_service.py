@@ -109,6 +109,18 @@ class TestProtocol:
             learned_model.column: offline.stats().as_dict()
         }
 
+    def test_value_and_values_requests_all_count_as_rows(self, learned_model):
+        server = ServeServer(ModelSource(model=learned_model))
+        _, (_, _, stats) = run_session(
+            server,
+            {"op": "apply", "value": "9th St"},
+            {"op": "apply", "values": ["9th St", "Elm", "9th St"]},
+            {"op": "stats"},
+        )
+        engine = stats["engine"][learned_model.column]
+        assert engine["rows"] == 4
+        assert engine["unique_values"] == 3
+
     def test_value_requests_reach_the_apply_metrics(self, learned_model):
         from repro.obs import MemorySink, Obs
 
