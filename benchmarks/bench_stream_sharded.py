@@ -2,9 +2,9 @@
 
 The incremental consolidator already avoids re-learning; what remains
 per batch is real CPU — graph construction and pivot search inside the
-grouping feed, candidate-pair alignment, blocked similarity matching.
-``--shards N`` fans exactly those stages across N persistent worker
-processes (`repro.stream.shards`), while the oracle, the replacement
+grouping feed, and candidate-pair alignment.  ``--shards N`` fans
+exactly those stages across N persistent worker processes
+(`repro.stream.shards`), while resolution, the oracle, the replacement
 store, and publication stay in the single parent.
 
 Because every parallel stage is a pure computation merged in canonical
@@ -24,15 +24,7 @@ plus the durability property that rides on the same release:
 
 * **restart-resume, zero repeat questions** — a consolidator restarted
   over the same stream with the persisted decision log and registry
-  asks nothing;
-
-and the IPC property of shard-resident blocking state:
-
-* **per-batch shipped bytes are O(new values)** — each member value
-  crosses to a shard worker once, when it first enters one of that
-  shard's blocks; match traffic afterwards carries candidate record
-  ids only, so per-batch bytes stay flat while the resident frontier
-  (and the candidate-pair count) keeps growing.
+  asks nothing.
 """
 
 import json
@@ -41,7 +33,6 @@ import time
 
 import pytest
 
-from repro.data.table import Record
 from repro.datagen import address_dataset, dataset_stream
 from repro.datagen.base import GeneratorSpec
 from repro.serve.bundle import BundleRegistry
@@ -227,106 +218,3 @@ def test_restart_resume_zero_repeat_questions(stream, tmp_path):
         f"zero repeat questions (asked {sum(q_resume)})"
     )
     assert final_resume == final_first
-
-
-def test_shard_resident_state_ships_only_new_values():
-    """Per-batch IPC must be O(new values): constant-size batches ship
-    a constant number of values (and near-constant bytes) while the
-    resident comparison frontier — and with it the candidate-pair
-    count — keeps growing.  Before shard-resident blocking state, the
-    parent re-shipped every candidate's *value* each batch, so bytes
-    grew with the frontier."""
-    import random
-
-    rng = random.Random(SEED)
-    n_batches = 6
-    batch_size = max(30, int(120 * SCALE))
-
-    def batch(index):
-        # Everything shares the "common" token: blocks keep thickening
-        # with stream length (the worst case for value re-shipping).
-        return [
-            Record(
-                f"b{index}r{i}",
-                {
-                    "name": f"common tok{i % 9} row{i} "
-                    f"x{rng.randrange(100)}"
-                },
-            )
-            for i in range(batch_size)
-        ]
-
-    consolidator = GoldenStreamConsolidator(
-        columns=["name"],
-        oracle_factory=lambda c, column: None,
-        fusion=None,
-        attribute="name",
-        similarity_threshold=0.9,
-        budget_per_batch=0,
-        use_engine=False,
-        shards=min(4, os.cpu_count() or 1) if (os.cpu_count() or 1) > 1 else 2,
-        bundle_name="resident-bytes",
-        persist_decisions=False,
-        max_block_size=10**9,
-        block_retention=64,
-    )
-    with consolidator:
-        reports = [
-            consolidator.process_batch(batch(i)) for i in range(n_batches)
-        ]
-        used_processes = (
-            consolidator.pool is not None
-            and consolidator.pool.uses_processes
-        )
-
-    pairs = [r.pairs_compared for r in reports]
-    values = [r.values_shipped for r in reports]
-    bytes_shipped = [r.bytes_shipped for r in reports]
-
-    print_banner("Shard-resident blocking state: per-batch bytes shipped")
-    report(
-        f"stream: {n_batches} batches x {batch_size} records, "
-        f"{consolidator.shards} shards, block retention 64"
-    )
-    report(f"candidate pairs / batch : {pairs}")
-    report(f"values shipped / batch  : {values}")
-    report(f"bytes shipped / batch   : {bytes_shipped}")
-    record_result(
-        "stream_sharded",
-        # Per-batch lists: recorded for the trajectory, not gated.
-        directions={
-            "batch_size": "info",
-            "pairs": "info",
-            "values_shipped": "info",
-            "bytes_shipped": "info",
-        },
-        test="resident_bytes",
-        batch_size=batch_size,
-        pairs=pairs,
-        values_shipped=values,
-        bytes_shipped=bytes_shipped,
-    )
-
-    # The frontier grows (more candidates per batch)...
-    assert pairs[-1] > pairs[0] * 1.5
-    # ... while shipped values stay O(new values per batch): bounded
-    # by batch x shards and flat (only per-batch token-mix jitter)
-    # instead of tracking the frontier like pre-resident shipping did.
-    assert max(values) <= batch_size * consolidator.shards
-    assert max(values) <= min(values) * 1.1, (
-        f"values shipped must not grow with the resident frontier: "
-        f"{values}"
-    )
-    # Bytes may creep with candidate-id lists but must stay decoupled
-    # from the frontier's value mass (retention bounds the id lists).
-    # Byte counters measure actual IPC, so they are only meaningful on
-    # the worker-process backend (the inline fallback ships nothing).
-    if used_processes:
-        assert bytes_shipped[-1] < bytes_shipped[1] * 2, (
-            f"per-batch bytes must stay O(new values): {bytes_shipped}"
-        )
-    else:
-        report(
-            "(inline shard backend: no IPC, byte assertion skipped — "
-            "values/pairs assertions above still hold)"
-        )

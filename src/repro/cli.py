@@ -325,9 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="shard the streaming learner across this many worker "
-        "processes (matching, candidate alignment, grouping feed); "
-        "published bundles and question counts are identical at any "
-        "shard count",
+        "processes (candidate alignment, grouping feed; resolution "
+        "stays in the parent); published bundles and question counts "
+        "are identical at any shard count",
     )
     stream_p.add_argument(
         "--blocking",
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="print one machine-readable JSON line of counters per "
-        "batch (candidate pairs, values/bytes shipped to shards, "
+        "batch (candidate pairs, bytes shipped to shards, "
         "questions, reuse)",
     )
     stream_p.add_argument(
@@ -394,8 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         action="store_true",
         help="also record one span row per timed stage — including "
-        "shard-worker spans re-attached under their batch parent — "
-        "(requires --metrics; render with `repro stats --trace-tree`)",
+        "one shard.<op> span per shard-worker request, re-attached "
+        "under the stage that issued it — (requires --metrics; render "
+        "with `repro stats --trace-tree`)",
     )
     stream_p.add_argument(
         "--profile",

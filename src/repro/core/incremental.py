@@ -256,6 +256,9 @@ class IncrementalGrouper:
         self._sources: List[_Source] = []
         self._heap: Optional[List[Tuple[int, int]]] = None
         self._best: Optional[_Source] = None
+        #: candidate -> the source holding it, so a removal visits only
+        #: the sources that own a dead candidate
+        self._source_of: Dict[Replacement, _Source] = {}
         # One label table for every source: most labels recur across
         # structure groups, so each is made and keyed once per grouper.
         table = LabelTable()
@@ -276,6 +279,9 @@ class IncrementalGrouper:
             self._sources.append(
                 _Source(0, None, unique, vocab, config, self.stats, table)
             )
+        for source in self._sources:
+            for replacement in source.replacements:
+                self._source_of[replacement] = source
 
     def peek_best(self) -> Optional[Tuple[Group, Optional[StructureKey]]]:
         """Refine sources until the next-largest group is dominant.
@@ -350,11 +356,21 @@ class IncrementalGrouper:
             yield group
 
     def remove_replacements(self, dead: Iterable[Replacement]) -> None:
-        """Propagate Section 7.1 candidate invalidation to all sources."""
+        """Propagate Section 7.1 candidate invalidation to the sources.
+
+        Each dead candidate goes only to the source built with it (a
+        structure bucket holds one structure key's candidates); sources
+        no dead candidate belongs to are left alone.
+        """
         dead_set = set(dead)
         if not dead_set:
             return
         self._best = None
-        for source in self._sources:
-            source.remove_replacements(dead_set)
+        owned: Dict[_Source, Set[Replacement]] = {}
+        for replacement in dead_set:
+            source = self._source_of.get(replacement)
+            if source is not None:
+                owned.setdefault(source, set()).add(replacement)
+        for source, members in owned.items():
+            source.remove_replacements(members)
         self._heap = None

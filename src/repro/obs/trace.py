@@ -14,9 +14,9 @@ span id)`` pair, which the :class:`~repro.stream.shards.ShardPool`
 ships to shard workers alongside each op; the worker times its real
 work as *remote span records* that ride back with the reply, and
 :meth:`Tracer.attach_remote` re-attaches them under the span that
-issued the request — so a ``shard.match`` span recorded inside a
+issued the request — so a ``shard.peek`` span recorded inside a
 worker process lands in the recorded forest as a child of the parent
-batch's ``stream.resolve`` span, with its shard index as a tag.
+batch's ``stream.learn`` span, with its shard index as a tag.
 
 Three properties matter for the rest of the system:
 
@@ -150,8 +150,8 @@ class Tracer:
         real span row of this trace: fresh ids, the current sequence,
         and parentage rooted at the span that is active *now* — for the
         synchronous shard protocol that is exactly the span that issued
-        the request, so a worker's ``shard.match`` lands under the
-        parent batch's ``stream.resolve``.
+        the request, so a worker's ``shard.peek`` lands under the
+        parent batch's ``stream.learn``.
         """
         if not self.trace or not spans:
             return

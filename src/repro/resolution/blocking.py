@@ -18,14 +18,10 @@ cheap key and only compares within buckets.  Provided strategies:
   :func:`make_block_keys` (the CLI's ``--blocking`` modes).
 
 For streaming workloads the raw ``key -> members`` dict grows without
-bound and cannot be split across worker processes; :class:`BlockIndex`
-wraps the same mapping in a structure that is **partitioned by stable
-block-key hash** (each key lives in exactly one of N shards, identical
-across runs and processes) and **bounded** (per-key member lists rotate
-out their oldest entries past a retention limit, so similarity-mode
-blocks stop growing with stream length).  Every key function here
-yields process-stable keys, so LSH blocks partition and rotate exactly
-like token blocks.
+bound; :class:`BlockIndex` wraps the same mapping in a **bounded**
+structure (per-key member lists rotate out their oldest entries past a
+retention limit, so similarity-mode blocks stop growing with stream
+length).  LSH blocks rotate exactly like token blocks.
 """
 
 from __future__ import annotations
@@ -49,14 +45,12 @@ BlockKeyFn = Callable[[str], Iterable[Hashable]]
 
 
 def stable_hash(key: Hashable) -> int:
-    """A process-stable hash for shard routing.
+    """A process-stable hash (MinHash coefficients, LSH band keys).
 
     Python's built-in ``hash`` on strings is salted per process
-    (``PYTHONHASHSEED``), so it cannot route work to shard processes
-    deterministically.  CRC-32 over the key's canonical ``repr`` is
-    stable across runs, processes, and platforms — the property the
-    ``--shards 1`` vs ``--shards N`` byte-identical-model guarantee
-    rests on.
+    (``PYTHONHASHSEED``), so keys built from it would differ between
+    runs.  CRC-32 over the key's canonical ``repr`` is stable across
+    runs, processes, and platforms.
     """
     if isinstance(key, str):
         payload = key
@@ -66,42 +60,25 @@ def stable_hash(key: Hashable) -> int:
 
 
 class BlockIndex:
-    """A shard-partitioned ``block key -> member`` index with rotation.
+    """A ``block key -> member`` index with rotation.
 
-    * **Partitioned** — keys are routed to one of ``shards`` partitions
-      by :func:`stable_hash`; a partition is the unit of parallel work
-      (all members of a block, hence all pairs a block can ever
-      generate, live in exactly one partition).
-    * **Bounded** — with ``retention`` set, each block keeps only its
-      newest ``retention`` members: appending past the limit rotates
-      the oldest member out (and reports it, so owners can drop
-      per-member state once a member leaves its last block).  Old
-      records typically already merged into their clusters through the
-      union-find, so dropping them from the *comparison frontier* keeps
-      recall while capping per-arrival cost.
+    With ``retention`` set, each block keeps only its newest
+    ``retention`` members: appending past the limit rotates the oldest
+    member out (and reports it, so owners can drop per-member state
+    once a member leaves its last block).  Old records typically
+    already merged into their clusters through the union-find, so
+    dropping them from the *comparison frontier* keeps recall while
+    capping per-arrival cost.
     """
 
-    def __init__(
-        self, shards: int = 1, retention: Optional[int] = None
-    ) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
+    def __init__(self, retention: Optional[int] = None) -> None:
         if retention is not None and retention < 1:
             raise ValueError("retention must be >= 1 (or None)")
-        self.shards = shards
         self.retention = retention
-        self._partitions: List[Dict[Hashable, List[str]]] = [
-            {} for _ in range(shards)
-        ]
+        self._blocks: Dict[Hashable, List[str]] = {}
         #: number of block lists each member currently appears in
         self._refs: Dict[str, int] = {}
         self.rotated_out = 0
-
-    # -- routing -----------------------------------------------------------
-
-    def shard_of(self, key: Hashable) -> int:
-        """The partition owning ``key`` (stable across processes)."""
-        return stable_hash(key) % self.shards
 
     # -- writing -----------------------------------------------------------
 
@@ -112,7 +89,7 @@ class BlockIndex:
         ``retention`` set — whose eviction dropped their last block
         reference (i.e. they left the comparison frontier entirely).
         """
-        block = self._partitions[self.shard_of(key)].setdefault(key, [])
+        block = self._blocks.setdefault(key, [])
         block.append(member)
         self._refs[member] = self._refs.get(member, 0) + 1
         gone: List[str] = []
@@ -133,14 +110,14 @@ class BlockIndex:
 
     def members(self, key: Hashable) -> Sequence[str]:
         """Current members of ``key``'s block (append order)."""
-        return self._partitions[self.shard_of(key)].get(key, ())
+        return self._blocks.get(key, ())
 
     def __contains__(self, member: str) -> bool:
         return member in self._refs
 
     @property
     def num_keys(self) -> int:
-        return sum(len(p) for p in self._partitions)
+        return len(self._blocks)
 
     @property
     def num_entries(self) -> int:
@@ -148,8 +125,7 @@ class BlockIndex:
 
     def __repr__(self) -> str:
         return (
-            f"BlockIndex(shards={self.shards}, "
-            f"retention={self.retention}, keys={self.num_keys}, "
+            f"BlockIndex(retention={self.retention}, keys={self.num_keys}, "
             f"entries={self.num_entries})"
         )
 
@@ -206,8 +182,7 @@ def char_shingles(value: str, size: int = 3) -> Set[str]:
 def _hash_family(num_hashes: int) -> List[Tuple[int, int]]:
     """``num_hashes`` multiply-shift parameter pairs, derived from
     CRC-32 so signatures are identical across runs, processes, and
-    platforms (the same property :func:`stable_hash` guarantees for
-    shard routing)."""
+    platforms (built on :func:`stable_hash`)."""
     params: List[Tuple[int, int]] = []
     for i in range(num_hashes):
         a = (

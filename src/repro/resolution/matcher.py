@@ -84,7 +84,7 @@ class PairDecisionMemo:
     Streams re-present the same value pairs constantly (popular values
     land in many blocks; batches carry duplicates), and a threshold
     decision is a pure function of the two strings.  One shared memo
-    per matching scope (a batch, a shard) collapses those repeats to a
+    per matching scope (a resolver, a batch) collapses those repeats to a
     dict hit.  Capacity-bounded so a long stream cannot grow it without
     limit: on overflow the memo is simply cleared (the kernel is an
     optimization, never state).

@@ -29,11 +29,10 @@ re-learn:
   column and no fusion);
 * :mod:`repro.stream.batches` — batch sources (in-memory iterators and
   JSON-lines files);
-* :mod:`repro.stream.shards` — the sharded learner: blocking index,
-  candidate alignment, and the grouping feed partitioned across
-  persistent worker processes, merged deterministically (byte-identical
-  models, zero extra oracle questions); blocking state is
-  shard-resident, so per-batch IPC ships only new values;
+* :mod:`repro.stream.shards` — the sharded learner: candidate
+  alignment and the grouping feed partitioned across persistent worker
+  processes, merged deterministically (byte-identical models, zero
+  extra oracle questions); resolution stays in the parent;
 * :mod:`repro.stream.decisions` — the durable JSON-lines decision
   cache: a restarted stream keeps the zero-question guarantee for
   already-judged variation;

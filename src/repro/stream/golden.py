@@ -51,14 +51,13 @@ Per-batch cost scales with the batch and the *surviving* candidate and
 decision state, never with a full re-cluster / re-generate / re-review
 of everything seen so far.
 
-**Sharding.**  The matching / alignment / grouping stages route through
-one :class:`~repro.stream.shards.ShardPool` (the resolver's
-resident-replica ``resolve`` scripts, the stateless ``derive`` kernel,
-and one grouping ``round`` per column per batch).  Every parallel stage
-is a pure computation merged in canonical order by this (single)
-parent process, so ``--shards N`` publishes byte-identical artifacts
-and asks identical questions at any shard count, under every blocking
-mode.
+**Sharding.**  The alignment and grouping stages route through one
+:class:`~repro.stream.shards.ShardPool` (the stateless ``derive``
+kernel, and one grouping ``round`` per column per batch); resolution
+always runs in this process.  Every parallel stage is a pure
+computation merged in canonical order by this (single) parent process,
+so ``--shards N`` publishes byte-identical artifacts and asks identical
+questions at any shard count, under every blocking mode.
 
 **Durability.**  Oracle verdicts append to per-column decision logs
 (``decisions-<column>.jsonl``) next to the published bundle, and a
@@ -187,12 +186,6 @@ def _sync_pool_metrics(obs, pool: Optional[ShardPool]) -> None:
     if pool is None or not obs.enabled:
         return
     metrics = obs.metrics
-    metrics.gauge("shards.values_shipped", deterministic=False).set(
-        pool.shipped_values
-    )
-    metrics.gauge(
-        "shards.candidate_ids_shipped", deterministic=False
-    ).set(pool.shipped_candidate_ids)
     metrics.gauge("shards.bytes_shipped", deterministic=False).set(
         pool.shipped_bytes
     )
@@ -314,10 +307,8 @@ class BatchReport:
     merges: int = 0
     new_clusters: int = 0
     pairs_compared: int = 0
-    #: resident values shipped to shard workers (0 without a pool)
-    values_shipped: int = 0
-    #: serialized bytes shipped to shard workers across the batch's
-    #: data-plane ops (resolve scripts + alignment fan-out)
+    #: serialized bytes of the batch's alignment fan-out to shard
+    #: workers (0 without a process-backed pool)
     bytes_shipped: int = 0
     #: cached-approved replacements re-applied without a question
     reused_replacements: int = 0
@@ -439,7 +430,6 @@ class BatchReport:
             "questions_asked": self.questions_asked,
             "questions_by_column": dict(self.questions_by_column),
             "clusters_live": self.clusters_live,
-            "values_shipped": self.values_shipped,
             "bytes_shipped": self.bytes_shipped,
             "fusion_seconds": round(self.fusion_seconds, 6),
             "model_version": self.version,
@@ -510,11 +500,10 @@ class GoldenStreamConsolidator:
         monitor relearns its column with an extra budget of four
         batches' worth.
     shards / shard_processes:
-        One :class:`~repro.stream.shards.ShardPool` shared by the
-        resolver and every column's alignment / grouping stages
-        (``shard_processes=False`` keeps the same partitioned code path
-        in-process).  Sharding never changes published bytes or
-        question counts.
+        One :class:`~repro.stream.shards.ShardPool` shared by every
+        column's alignment / grouping stages (``shard_processes=False``
+        keeps the same partitioned code path in-process).  Sharding
+        never changes published bytes or question counts.
     decision_log_dir / persist_decisions:
         Override the directory the per-column verdict logs live in;
         falsy ``persist_decisions`` keeps verdicts in memory only.
@@ -839,9 +828,6 @@ class GoldenStreamConsolidator:
                 self.shards,
                 self.config,
                 self.vocabulary,
-                similarity=(
-                    self._similarity if self._attribute is not None else None
-                ),
                 processes=self.shard_processes,
                 obs=self.obs,
             )
@@ -852,7 +838,6 @@ class GoldenStreamConsolidator:
             threshold=self._similarity_threshold,
             similarity=self._similarity,
             max_block_size=self._max_block_size,
-            pool=self.pool,
             block_retention=self.block_retention,
             **resolver_kwargs,
         )
@@ -995,7 +980,6 @@ class GoldenStreamConsolidator:
         report.merges = resolution.merges
         report.new_clusters = resolution.new_clusters
         report.pairs_compared = resolution.pairs_compared
-        report.values_shipped = resolution.values_shipped
 
         # 3-5. the per-column standardization loop (Algorithm 1 line 2):
         # every column ingests the same appends/moves into its own
@@ -1156,8 +1140,7 @@ class GoldenStreamConsolidator:
             )
 
         if self.pool is not None:
-            # Data-plane bytes for the whole batch (resolve scripts
-            # plus the alignment fan-out in steps 3/5).
+            # Bytes of the batch's alignment fan-out (step 3).
             report.bytes_shipped = (
                 self.pool.shipped_bytes - pool_bytes_before
             )
@@ -1221,9 +1204,6 @@ class GoldenStreamConsolidator:
         if report.version is not None:
             metrics.counter("stream.publishes").inc()
         # Volatile: wall-clock and IPC volume vary run to run.
-        metrics.counter("stream.values_shipped", deterministic=False).inc(
-            report.values_shipped
-        )
         metrics.counter("stream.bytes_shipped", deterministic=False).inc(
             report.bytes_shipped
         )
@@ -1250,7 +1230,6 @@ class GoldenStreamConsolidator:
         if self.pool is not None:
             self.pool.close()
             self.pool = None
-            self.resolver.pool = None
         if self._delta_log is not None:
             self._delta_log.close()
             self._delta_log = None

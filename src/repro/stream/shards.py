@@ -16,20 +16,11 @@ results are merged in a canonical order by the single parent process:
    pure function of the two strings; pairs fan out across shard
    workers, the parent merges segments into the one
    :class:`~repro.candidates.store.ReplacementStore` in inline order;
-2. **similarity matching** — a new record's blocked comparisons are a
-   pure function of the candidate values.  Blocking state is
-   **shard-resident**: each shard keeps a live replica of the member
-   values of every block key it owns (stable block-key hash,
-   :class:`~repro.resolution.blocking.BlockIndex`), maintained by
-   index/evict deltas that ship each member value to a shard exactly
-   once.  Per batch the parent ships only the batch's *new* values and
-   the candidate record ids to compare — never the resident member
-   values again — which drops the dominant per-batch IPC from
-   O(candidate values) to O(new values);
-3. **the grouping feed** — the expensive stage.  The incremental
+2. **the grouping feed** — the expensive stage.  The incremental
    grouper is a lazy top-k merge over independent per-structure-bucket
-   sources, so buckets are partitioned across shards by stable
-   structure-key hash; each shard refines only its *local* winner
+   sources, so each learn round bin-packs whole buckets onto the
+   shards, largest first (:meth:`ShardedGroupFeed._partition`); each
+   shard refines only its *local* winner
    (:meth:`~repro.core.incremental.IncrementalGrouper.peek_best`), all
    shards refine concurrently, and the parent pops the global winner —
    ``(size desc, structure key asc)``, exactly the single-process
@@ -37,11 +28,16 @@ results are merged in a canonical order by the single parent process:
    store, and publication stay in the parent; shard workers never see
    a question.
 
+Entity resolution is not sharded: the resolver
+(:class:`~repro.stream.resolver.IncrementalResolver`) matches in the
+parent at any shard count.
+
 Worker processes are persistent for the consolidator's lifetime (state
 ships once, batches ship deltas), mirroring the long-lived shards of a
 production learner.  An in-process backend with the same message
-protocol backs ``shards=1``, pickling-hostile configurations, and the
-determinism tests.
+protocol backs ``processes=False`` (the determinism tests),
+configurations that do not pickle, and hosts that refuse to spawn
+workers.  A consolidator at ``shards=1`` builds no pool at all.
 """
 
 from __future__ import annotations
@@ -69,23 +65,10 @@ from ..core.structure import StructureKey, structure_key
 from ..core.terms import DEFAULT_VOCABULARY, TermVocabulary
 from ..obs import NULL_OBS
 from ..obs.trace import RemoteSpan, TraceContext
-from ..resolution.blocking import stable_hash
-from ..resolution.matcher import PairDecisionMemo, SimilarityFn
 
 #: Below this many alignment pairs a batch is handled inline: IPC
-#: would cost more than the work.  (Match traffic is exempt — it also
-#: maintains the shards' resident blocking state, so it always flows.)
+#: would cost more than the work.
 MIN_PARALLEL_PAIRS = 64
-
-#: One step of a shard's per-batch resolve script, executed in order:
-#: ``("m", task id, new value, [candidate rids])`` — compare the new
-#: value against the named resident members, reply with the matches;
-#: ``("i", rid, value-or-None)`` — a new member entered a block this
-#: shard owns (the value ships on the rid's first step per shard and
-#: is ``None`` on repeats — one block reference each, refcounted);
-#: ``("e", rid)`` — rotation dropped one of the rid's block references
-#: here; the last reference releases the resident value.
-ResolveStep = Tuple[Any, ...]
 
 #: Parent-side reply callback: ``observer(shard, op, seconds, spans)``
 #: is invoked once per reply with the shard's compute time for that
@@ -100,19 +83,14 @@ class ShardStandardizer:
     """The shard-local half of the streaming learner.
 
     One instance runs inside each shard (worker process or inline) and
-    owns the shard's partition of the grouping feed, the stateless pure
-    kernels (pair alignment, similarity comparison), and the shard's
-    **resident blocking state**: a live ``rid -> value`` replica of
-    every member of every block key the shard owns, kept current by the
-    index/evict steps of each batch's resolve script.  Matching reads
-    candidate values from this replica, so the parent never re-ships a
-    member value after its first arrival.  It speaks a small
-    ``(op, payload, ctx) -> reply`` protocol so the process and inline
-    backends stay byte-for-byte equivalent (``ctx`` is the parent's
-    trace context — ``(trace id, parent span id)`` — or ``None`` when
-    nobody is recording; a live context makes the data-plane ops time
-    themselves as ``shard.*`` remote-span records that ride back with
-    the reply, see :func:`_serve_op`):
+    owns the shard's partition of the grouping feed and the stateless
+    pair-alignment kernel.  It speaks a small ``(op, payload, ctx) ->
+    reply`` protocol so the process and inline backends stay
+    byte-for-byte equivalent (``ctx`` is the parent's trace context —
+    ``(trace id, parent span id)`` — or ``None`` when nobody is
+    recording; a live context makes the op time itself as a
+    ``shard.<op>`` remote-span record that rides back with the reply,
+    see :func:`_serve_op`):
 
     ===========  ============================================  =========
     op           payload                                       reply
@@ -122,7 +100,6 @@ class ShardStandardizer:
     ``pop``      ``None``                                      :class:`~repro.core.grouping.Group`
     ``remove``   ``[Replacement, ...]``                        ``True``
     ``derive``   ``[(va, vb), ...]``                           ``[TokenSegments, ...]``
-    ``resolve``  ``(threshold, [ResolveStep, ...])``           ``[(task id, [matched rid, ...]), ...]``
     ===========  ============================================  =========
     """
 
@@ -130,18 +107,10 @@ class ShardStandardizer:
         self,
         config: Config = DEFAULT_CONFIG,
         vocabulary: TermVocabulary = DEFAULT_VOCABULARY,
-        similarity: Optional[SimilarityFn] = None,
     ) -> None:
         self.config = config
         self.vocabulary = vocabulary
-        self.similarity = similarity
         self.grouper: Optional[IncrementalGrouper] = None
-        #: resident replica: rid -> value, for members of owned blocks
-        self.values: Dict[str, str] = {}
-        #: rid -> live block references on this shard (drop at zero)
-        self.value_refs: Dict[str, int] = {}
-        #: per-threshold memoized match kernels (early-exit + memo)
-        self._deciders: Dict[float, PairDecisionMemo] = {}
 
     # -- protocol ----------------------------------------------------------
 
@@ -173,70 +142,7 @@ class ShardStandardizer:
                 derive_token_segments(va, vb, self.config)
                 for va, vb in payload
             ]
-        if op == "resolve":
-            threshold, steps = payload
-            return self._resolve(threshold, steps)[0]
         raise ValueError(f"unknown shard op: {op!r}")
-
-    # -- resident blocked matching -----------------------------------------
-
-    def _resolve(
-        self,
-        threshold: float,
-        steps: Sequence[ResolveStep],
-        record: bool = False,
-    ) -> Tuple[List[Tuple[int, List[str]]], float, int]:
-        """Execute one batch's resolve script against resident state.
-
-        Step order is the parent's sequential interleave — a record's
-        match step precedes its index step, which precedes the next
-        record's match step — so intra-batch candidates and rotation
-        evictions are seen exactly as a single process would see them.
-
-        Returns ``(replies, match seconds, comparisons)``; the timing
-        pair is only measured when ``record`` is set (tracing), so the
-        untraced hot path pays no extra clock reads.
-        """
-        decide = self._deciders.get(threshold)
-        if decide is None:
-            assert self.similarity is not None, "resolve without similarity"
-            decide = self._deciders[threshold] = PairDecisionMemo(
-                self.similarity, threshold
-            )
-        values = self.values
-        refs = self.value_refs
-        replies: List[Tuple[int, List[str]]] = []
-        match_seconds = 0.0
-        comparisons = 0
-        for step in steps:
-            kind = step[0]
-            if kind == "m":
-                _, task_id, value, rids = step
-                if record:
-                    match_start = time.perf_counter()
-                    comparisons += len(rids)
-                matched = [
-                    rid for rid in rids if decide(value, values[rid])
-                ]
-                if record:
-                    match_seconds += time.perf_counter() - match_start
-                replies.append((task_id, matched))
-            elif kind == "i":
-                _, rid, value = step
-                if value is not None:
-                    values[rid] = value
-                refs[rid] = refs.get(rid, 0) + 1
-            elif kind == "e":
-                rid = step[1]
-                remaining = refs.get(rid, 0) - 1
-                if remaining <= 0:
-                    refs.pop(rid, None)
-                    values.pop(rid, None)
-                else:
-                    refs[rid] = remaining
-            else:
-                raise ValueError(f"unknown resolve step: {kind!r}")
-        return replies, match_seconds, comparisons
 
 
 def _serve_op(
@@ -246,64 +152,29 @@ def _serve_op(
     payload: Any,
     ctx: TraceContext,
 ) -> Tuple[Any, float, Optional[List[RemoteSpan]]]:
-    """Serve one op on a shard, timing it either way.
+    """Serve one op on a shard and time it.
 
-    When the request carries trace context and the op is one of the
-    data-plane kernels, the shard's real work is recorded as remote
-    span records: ``shard.resolve`` (whole script) with a
-    ``shard.match`` child (the similarity comparisons alone), and
-    ``shard.derive`` (pair alignment).  Records list children before
-    parents — the order a local tracer would emit them — with
-    ``parent`` as a relative index and ``None`` for the root that
-    re-attaches under the parent's requesting span.  Both backends call
-    this one function, so inline and process shards stay equivalent.
+    When the request carries trace context, the op also comes back as
+    one remote span record, ``shard.<op>`` tagged with the shard index
+    (``parent`` ``None``: it re-attaches under the parent's requesting
+    span).  Both backends call this one function, so inline and
+    process shards stay equivalent.
     """
     started = time.perf_counter()
-    if ctx is not None and op == "resolve":
-        threshold, steps = payload
-        replies, match_seconds, comparisons = server._resolve(
-            threshold, steps, record=True
-        )
-        seconds = time.perf_counter() - started
-        if not steps:
-            return replies, seconds, None
-        spans: List[RemoteSpan] = []
-        if comparisons:
-            spans.append(
-                {
-                    "span": "shard.match",
-                    "seconds": match_seconds,
-                    "tags": {"shard": shard, "comparisons": comparisons},
-                    "parent": 1,
-                }
-            )
-        spans.append(
-            {
-                "span": "shard.resolve",
-                "seconds": seconds,
-                "tags": {"shard": shard, "steps": len(steps)},
-                "parent": None,
-            }
-        )
-        return replies, seconds, spans
     result = server.handle(op, payload)
     seconds = time.perf_counter() - started
-    if ctx is not None and op == "derive" and payload:
-        spans = [
-            {
-                "span": "shard.derive",
-                "seconds": seconds,
-                "tags": {"shard": shard, "pairs": len(payload)},
-                "parent": None,
-            }
-        ]
-        return result, seconds, spans
-    return result, seconds, None
+    if ctx is None:
+        return result, seconds, None
+    span: RemoteSpan = {
+        "span": "shard." + op,
+        "seconds": seconds,
+        "tags": {"shard": shard},
+        "parent": None,
+    }
+    return result, seconds, [span]
 
 
-def _shard_main(
-    shard, requests, responses, config, vocabulary, similarity
-) -> None:
+def _shard_main(shard, requests, responses, config, vocabulary) -> None:
     """Worker-process entry point: serve one shard until ``None``.
 
     Every reply is ``(ok, value, seconds, spans)`` — the shard's
@@ -312,7 +183,7 @@ def _shard_main(
     second round trip, and ``spans`` carries the worker's remote span
     records when the request shipped trace context (else ``None``).
     """
-    server = ShardStandardizer(config, vocabulary, similarity)
+    server = ShardStandardizer(config, vocabulary)
     while True:
         message = requests.get()
         if message is None:
@@ -336,19 +207,18 @@ def _shard_main(
 
 
 class _InlineBackend:
-    """Same protocol, no processes — ``shards=1`` and fallbacks."""
+    """Same protocol, no processes — ``processes=False`` and
+    fallbacks."""
 
     def __init__(
         self,
         shards: int,
         config: Config,
         vocabulary: TermVocabulary,
-        similarity: Optional[SimilarityFn],
         observer: Optional[Observer] = None,
     ) -> None:
         self._servers = [
-            ShardStandardizer(config, vocabulary, similarity)
-            for _ in range(shards)
+            ShardStandardizer(config, vocabulary) for _ in range(shards)
         ]
         self._observer = observer
 
@@ -382,7 +252,6 @@ class _ProcessBackend:
         shards: int,
         config: Config,
         vocabulary: TermVocabulary,
-        similarity: Optional[SimilarityFn],
         observer: Optional[Observer] = None,
     ) -> None:
         context = multiprocessing.get_context()
@@ -396,14 +265,7 @@ class _ProcessBackend:
                 responses = context.Queue()
                 process = context.Process(
                     target=_shard_main,
-                    args=(
-                        shard,
-                        requests,
-                        responses,
-                        config,
-                        vocabulary,
-                        similarity,
-                    ),
+                    args=(shard, requests, responses, config, vocabulary),
                     daemon=True,
                 )
                 process.start()
@@ -477,10 +339,9 @@ class ShardPool:
     """Parent-side handle on N learner shards.
 
     ``processes=True`` backs the shards with persistent worker
-    processes when the shipped state pickles (configs built from
-    module-level functions always do); otherwise — closures as
-    similarity functions, exotic configs — it degrades to the inline
-    backend, which is merely slower, never different.
+    processes when the shipped config and vocabulary pickle; otherwise
+    it degrades to the inline backend, which is merely slower, never
+    different.
     """
 
     def __init__(
@@ -488,7 +349,6 @@ class ShardPool:
         shards: int,
         config: Config = DEFAULT_CONFIG,
         vocabulary: TermVocabulary = DEFAULT_VOCABULARY,
-        similarity: Optional[SimilarityFn] = None,
         processes: bool = True,
         obs=NULL_OBS,
     ) -> None:
@@ -496,10 +356,10 @@ class ShardPool:
             raise ValueError("shards must be >= 1")
         self.shards = shards
         self.config = config
-        #: observability facade — when its tracer records rows, the
-        #: data-plane ops ship trace context to the workers and the
-        #: returned ``shard.*`` spans re-attach under the parent's
-        #: active span (:meth:`~repro.obs.trace.Tracer.attach_remote`).
+        #: observability facade — when its tracer records rows, every
+        #: request ships trace context to the workers and the returned
+        #: ``shard.<op>`` spans re-attach under the parent's active
+        #: span (:meth:`~repro.obs.trace.Tracer.attach_remote`).
         self.obs = obs
         #: per-op request counts / shard compute seconds, and per-shard
         #: busy seconds — aggregated parent-side from the timings each
@@ -511,31 +371,25 @@ class ShardPool:
         self.op_seconds: Dict[str, float] = {}
         self.shard_seconds: List[float] = [0.0] * shards
         use_processes = (
-            processes
-            and shards > 1
-            and _picklable(config, vocabulary, similarity)
+            processes and shards > 1 and _picklable(config, vocabulary)
         )
         backend_cls = _ProcessBackend if use_processes else _InlineBackend
         try:
             self._backend = backend_cls(
-                shards, config, vocabulary, similarity, observer=self._observe
+                shards, config, vocabulary, observer=self._observe
             )
         except OSError:
             # Process spawn refused (containers without /dev/shm etc.):
             # shards still work, just without the parallelism.
             self._backend = _InlineBackend(
-                shards, config, vocabulary, similarity, observer=self._observe
+                shards, config, vocabulary, observer=self._observe
             )
         self.uses_processes = isinstance(self._backend, _ProcessBackend)
-        #: cumulative shipping counters for the data-plane ops (resolve
-        #: + derive): resident values shipped, candidate rid references
-        #: shipped, and serialized payload bytes.  The per-batch deltas
-        #: back ``repro stream --stats`` and the IPC benchmarks.
-        #: ``shipped_bytes`` counts only *actual* IPC — it stays 0 on
-        #: the inline backend, where nothing is serialized (and where
+        #: cumulative serialized bytes of the alignment fan-out
+        #: (``derive``), backing ``repro stream --stats`` and the IPC
+        #: benchmarks.  It counts only *actual* IPC — it stays 0 on the
+        #: inline backend, where nothing is serialized (and where
         #: pickling purely for accounting would cost real time).
-        self.shipped_values = 0
-        self.shipped_candidate_ids = 0
         self.shipped_bytes = 0
 
     def _observe(
@@ -556,9 +410,8 @@ class ShardPool:
             self.obs.tracer.attach_remote(spans)
 
     def _trace_context(self) -> TraceContext:
-        """The context to ship with a data-plane request — ``None``
-        unless span rows are being recorded, so untraced runs ship
-        exactly what they shipped before."""
+        """The context to ship with a request — ``None`` unless span
+        rows are being recorded, so untraced runs ship no context."""
         return self.obs.tracer.current_context()
 
     # -- the grouping feed -------------------------------------------------
@@ -594,67 +447,23 @@ class ShardPool:
             self.shipped_bytes += len(
                 pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL)
             )
-        replies = self._backend.broadcast(
-            "derive", chunks, ctx=self._trace_context()
-        )
+        replies = self.broadcast("derive", chunks)
         out: Dict[Tuple[str, str], TokenSegments] = {}
         for chunk, reply in zip(chunks, replies):
             out.update(zip(chunk, reply))
         return out
 
-    def resolve(
-        self,
-        threshold: float,
-        steps_by_shard: Sequence[Sequence[ResolveStep]],
-    ) -> Dict[int, List[str]]:
-        """Run one batch's resolve scripts on the shards.
-
-        Every step list ships — index/evict steps maintain the shards'
-        resident replicas, so they can never be skipped for being small
-        — and the matched rids come back merged per task id in
-        ascending shard order.  Only match consumers care about the
-        order; the caller re-ranks against its own candidate order.
-        Counters account what actually crossed the boundary: each
-        resident value ships exactly once per owning shard, match steps
-        ship candidate *ids* only.
-        """
-        merged: Dict[int, List[str]] = {}
-        if not any(steps_by_shard):
-            return merged
-        payloads = []
-        for steps in steps_by_shard:
-            steps = list(steps)
-            payloads.append((threshold, steps))
-            if not steps:
-                continue
-            for step in steps:
-                kind = step[0]
-                if kind == "i":
-                    if step[2] is not None:
-                        self.shipped_values += 1
-                elif kind == "m":
-                    self.shipped_candidate_ids += len(step[3])
-            if self.uses_processes:
-                self.shipped_bytes += len(
-                    pickle.dumps(
-                        (threshold, steps), pickle.HIGHEST_PROTOCOL
-                    )
-                )
-        replies = self._backend.broadcast(
-            "resolve", payloads, ctx=self._trace_context()
-        )
-        for reply in replies:
-            for task_id, matched in reply:
-                merged.setdefault(task_id, []).extend(matched)
-        return merged
-
     # -- plumbing ----------------------------------------------------------
 
     def request(self, shard: int, op: str, payload: Any) -> Any:
-        return self._backend.request(shard, op, payload)
+        return self._backend.request(
+            shard, op, payload, ctx=self._trace_context()
+        )
 
     def broadcast(self, op: str, payloads: Sequence[Any]) -> List[Any]:
-        return self._backend.broadcast(op, payloads)
+        return self._backend.broadcast(
+            op, payloads, ctx=self._trace_context()
+        )
 
     def close(self) -> None:
         """Shut down worker processes; the pool is unusable after."""
@@ -670,11 +479,9 @@ class ShardPool:
 class ShardedGroupFeed:
     """The merged, shard-parallel grouping feed (GroupFeed protocol).
 
-    Candidates are partitioned by stable structure-key hash — the
-    learner-side analogue of the resolver's block-key partitioning: a
-    structure bucket is the unit that can never be split without
-    splitting groups (and spending extra oracle questions), exactly as
-    a block is the unit that can never be split without losing matches.
+    Candidates are partitioned by whole structure bucket (see
+    :meth:`_partition`): a bucket is the unit that can never be split
+    without splitting groups and spending extra oracle questions.
 
     ``next_group`` broadcasts one ``peek`` (all shards refine their
     local winners concurrently), then pops only the global winner.  The

@@ -137,12 +137,12 @@ class TestLshKeys:
 
     def test_keys_route_through_block_index(self):
         fn = lsh_keys(bands=4, rows=2)
-        index = BlockIndex(shards=3, retention=2)
+        index = BlockIndex(retention=2)
         for rid, value in [("r0", "5 Main St"), ("r1", "5 Main St.")]:
             for key in fn(value):
                 index.add(key, rid)
         shared = [k for k in fn("5 Main St") if "r1" in index.members(k)]
-        assert shared  # rotation/partitioning work on LSH keys too
+        assert shared  # rotation works on LSH keys too
 
     def test_validation(self):
         with pytest.raises(ValueError):

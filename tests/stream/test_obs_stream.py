@@ -197,9 +197,7 @@ class TestRecordedRows:
         assert {
             f"shards.busy_seconds{{shard={i}}}" for i in range(2)
         } <= set(snap)
-        # ...and the shipping gauges exist (zero here: key-blocked runs
-        # never exercise the similarity-resolve data plane).
-        assert snap["shards.values_shipped"] >= 0
+        # ...and the shipping gauge exists.
         assert snap["shards.bytes_shipped"] >= 0
 
 
@@ -293,9 +291,8 @@ class TestTornTail:
 
 def run_similarity(stream, obs, shards=1, **kwargs):
     """A similarity-blocked run: resolves arrivals by blocked matching
-    on the consolidated column, which is the mode that exercises the
-    shard pool's resolve/derive data plane (key-blocked runs resolve
-    by entity key and never ask the shards to match anything)."""
+    on the consolidated column (in the parent at any shard count) and
+    learns through the shard pool's grouping feed."""
     consolidator = GoldenStreamConsolidator(
         columns=[stream.column],
         oracle_factory=golden_ground_truth_oracle_factory(
@@ -337,18 +334,13 @@ class TestTracePropagation:
         assert len(by_id) == len(rows)  # ids are unique
         for row in shard_rows:
             assert row["parent_id"] in by_id
-        resolves = [r for r in shard_rows if r["span"] == "shard.resolve"]
-        assert resolves
-        for row in resolves:
-            assert by_id[row["parent_id"]]["span"] == "stream.resolve"
+        peeks = [r for r in shard_rows if r["span"] == "shard.peek"]
+        assert peeks
+        for row in peeks:
+            assert by_id[row["parent_id"]]["span"] == "stream.learn"
             assert "shard" in row["tags"]
-        # shard.match (when comparisons happened) nests in shard.resolve.
-        for row in shard_rows:
-            if row["span"] == "shard.match":
-                assert by_id[row["parent_id"]]["span"] == "shard.resolve"
-                assert row["tags"]["comparisons"] > 0
         # The per-shard attribution covers more than one worker.
-        assert len({r["tags"]["shard"] for r in resolves}) > 1
+        assert len({r["tags"]["shard"] for r in peeks}) > 1
 
     def test_forest_shape_identical_shards_1_vs_4(self, stream):
         obs1 = Obs(sink=MemorySink(), trace=True)
@@ -383,6 +375,6 @@ class TestTracePropagation:
         run_similarity(stream, obs, shards=4)
         tree = format_trace_tree(self.span_rows(obs))
         assert "stream.batch" in tree
-        assert "shard.resolve[shard=" in tree
+        assert "shard.peek[shard=" in tree
         # n / total / self columns are present on every line.
         assert "n=3" in tree  # three batches aggregate into one node

@@ -18,6 +18,7 @@ from repro.candidates.store import derive_token_segments
 from repro.config import DEFAULT_CONFIG
 from repro.core.incremental import IncrementalGrouper
 from repro.core.replacement import Replacement
+from repro.core.terms import TermVocabulary
 from repro.data.table import Record
 from repro.datagen.address import address_dataset
 from repro.datagen.base import GeneratorSpec
@@ -281,9 +282,11 @@ class TestShardPoolKernels:
                 va, vb, DEFAULT_CONFIG
             )
 
-    def test_unpicklable_similarity_degrades_to_inline(self):
-        closure = lambda a, b: 1.0 if a == b else 0.0  # noqa: E731
-        pool = ShardPool(3, similarity=closure, processes=True)
+    def test_unpicklable_vocabulary_degrades_to_inline(self):
+        class LocalVocabulary(TermVocabulary):  # local: does not pickle
+            pass
+
+        pool = ShardPool(3, vocabulary=LocalVocabulary(), processes=True)
         try:
             assert not pool.uses_processes  # degraded, not broken
         finally:
@@ -313,7 +316,7 @@ class TestSimilarityModeSharded:
     def run(shards):
         from repro.resolution.similarity import overlap
 
-        def tok_overlap(a, b):  # closure: forces the inline match path
+        def tok_overlap(a, b):
             return overlap(a.split(), b.split())
 
         consolidator = GoldenStreamConsolidator(
@@ -345,158 +348,6 @@ class TestSimilarityModeSharded:
             clusters, pairs = self.run(shards)
             assert clusters == base_clusters
             assert pairs == base_pairs
-
-    def test_retention_with_shards_mirrors_sequential_rotation(self):
-        """Regression: batch matching must simulate block rotation.
-
-        With ``block_retention`` set, the sequential path rotates each
-        record into the blocks *before* the next record is matched;
-        the batch-parallel path once matched everything against
-        pre-rotation state plus an unrotated overlay, so a rotated-out
-        member was still compared — a different comparison set, hence
-        potentially different clusters, at ``--shards > 1``.
-        """
-        from repro.resolution.similarity import overlap
-        from repro.stream import IncrementalResolver
-
-        def tok_overlap(a, b):
-            return overlap(a.split(), b.split())
-
-        def resolve(pool):
-            resolver = IncrementalResolver(
-                ("name",),
-                attribute="name",
-                threshold=0.4,
-                similarity=tok_overlap,
-                pool=pool,
-                block_retention=2,
-            )
-            # All records share the "common" block key; retention=2
-            # forces rotation inside the batch itself.
-            records = [
-                Record(f"r{i}", {"name": f"common tok{i} tok{i % 3}"})
-                for i in range(10)
-            ]
-            reports = [resolver.add_batch(records)]
-            reports.append(
-                resolver.add_batch(
-                    [Record("late", {"name": "common tok9 tok0"})]
-                )
-            )
-            clusters = {
-                frozenset(r.rid for r in c.records)
-                for c in resolver.table.clusters
-                if c.records
-            }
-            return clusters, [r.pairs_compared for r in reports]
-
-        base = resolve(None)
-        for shards in (2, 4):
-            with ShardPool(
-                shards, similarity=tok_overlap, processes=False
-            ) as pool:
-                assert resolve(pool) == base
-
-
-class TestShardResidentState:
-    """Shard workers keep member values resident: per-batch IPC ships
-    only new values (plus candidate rids), never the block members
-    again — and the replicas stay consistent through rotation and
-    across worker processes."""
-
-    @staticmethod
-    def similarity():
-        from repro.resolution.similarity import overlap
-
-        def tok_overlap(a, b):  # closure keeps the pool inline
-            return overlap(a.split(), b.split())
-
-        return tok_overlap
-
-    @classmethod
-    def batch(cls, index, size=20):
-        # Every value shares the "common" token, so blocks keep
-        # thickening as the stream grows.
-        return [
-            Record(
-                f"b{index}r{i}",
-                {"name": f"common tok{i % 5} batch{index} row{i}"},
-            )
-            for i in range(size)
-        ]
-
-    def test_ships_only_new_values_per_batch(self):
-        """The acceptance property: per-batch shipped values track the
-        batch size while the comparison frontier (and so the
-        candidate-pair count) keeps growing."""
-        consolidator = GoldenStreamConsolidator(
-            columns=["name"],
-            oracle_factory=lambda c, column: None,
-            fusion=None,
-            attribute="name",
-            similarity_threshold=0.9,
-            similarity=self.similarity(),
-            budget_per_batch=0,
-            use_engine=False,
-            shards=2,
-            shard_processes=False,
-            persist_decisions=False,
-            max_block_size=10_000,
-        )
-        with consolidator:
-            reports = [
-                consolidator.process_batch(self.batch(i)) for i in range(4)
-            ]
-        values = [r.values_shipped for r in reports]
-        pairs = [r.pairs_compared for r in reports]
-        # Candidate volume grows with the resident frontier...
-        assert pairs[-1] > pairs[0] * 2
-        # ... but shipped values stay O(batch): each new value crosses
-        # to at most one replica per shard, and resident members are
-        # never re-shipped.
-        batch_size = reports[0].records
-        for report, shipped in zip(reports, values):
-            assert 0 < shipped <= batch_size * consolidator.shards
-        assert values[-1] == values[0], (
-            f"shipped values must not grow with stream length: {values}"
-        )
-        # Inline backend: nothing is serialized, so actual-IPC bytes
-        # stay 0 (the process-backed byte counters are exercised by
-        # benchmarks/bench_stream_sharded.py).
-        assert all(r.bytes_shipped == 0 for r in reports)
-
-    def test_process_backend_keeps_replicas_across_batches(self):
-        """The worker-process backend must produce the same clusters
-        and comparison counts as inline, across several batches (its
-        replicas live in another process)."""
-        from repro.resolution.matcher import hybrid_similarity
-        from repro.stream import IncrementalResolver
-
-        def run(processes):
-            with ShardPool(
-                2, similarity=hybrid_similarity, processes=processes
-            ) as pool:
-                resolver = IncrementalResolver(
-                    ("name",),
-                    attribute="name",
-                    threshold=0.7,
-                    similarity=hybrid_similarity,
-                    pool=pool,
-                    block_retention=6,
-                    max_block_size=10_000,
-                )
-                reports = [
-                    resolver.add_batch(self.batch(i, size=12))
-                    for i in range(3)
-                ]
-            clusters = {
-                frozenset(r.rid for r in c.records)
-                for c in resolver.table.clusters
-                if c.records
-            }
-            return clusters, [r.pairs_compared for r in reports]
-
-        assert run(True) == run(False)
 
 
 class TestLshModeSharded:
@@ -563,7 +414,7 @@ class TestLshModeSharded:
         self, lsh_stream, tmp_path
     ):
         """A restarted LSH-mode sharded stream replays the decision log
-        against fresh shard replicas: zero repeat questions,
+        against fresh shard workers: zero repeat questions,
         identical standardization."""
         registry = BundleRegistry(tmp_path / "registry")
         q_first, final_first, _ = self.run(
@@ -584,19 +435,8 @@ class TestBlockIndex:
         assert stable_hash("main") == 0xBF28CD64
         assert stable_hash(("a", "b")) == 0x10A52B86
 
-    def test_partitioning_owns_each_key_once(self):
-        index = BlockIndex(shards=4)
-        for i in range(40):
-            index.add(f"k{i % 8}", f"r{i}")
-        assert index.num_keys == 8
-        for i in range(8):
-            key = f"k{i}"
-            assert list(index.members(key)) == [
-                f"r{j}" for j in range(40) if j % 8 == i
-            ]
-
     def test_retention_rotates_oldest_out(self):
-        index = BlockIndex(shards=2, retention=3)
+        index = BlockIndex(retention=3)
         evicted = []
         for i in range(6):
             evicted.extend(index.add("k", f"r{i}"))
@@ -605,7 +445,7 @@ class TestBlockIndex:
         assert index.rotated_out == 3
 
     def test_eviction_respects_other_block_references(self):
-        index = BlockIndex(shards=1, retention=1)
+        index = BlockIndex(retention=1)
         index.add("a", "r0")
         index.add("b", "r0")
         gone = index.add("a", "r1")  # r0 rotates out of 'a', stays in 'b'
@@ -642,7 +482,5 @@ class TestBlockIndex:
         assert result.new_clusters == 0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            BlockIndex(shards=0)
         with pytest.raises(ValueError):
             BlockIndex(retention=0)

@@ -127,7 +127,7 @@ def test_docs_mention_the_sharded_stream():
     assert "docs/paper-mapping.md" in readme
 
 
-#: Flags the docs teach for the LSH / shard-resident and multi-column
+#: Flags the docs teach for the LSH / sharded-learner and multi-column
 #: golden-record releases; each must appear in the documentation AND
 #: be a real `repro stream` flag.
 STREAM_FLAGS = (
@@ -191,7 +191,7 @@ def test_docs_cover_the_lsh_blocking_mode():
         encoding="utf-8"
     )
     assert "lsh_keys" in mapping
-    assert "Shard-resident" in mapping
+    assert "Block rotation" in mapping
 
 
 def test_docs_cover_observability():
@@ -354,8 +354,8 @@ def test_docs_cover_the_tracing_release():
         "--profile",
         "repro top",
         "repro bench check",
-        "shard.resolve",
-        "shard.match",
+        "shard.peek",
+        "shard.pop",
         "shard.derive",
         "parent_id",
     ):
