@@ -7,7 +7,7 @@ that experiments can toggle them without touching algorithm code.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple
 
 
@@ -115,7 +115,9 @@ class Config:
 
     def to_dict(self) -> Dict:
         """JSON-safe rendering (tuples become lists)."""
-        payload = asdict(self)
+        # Every field is a scalar but the tuple below, so a shallow
+        # read gives what ``asdict`` would, without its deep copy.
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload["extra_constant_terms"] = list(self.extra_constant_terms)
         return payload
 

@@ -30,7 +30,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from .engine import ApplyEngine
-from .model import TransformationModel, write_json_atomic
+from .model import (
+    TransformationModel,
+    encode_json,
+    splice_json,
+    write_text_atomic,
+)
 from .registry import ModelRegistry
 
 PathLike = Union[str, Path]
@@ -83,8 +88,9 @@ class ModelBundle:
 
     # -- (de)serialization ---------------------------------------------
 
-    def to_dict(self) -> Dict:
-        """The full versioned JSON payload :meth:`save` writes."""
+    def _head(self) -> Dict:
+        """Every payload entry but the trailing ``models`` — the one
+        layout :meth:`to_dict` and :meth:`to_json` share."""
         return {
             "kind": BUNDLE_KIND,
             "schema_version": self.schema_version,
@@ -92,11 +98,27 @@ class ModelBundle:
             "columns": self.columns,
             "created_at": self.created_at,
             "provenance": dict(self.provenance),
+        }
+
+    def to_dict(self) -> Dict:
+        """The full versioned JSON payload :meth:`save` writes."""
+        return {
+            **self._head(),
             "models": {
                 column: model.to_dict()
                 for column, model in self.models.items()
             },
         }
+
+    def to_json(self) -> str:
+        """``encode_json(self.to_dict())``: one head per column model
+        around its groups' cached texts (see
+        :meth:`TransformationModel.to_json`)."""
+        models = ", ".join(
+            f"{encode_json(column)}: {model.to_json()}"
+            for column, model in self.models.items()
+        )
+        return splice_json(self._head(), "models", f"{{{models}}}")
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "ModelBundle":
@@ -131,13 +153,15 @@ class ModelBundle:
         )
 
     def save(self, path: PathLike) -> Path:
-        """Write the bundle as compact JSON, atomically.
+        """Write the bundle as one line of JSON, atomically.
 
-        Same writer as :meth:`TransformationModel.save`
-        (:func:`~repro.serve.model.write_json_atomic`): a hot-reloading
+        The line is :meth:`to_json`: ``json.dumps`` default separators
+        (``", "``, ``": "``), not the compact ones.  Same writer as
+        :meth:`TransformationModel.save`
+        (:func:`~repro.serve.model.write_text_atomic`): a hot-reloading
         consumer polling the registry sees complete column sets only.
         """
-        return write_json_atomic(path, self.to_dict())
+        return write_text_atomic(path, self.to_json())
 
     @classmethod
     def load(cls, path: PathLike) -> "ModelBundle":

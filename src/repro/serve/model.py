@@ -25,6 +25,7 @@ import os
 import time
 import uuid
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -45,25 +46,49 @@ SCHEMA_VERSION = 1
 MODEL_KIND = "repro.transformation_model"
 
 
-def write_json_atomic(path: PathLike, payload: Dict) -> Path:
-    """Write ``payload`` to ``path`` as one line of JSON, atomically.
+def encode_json(payload) -> str:
+    """``payload`` as one line of artifact JSON.
 
-    The text is encoded in one ``json.dumps`` call (CPython's C encoder;
-    ``json.dump`` always runs the pure-Python one) and lands in a
-    same-directory temp file, named uniquely per call, that is flushed,
-    fsynced and only then renamed into place.  A crash mid-write, or
-    another thread saving to the same path, can never expose a truncated
-    file: readers see the old artifact or the new one.
+    ``json.dumps`` with its default separators (``", "`` and ``": "``)
+    and non-ASCII text kept as UTF-8, in one call to CPython's C
+    encoder.  Every artifact byte goes through here, so a spliced file
+    (see :func:`splice_json`) equals one encode of the whole payload.
+    """
+    return json.dumps(payload, ensure_ascii=False)
+
+
+def splice_json(head: Dict, key: str, value_text: str) -> str:
+    """``encode_json({**head, key: value})`` from ``value``'s text.
+
+    The (non-empty) head is encoded once; ``value_text``, already in
+    the :func:`encode_json` layout, becomes its last entry.
+    """
+    return f"{encode_json(head)[:-1]}, {encode_json(key)}: {value_text}}}"
+
+
+def write_synced(path: Path, text: str) -> None:
+    """Create ``path`` (it must not exist) holding ``text`` and a
+    newline, flushed and fsynced before returning."""
+    with open(path, "x", encoding="utf-8") as handle:
+        handle.write(text + "\n")
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
+def write_text_atomic(path: PathLike, text: str) -> Path:
+    """Write ``text`` to ``path`` as one line, atomically.
+
+    The line lands in a same-directory temp file, named uniquely per
+    call, that is flushed, fsynced and only then renamed into place.  A
+    crash mid-write, or another thread saving to the same path, can
+    never expose a truncated file: readers see the old artifact or the
+    new one.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, ensure_ascii=False) + "\n"
     tmp = path.with_name(f".{path.name}.tmp.{uuid.uuid4().hex}")
     try:
-        with open(tmp, "x", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
+        write_synced(tmp, text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -143,6 +168,13 @@ class ConfirmedGroup:
             "members": [m.to_dict() for m in self.members],
         }
 
+    @cached_property
+    def json_text(self) -> str:
+        """:meth:`to_dict` in the artifact layout, encoded on first use
+        only: the group is immutable, and every later publish of a
+        model holding it splices this text."""
+        return encode_json(self.to_dict())
+
     @classmethod
     def from_dict(cls, payload: Dict) -> "ConfirmedGroup":
         """Rebuild a group from its :meth:`to_dict` payload (validated)."""
@@ -208,8 +240,9 @@ class TransformationModel:
 
     # -- (de)serialization -------------------------------------------------
 
-    def to_dict(self) -> Dict:
-        """The full versioned JSON payload :meth:`save` writes."""
+    def _head(self) -> Dict:
+        """Every payload entry but the trailing ``groups`` — the one
+        layout :meth:`to_dict` and :meth:`to_json` share."""
         return {
             "kind": MODEL_KIND,
             "schema_version": self.schema_version,
@@ -219,8 +252,20 @@ class TransformationModel:
             "provenance": dict(self.provenance),
             "config": self.config.to_dict(),
             "vocabulary": self.vocabulary.to_dict(),
+        }
+
+    def to_dict(self) -> Dict:
+        """The full versioned JSON payload :meth:`save` writes."""
+        return {
+            **self._head(),
             "groups": [g.to_dict() for g in self.groups],
         }
+
+    def to_json(self) -> str:
+        """``encode_json(self.to_dict())``, built from the head and each
+        group's cached :attr:`ConfirmedGroup.json_text`."""
+        groups = ", ".join(g.json_text for g in self.groups)
+        return splice_json(self._head(), "groups", f"[{groups}]")
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "TransformationModel":
@@ -254,18 +299,99 @@ class TransformationModel:
         )
 
     def save(self, path: PathLike) -> Path:
-        """Write the model as compact JSON, atomically; returns the path.
+        """Write the model as one line of JSON, atomically; returns the
+        path.
 
-        See :func:`write_json_atomic`: a crash mid-save (or mid registry
-        publish) never leaves a truncated model file behind.
+        The line is :meth:`to_json`: ``json.dumps`` default separators
+        (``", "``, ``": "``), not the compact ones.  See
+        :func:`write_text_atomic`: a crash mid-save never leaves a
+        truncated model file behind.
         """
-        return write_json_atomic(path, self.to_dict())
+        return write_text_atomic(path, self.to_json())
 
     @classmethod
     def load(cls, path: PathLike) -> "TransformationModel":
         """Read a model saved by :meth:`save` (schema-checked)."""
         with open(path, encoding="utf-8") as handle:
             return cls.from_dict(json.load(handle))
+
+
+class ModelBuilder:
+    """:func:`build_model` for a log that keeps growing.
+
+    Each step is converted once, on the first :meth:`build` that sees
+    it; later builds reuse its :class:`ConfirmedGroup` (and so the
+    group's encoded text) and its decision row.  The cursor follows
+    the log *object*: a build over a different log (a resumed column's
+    rehydrated one) starts over.  Logs only ever append steps.
+    """
+
+    def __init__(self) -> None:
+        self._log: Optional[StandardizationLog] = None
+        self._groups: List[ConfirmedGroup] = []
+        self._decisions: List[Dict] = []
+        self._cells_changed = 0
+
+    def build(
+        self,
+        log: StandardizationLog,
+        column: str,
+        name: Optional[str] = None,
+        config: Config = DEFAULT_CONFIG,
+        vocabulary: TermVocabulary = DEFAULT_VOCABULARY,
+        provenance: Optional[Dict] = None,
+    ) -> TransformationModel:
+        """The model of everything ``log`` holds (see :func:`build_model`)."""
+        if log is not self._log:
+            self._log, self._groups, self._decisions = log, [], []
+            self._cells_changed = 0
+        for step in log.steps[len(self._decisions):]:
+            self._decisions.append(
+                {
+                    "approved": step.decision.approved,
+                    "direction": step.decision.direction,
+                    "group_size": step.group.size,
+                    "cells_changed": step.cells_changed,
+                }
+            )
+            self._cells_changed += step.cells_changed
+            if not step.decision.approved:
+                continue
+            members = tuple(
+                ConfirmedMember(
+                    a.replacement.lhs,
+                    a.replacement.rhs,
+                    a.whole,
+                    a.token,
+                    a.cells_changed,
+                )
+                for a in step.applied
+            )
+            self._groups.append(
+                ConfirmedGroup(
+                    step.group.program,
+                    step.decision.direction,
+                    members,
+                    step.group.structure,
+                )
+            )
+        merged = {
+            "groups_reviewed": len(self._decisions),
+            "groups_approved": len(self._groups),
+            "cells_changed": self._cells_changed,
+            "decisions": list(self._decisions),
+        }
+        if provenance:
+            merged.update(provenance)
+        return TransformationModel(
+            name=name or column,
+            column=column,
+            groups=list(self._groups),
+            config=config,
+            vocabulary=vocabulary,
+            provenance=merged,
+            created_at=time.time(),
+        )
 
 
 def build_model(
@@ -282,51 +408,6 @@ def build_model(
     applicable), but every step's decision lands in the provenance so
     the full review session is auditable.
     """
-    groups: List[ConfirmedGroup] = []
-    decisions: List[Dict] = []
-    for step in log.steps:
-        decisions.append(
-            {
-                "approved": step.decision.approved,
-                "direction": step.decision.direction,
-                "group_size": step.group.size,
-                "cells_changed": step.cells_changed,
-            }
-        )
-        if not step.decision.approved:
-            continue
-        members = tuple(
-            ConfirmedMember(
-                a.replacement.lhs,
-                a.replacement.rhs,
-                a.whole,
-                a.token,
-                a.cells_changed,
-            )
-            for a in step.applied
-        )
-        groups.append(
-            ConfirmedGroup(
-                step.group.program,
-                step.decision.direction,
-                members,
-                step.group.structure,
-            )
-        )
-    merged = {
-        "groups_reviewed": log.groups_confirmed,
-        "groups_approved": log.groups_approved,
-        "cells_changed": log.cells_changed,
-        "decisions": decisions,
-    }
-    if provenance:
-        merged.update(provenance)
-    return TransformationModel(
-        name=name or column,
-        column=column,
-        groups=groups,
-        config=config,
-        vocabulary=vocabulary,
-        provenance=merged,
-        created_at=time.time(),
+    return ModelBuilder().build(
+        log, column, name, config, vocabulary, provenance
     )

@@ -35,6 +35,8 @@ import uuid
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
+from .model import write_synced
+
 if TYPE_CHECKING:
     from .bundle import ModelBundle
 
@@ -70,8 +72,11 @@ class ModelRegistry:
         slug = slugify(name or bundle.name)
         directory = self.root / slug
         directory.mkdir(parents=True, exist_ok=True)
-        pending = bundle.save(directory / f".pending-{uuid.uuid4().hex}")
+        # The pending name is unique and never a version name, so the
+        # text is written and fsynced in place; linking publishes it.
+        pending = directory / f".pending-{uuid.uuid4().hex}"
         try:
+            write_synced(pending, bundle.to_json())
             version = (self.versions(slug) or [0])[-1] + 1
             while True:
                 path = directory / f"v{version}.json"

@@ -107,7 +107,7 @@ from ..pipeline.standardize import (
 from ..resolution.blocking import BlockKeyFn
 from ..resolution.matcher import SimilarityFn, hybrid_similarity
 from ..serve.bundle import BundleApplyEngine, ModelBundle, build_bundle
-from ..serve.model import TransformationModel, build_model
+from ..serve.model import ModelBuilder, TransformationModel
 from ..serve.registry import ModelRegistry, slugify
 from .decisions import DecisionCache, archive_log
 from .deltas import GoldenDeltaLog
@@ -230,9 +230,10 @@ def _log_from_model(model: TransformationModel) -> StandardizationLog:
     Published models are append-only: each version's group sequence
     extends the last.  Rehydrating the confirmed groups as approved
     steps lets a restarted consolidator's next publish *extend* the
-    prior sequence — consumers keep their incremental
-    :meth:`~repro.serve.engine.ApplyEngine.reload` path — instead of
-    starting a fresh, shorter model.  Rejected steps are not persisted
+    prior sequence instead of starting a fresh, shorter model.  The
+    rehydrated log is a new object, so the column's
+    :class:`~repro.serve.model.ModelBuilder` converts it from its first
+    step on the next publish.  Rejected steps are not persisted
     in the group sequence (only in provenance), so they are not
     rehydrated; that only means a resumed stream's provenance decision
     list restarts, never that a question is re-asked (the decision log
@@ -638,6 +639,11 @@ class GoldenStreamConsolidator:
         self.engine: Optional[BundleApplyEngine] = None
         self.resolver: Optional[IncrementalResolver] = None
         self.standardizers: Dict[str, IncrementalStandardizer] = {}
+        #: per column: converts each logged step once, so a publish
+        #: converts and encodes only the groups confirmed since the last
+        self._model_builders: Dict[str, ModelBuilder] = {
+            column: ModelBuilder() for column in self.columns
+        }
         self.oracles: Dict[str, Oracle] = {}
         self.pool: Optional[ShardPool] = None
         self.resumed_from: Optional[int] = None
@@ -685,7 +691,7 @@ class GoldenStreamConsolidator:
         }
         if self.resumed_from is not None:
             provenance["resumed_from_version"] = self.resumed_from
-        return build_model(
+        return self._model_builders[column].build(
             standardizer.log,
             column,
             name=f"{self.bundle_name}-{column}",

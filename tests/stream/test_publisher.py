@@ -227,3 +227,57 @@ class TestBundlePublisher:
         publisher.unsubscribe(engine)
         publisher.publish(make_bundle({"addr": [("rd", "road")]}))
         assert engine.bundle is v1
+
+
+class TestPublishWork:
+    """A publish converts and encodes only the groups it adds.
+
+    Counted, not timed: over a 40-batch stream that publishes most
+    batches, each confirmed group is built from its log step once and
+    its ``to_dict()`` is encoded once, however many later versions
+    carry it.
+    """
+
+    def test_each_group_is_converted_and_encoded_once(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.datagen.stream import golden_stream
+        from repro.stream import (
+            GoldenStreamConsolidator,
+            golden_ground_truth_oracle_factory,
+        )
+
+        stream = golden_stream(batches=40, n_clusters=40, seed=1)
+        built, encoded = [], []
+        init, to_dict = ConfirmedGroup.__init__, ConfirmedGroup.to_dict
+
+        def counting_init(group, *args, **kwargs):
+            built.append(1)
+            init(group, *args, **kwargs)
+
+        def counting_to_dict(group):
+            encoded.append(1)
+            return to_dict(group)
+
+        monkeypatch.setattr(ConfirmedGroup, "__init__", counting_init)
+        monkeypatch.setattr(ConfirmedGroup, "to_dict", counting_to_dict)
+        registry = ModelRegistry(tmp_path)
+        with GoldenStreamConsolidator(
+            columns=stream.columns,
+            oracle_factory=golden_ground_truth_oracle_factory(
+                stream.canonical_by_rid
+            ),
+            key_attribute=stream.key_column,
+            budget_per_batch=2,
+            registry=registry,
+            bundle_name="golden",
+        ) as consolidator:
+            consolidator.run(stream.batches)
+        monkeypatch.undo()
+
+        versions = registry.versions("golden")
+        groups = registry.load("golden").groups_confirmed
+        assert len(versions) >= 20
+        assert groups >= 40
+        assert len(built) == groups
+        assert len(encoded) == groups
