@@ -97,6 +97,10 @@ class ReplacementStore:
         #: bookkeeping for the streaming path)
         self._indexed: Set[CellRef] = set()
         self._dead: Set[Replacement] = set()
+        #: token segments by ordered value pair, derived once per store:
+        #: refreshes re-pair values already aligned, and orientation
+        #: matters because LCS tie-breaks depend on it
+        self._segments: Dict[Tuple[str, str], TokenSegments] = {}
 
     # -- generation (Section 3 Step 1, Appendix A) --------------------------
 
@@ -202,11 +206,14 @@ class ReplacementStore:
         self._add_pair(Replacement(va, vb), (cell_a, cell_b), allow_new)
         self._add_pair(Replacement(vb, va), (cell_b, cell_a), allow_new)
         if self.config.token_level_candidates:
-            derived = (
-                segments.get((va, vb)) if segments is not None else None
-            )
+            key = (va, vb)
+            derived = segments.get(key) if segments is not None else None
             if derived is None:
-                derived = derive_token_segments(va, vb, self.config)
+                derived = self._segments.get(key)
+            if derived is None:
+                derived = self._segments[key] = derive_token_segments(
+                    va, vb, self.config
+                )
             for lhs, rhs in derived:
                 self._add_token(
                     Replacement(lhs, rhs), (cell_a, cell_b), allow_new

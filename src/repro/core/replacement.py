@@ -4,23 +4,28 @@ A replacement ``lhs -> rhs`` states that the two strings are matched
 and one could be substituted for the other at the places it was
 generated from.  Replacements are directed; both directions are always
 generated as separate candidates.
+
+A :class:`Replacement` is a tuple ``(lhs, rhs)``: the learner hashes,
+compares and sorts candidates tens of thousands of times per run, and
+a tuple does all three in C.  It therefore also equals the plain tuple
+``(lhs, rhs)`` and hashes like it, so a set or dict should not hold
+both kinds of key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True, order=True)
-class Replacement:
+class Replacement(namedtuple("Replacement", ("lhs", "rhs"))):
     """A directed candidate replacement ``lhs -> rhs``."""
 
-    lhs: str
-    rhs: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lhs == self.rhs:
+    def __new__(cls, lhs: str, rhs: str) -> "Replacement":
+        if lhs == rhs:
             raise ValueError("a replacement requires two different strings")
+        return super().__new__(cls, lhs, rhs)
 
     def reversed(self) -> "Replacement":
         """The opposite-direction candidate ``rhs -> lhs``."""

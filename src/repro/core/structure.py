@@ -69,10 +69,23 @@ def partition_by_structure(
     replacements: Iterable[Replacement],
 ) -> Dict[StructureKey, List[Replacement]]:
     """Partition candidates into structure groups, preserving input
-    order within each group (keeps downstream behaviour deterministic)."""
+    order within each group (keeps downstream behaviour deterministic).
+
+    Each distinct string's signature is computed once per call: many
+    candidates share a side (every token-level segment of a value, both
+    orientations of a pair).
+    """
+    signatures: Dict[str, Signature] = {}
     groups: Dict[StructureKey, List[Replacement]] = defaultdict(list)
     for replacement in replacements:
-        groups[structure_key(replacement)].append(replacement)
+        lhs, rhs = replacement
+        lhs_sig = signatures.get(lhs)
+        if lhs_sig is None:
+            lhs_sig = signatures[lhs] = structure_signature(lhs)
+        rhs_sig = signatures.get(rhs)
+        if rhs_sig is None:
+            rhs_sig = signatures[rhs] = structure_signature(rhs)
+        groups[(lhs_sig, rhs_sig)].append(replacement)
     return dict(groups)
 
 

@@ -58,6 +58,10 @@ class ModelRegistry:
 
     def __init__(self, root: PathLike) -> None:
         self.root = Path(root)
+        #: slug -> the version this instance last linked; its next save
+        #: of that name starts one past it instead of listing the
+        #: directory (the link loop skips versions taken since)
+        self._last_saved: Dict[str, int] = {}
 
     # -- writing -----------------------------------------------------------
 
@@ -65,9 +69,10 @@ class ModelRegistry:
         """Persist ``bundle`` as the next version of ``name``.
 
         ``name`` defaults to the bundle's own name; returns the path of
-        the written version file.  A version taken by a concurrent
-        publisher since the directory was listed is skipped, never
-        overwritten.
+        the written version file.  The directory is listed only on this
+        instance's first save of ``name``; later saves start one past
+        the version it last linked.  A version taken by a concurrent
+        publisher meanwhile is skipped, never overwritten.
         """
         slug = slugify(name or bundle.name)
         directory = self.root / slug
@@ -77,11 +82,15 @@ class ModelRegistry:
         pending = directory / f".pending-{uuid.uuid4().hex}"
         try:
             write_synced(pending, bundle.to_json())
-            version = (self.versions(slug) or [0])[-1] + 1
+            last = self._last_saved.get(slug)
+            if last is None:
+                last = (self.versions(slug) or [0])[-1]
+            version = last + 1
             while True:
                 path = directory / f"v{version}.json"
                 try:
                     os.link(pending, path)
+                    self._last_saved[slug] = version
                     return path
                 except FileExistsError:
                     version += 1

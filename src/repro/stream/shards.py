@@ -61,7 +61,7 @@ from ..config import DEFAULT_CONFIG, Config
 from ..core.grouping import Group
 from ..core.incremental import IncrementalGrouper
 from ..core.replacement import Replacement
-from ..core.structure import StructureKey, structure_key
+from ..core.structure import StructureKey, partition_by_structure
 from ..core.terms import DEFAULT_VOCABULARY, TermVocabulary
 from ..obs import NULL_OBS
 from ..obs.trace import RemoteSpan, TraceContext
@@ -520,26 +520,19 @@ class ShardedGroupFeed:
         *within* a shard preserves first-appearance order, matching the
         single grouper's source construction.
         """
-        order: List[StructureKey] = []
-        buckets: Dict[StructureKey, List[Replacement]] = {}
-        for replacement in dict.fromkeys(replacements):
-            skey = structure_key(replacement)
-            if skey not in buckets:
-                buckets[skey] = []
-                order.append(skey)
-            buckets[skey].append(replacement)
+        buckets = partition_by_structure(dict.fromkeys(replacements))
         loads = [0] * shards
         owner: Dict[StructureKey, int] = {}
         by_size = sorted(
-            order, key=lambda skey: (-len(buckets[skey]), skey)
+            buckets, key=lambda skey: (-len(buckets[skey]), skey)
         )
         for skey in by_size:
             shard = min(range(shards), key=lambda s: (loads[s], s))
             owner[skey] = shard
             loads[shard] += len(buckets[skey])
         partitions: List[List[Replacement]] = [[] for _ in range(shards)]
-        for skey in order:
-            partitions[owner[skey]].extend(buckets[skey])
+        for skey, bucket in buckets.items():
+            partitions[owner[skey]].extend(bucket)
         return partitions
 
     def next_group(self) -> Optional[Group]:

@@ -268,3 +268,30 @@ class TestConcurrentPublish:
             "v2.json",
             "v3.json",
         ]
+
+
+class TestSaveListing:
+    """A publish does not pay for the versions already kept."""
+
+    def test_saves_through_one_instance_list_the_directory_once(
+        self, learned_model, tmp_path, monkeypatch
+    ):
+        ModelRegistry(tmp_path).save(learned_model)  # a version kept before
+        registry = ModelRegistry(tmp_path)
+        listed = []
+        iterdir = type(tmp_path).iterdir
+
+        def counting_iterdir(path):
+            listed.append(path)
+            return iterdir(path)
+
+        monkeypatch.setattr(type(tmp_path), "iterdir", counting_iterdir)
+        paths = [registry.save(learned_model) for _ in range(6)]
+        other = registry.save(learned_model, name="other")
+        monkeypatch.undo()
+
+        assert [p.name for p in paths] == [f"v{v}.json" for v in range(2, 8)]
+        assert other.name == "v1.json"
+        # one listing per name this instance saved under, not per save
+        assert listed == [tmp_path / "address", tmp_path / "other"]
+        assert registry.versions("address") == list(range(1, 8))
