@@ -17,8 +17,8 @@ Labels are interned where they are built: each edge is a tuple of ids
 of a :class:`~repro.core.labels.LabelTable`, deduplicated and sorted by
 the table's precomputed :func:`~repro.core.functions.label_sort_key` so
 downstream DFS is deterministic.  A structure source builds all its
-graphs, across resets, against one table, so a label object is made
-once per source rather than once per edge.
+graphs, before and after removals, against one table, so a label object
+is made once per source rather than once per edge.
 """
 
 from __future__ import annotations

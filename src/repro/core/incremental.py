@@ -22,11 +22,14 @@ from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..config import DEFAULT_CONFIG, Config
+from .graph import TransformationGraph, build_graph
 from .grouping import (
     GraphMemo,
     Group,
     build_graphs,
     build_group_vocabulary,
+    constant_whitelist,
+    graph_memo_key,
     singleton_group,
 )
 from .index import InvertedIndex
@@ -65,6 +68,8 @@ class _Source:
         self.stats = stats
         self.index: Optional[InvertedIndex] = None
         self.memo: GraphMemo = {None: table}
+        #: the constant whitelist the index's graphs were built under
+        self.whitelist: Optional[frozenset] = None
         self.by_gid: Dict[int, Replacement] = {}
         self.graphless: List[Replacement] = []
         self.live: Set[int] = set()
@@ -72,6 +77,9 @@ class _Source:
         self.bounds = GlobalBounds()
         self.cached: Optional[Group] = None
         self._cached_members: Tuple[int, ...] = ()
+        #: touched by a removal and not peeked since: its whitelist and
+        #: search state are derived at the next peek (see :meth:`_derive`)
+        self.stale = False
 
     # -- bounds ----------------------------------------------------------
 
@@ -79,9 +87,10 @@ class _Source:
         """Upper bound on the size of this source's next group."""
         if self.cached is not None:
             return self.cached.size
-        if self.index is None:
-            # Unpreprocessed: the structure-group size itself (Section
-            # 7.2's upper-bound seeding).
+        if self.index is None or self.stale:
+            # Unpreprocessed, or touched and not peeked since: the
+            # structure-group size itself (Section 7.2's upper-bound
+            # seeding).
             return len(self.replacements)
         best = max((self.up[g] for g in self.live), default=0)
         if self.graphless:
@@ -103,9 +112,22 @@ class _Source:
         self.index, self.by_gid, self.graphless = build_graphs(
             self.replacements, self.vocabulary, self.config, self.stats, self.memo
         )
+        self.whitelist = constant_whitelist(self.replacements, self.config)
+        self._start_search()
+
+    def _start_search(self) -> None:
+        """Fresh search state over every indexed graph: all live, each
+        at its Lemma 6.2 bound, no lower bounds, nothing cached."""
+        index = self.index
+        assert index is not None
         self.live = set(self.by_gid)
-        for gid in self.live:
-            self.up[gid] = initial_upper_bound(self.index.graphs[gid], self.index)
+        self.up = {
+            gid: initial_upper_bound(index.graphs[gid], index)
+            for gid in self.by_gid
+        }
+        self.bounds = GlobalBounds()
+        self.cached = None
+        self._cached_members = ()
 
     # -- Algorithm 7 -------------------------------------------------------
 
@@ -113,6 +135,8 @@ class _Source:
         """Compute (and cache) this source's next largest group."""
         if self.cached is not None:
             return self.cached
+        if self.stale:
+            self._derive()
         self.preprocess()
         assert self.index is not None
         if not self.live:
@@ -196,24 +220,21 @@ class _Source:
     def remove_replacements(self, dead: Set[Replacement]) -> None:
         """Drop candidates invalidated by applied replacements (§7.1).
 
-        A touched *preprocessed* source resets to an unpreprocessed
-        survivor list (original bucket order) instead of patching its
-        index in place.  Patching would leave the posting lists, upper
-        bounds, and cached witnesses reflecting graphs built *before*
-        the removal — and since equal-share pivot paths tie-break on
-        search visit order, the emitted **program** would then depend
-        on whether the source happened to be preprocessed before or
-        after the removal.  That timing is exactly what differs between
-        the lazy single-process grouper and the sharded feed (which
-        refines every shard's local winner eagerly), so the reset is
-        what makes ``--shards N`` publish byte-identical models.
-        Untouched sources keep their state: their (deterministic)
-        build-plus-pop history is the same on every path.
-
-        The reset keeps the built graph edges (``memo``) of the
-        survivors, and the label table they index into: a memo hit is
-        exactly the graph a fresh build would return, so the rebuild
-        costs only the index, not the graphs.
+        A touched *preprocessed* source unposts every graph that is gone
+        (popped earlier or dead now) at once, and at its next peek it
+        ends in exactly the state a fresh :meth:`preprocess` over its
+        survivors (in bucket order) would build (:meth:`_derive`).  Only
+        a fresh state is safe: patched upper bounds, lower bounds or
+        cached witnesses would reflect the graphs present *before* the
+        removal, and since equal-share pivot paths tie-break on search
+        visit order, the emitted **program** would then depend on when
+        the source was preprocessed relative to the removal.  That
+        timing is exactly what differs between the lazy single-process
+        grouper and the sharded feed (which refines every shard's local
+        winner eagerly), so fresh state is what makes ``--shards N``
+        publish byte-identical models.  Untouched sources keep their
+        state: their (deterministic) build-plus-pop history is the same
+        on every path.
         """
         if self.index is None:
             self.replacements = [r for r in self.replacements if r not in dead]
@@ -228,14 +249,78 @@ class _Source:
         self.memo = {  # key None holds the memo's label table
             k: v for k, v in self.memo.items() if k is None or k[:2] in survivors
         }
-        self.index = None
-        self.by_gid = {}
-        self.graphless = []
-        self.live = set()
-        self.up = {}
-        self.bounds = GlobalBounds()
+        index, keep = self.index, set(self.replacements)
+        for gid in [g for g, r in self.by_gid.items() if r not in keep]:
+            index.remove_graph(gid)
+            del self.by_gid[gid]
+        self.graphless = [r for r in self.graphless if r in keep]
+        self.live = set(self.by_gid)
         self.cached = None
         self._cached_members = ()
+        self.stale = True
+
+    def _derive(self) -> None:
+        """Patch the index of a touched source to what :meth:`preprocess`
+        over ``self.replacements`` would build, and start a fresh search.
+
+        Gids keep their values: a fresh build numbers survivors in
+        bucket order, which is the old gid order restricted to them, so
+        the two numberings differ by an order-preserving map and every
+        search tie-break reads the same.  The graphs that are gone were
+        unposted at removal.  The constant whitelist is recomputed over
+        the survivors; a survivor whose memo key it changes gets the
+        graph a fresh build would (a memo hit, else a
+        :func:`~repro.core.graph.build_graph`) re-posted under its gid,
+        and every other graph stays posted as it is.  No upper bound
+        carries over: almost every survivor shares a label with a
+        removed graph.  ``stats`` counts a kept or memo-hit graph as
+        reused and a built one as built, as a fresh build over the memo
+        would.
+
+        It runs at the source's next peek, not at removal: until then
+        the source is bounded by its size, as an unpreprocessed source
+        is, and most touched sources of a stream's small per-batch
+        groupers are never peeked again.
+        """
+        index = self.index
+        assert index is not None
+        old, whitelist = self.whitelist, constant_whitelist(
+            self.replacements, self.config
+        )
+        shifted = () if whitelist is None else whitelist ^ old
+        self.whitelist = whitelist
+        rekeyed = [
+            gid
+            for gid, replacement in self.by_gid.items()
+            if any(token in replacement.rhs for token in shifted)
+        ]
+        built = 0
+        for gid in rekeyed:
+            replacement = self.by_gid[gid]
+            key = graph_memo_key(replacement, whitelist)
+            edges = self.memo.get(key)
+            if edges is None:
+                graph = build_graph(
+                    replacement.lhs,
+                    replacement.rhs,
+                    self.vocabulary,
+                    self.config,
+                    whitelist,
+                    index.table,
+                )
+                assert graph is not None  # it had one before
+                self.memo[key] = graph.id_edges
+                built += 1
+            else:
+                graph = TransformationGraph(
+                    replacement.lhs, replacement.rhs, edges, index.table
+                )
+            index.remove_graph(gid)
+            index.add_graph(graph, gid)
+        self.stats.graphs_built += built
+        self.stats.graphs_reused += len(self.by_gid) - built
+        self._start_search()
+        self.stale = False
 
 
 class IncrementalGrouper:

@@ -12,6 +12,11 @@ graph posts the ids of its edges (``out_edges[gid]``) and never hashes
 or re-keys a label object.  A graph built against another table is
 re-interned through its label view.
 
+Gids are never reused: :meth:`add_graph` numbers past every gid the
+index has issued, and :meth:`remove_graph` unposts a graph (dropping the
+postings it leaves empty), so a patched index reads exactly like one
+built over the graphs it still holds.
+
 A posting is ``{gid: {start: end_mask}}`` where bit ``j`` of
 ``end_mask`` is set iff the label sits on edge ``(start, j)``; postings
 are keyed by label id.  Because every path the pivot search maintains
@@ -49,15 +54,24 @@ class InvertedIndex:
         self.graphs: Dict[int, TransformationGraph] = {}
         self.last_node: Dict[int, int] = {}
         self.out_edges: Dict[int, IdEdges] = {}
+        #: the next gid :meth:`add_graph` issues (above every gid issued)
+        self.next_gid = 0
 
     @property
     def ids(self) -> Dict[StringFunction, int]:
         """The table's label -> id map (built when first read)."""
         return self.table.ids
 
-    def add_graph(self, graph: TransformationGraph) -> int:
-        """Register a graph; assigns and returns its gid."""
-        gid = len(self.graphs)
+    def add_graph(
+        self, graph: TransformationGraph, gid: Optional[int] = None
+    ) -> int:
+        """Register a graph under ``gid`` (default: the next unissued
+        gid); returns the gid.  A gid the index holds is refused."""
+        if gid is None:
+            gid = self.next_gid
+        elif gid in self.graphs:
+            raise ValueError(f"gid {gid} is already registered")
+        self.next_gid = max(self.next_gid, gid + 1)
         graph.gid = gid
         self.graphs[gid] = graph
         self.last_node[gid] = graph.last_node
@@ -83,6 +97,21 @@ class InvertedIndex:
 
     def add_graphs(self, graphs: Iterable[TransformationGraph]) -> List[int]:
         return [self.add_graph(g) for g in graphs]
+
+    def remove_graph(self, gid: int) -> TransformationGraph:
+        """Unpost graph ``gid`` and return it; postings it leaves empty
+        are dropped, as an index built without it would not have them."""
+        graph = self.graphs.pop(gid)
+        del self.last_node[gid]
+        postings = self.postings
+        for targets in self.out_edges.pop(gid).values():
+            for _j, lids in targets:
+                for lid in lids:
+                    posting = postings.get(lid)
+                    if posting is not None and posting.pop(gid, None) is not None:
+                        if not posting:
+                            del postings[lid]
+        return graph
 
     def posting_size_live(self, lid: int, live: Optional[Set[int]]) -> int:
         """Distinct *live* graphs containing label ``lid``."""

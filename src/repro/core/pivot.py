@@ -111,7 +111,8 @@ class SearchStats:
     prunes: int = 0
     searches: int = 0
     #: graphs registered from a fresh ``build_graph`` vs. from edges
-    #: kept across a source reset (``built + reused`` = registered).
+    #: kept across a removal, in the memo or in a derived index
+    #: (``built + reused`` = registered).
     graphs_built: int = 0
     graphs_reused: int = 0
 

@@ -162,20 +162,30 @@ class TestGraphReuse:
     def test_counters_cover_every_registered_graph(self):
         """On the one-shot Address input (scale 0.15, seed 7, 100
         questions) every registered graph is either built or reused,
-        and sources reset by applied groups do reuse their graphs."""
+        and sources touched by applied groups do reuse their graphs.
+        A graph is registered by a fresh ``build_graphs`` or, when a
+        touched source is next peeked, by its derived index (one per
+        survivor)."""
         dataset = DATASETS["Address"](scale=0.15, seed=7)
         standardizer = Standardizer(dataset.fresh_table(), dataset.column)
         feed = standardizer.default_feed()
         registered = []
         build_graphs = incremental.build_graphs
+        derive = incremental._Source._derive
 
         def counting(*args, **kwargs):
             result = build_graphs(*args, **kwargs)
             registered.append(len(result[1]))
             return result
 
+        def counting_derive(source):
+            derive(source)
+            registered.append(len(source.by_gid))
+
         oracle = GroundTruthOracle(dataset.canonical, standardizer.store, seed=7)
-        with mock.patch.object(incremental, "build_graphs", counting):
+        with mock.patch.object(
+            incremental, "build_graphs", counting
+        ), mock.patch.object(incremental._Source, "_derive", counting_derive):
             standardizer.run(oracle, 100, feed=feed)
         stats = feed.stats
         assert stats.graphs_built + stats.graphs_reused == sum(registered)

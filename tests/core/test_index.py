@@ -85,6 +85,37 @@ class TestPostings:
         assert ConstantStr("nope") not in index.ids
 
 
+class TestRemoval:
+    def test_add_after_a_hole_never_reuses_a_gid(self, example_51_index):
+        """With gid 0 removed the index holds two graphs, but gid 2 is
+        still taken: a new graph numbers past every issued gid."""
+        index, g1, g2, g3 = example_51_index
+        index.remove_graph(g1.gid)
+        g4 = build_graph("Smith, James", "James Smith")
+        assert index.add_graph(g4) == 3
+        assert index.graphs[g3.gid] is g3
+        assert sorted(index.graphs) == [1, 2, 3]
+
+    def test_explicit_gid_must_be_free(self, example_51_index):
+        index, g1, g2, g3 = example_51_index
+        with pytest.raises(ValueError):
+            index.add_graph(build_graph("9th", "9"), g2.gid)
+        index.remove_graph(g2.gid)
+        assert index.add_graph(g2, g2.gid) == 1
+        assert index.add_graph(build_graph("9th", "9")) == 3
+
+    def test_removal_unposts_and_drops_empty_postings(self, example_51_index):
+        index, g1, g2, g3 = example_51_index
+        lid = index.ids[ConstantStr("M. Lee")]
+        f2 = SubStr(MatchPos(WHITESPACE, 1, END), MatchPos(CAPITALS, -1, END))
+        assert index.remove_graph(g1.gid) is g1
+        assert lid not in index.postings
+        assert set(index.postings[index.ids[f2]]) == {g2.gid, g3.gid}
+        assert g1.gid not in index.last_node and g1.gid not in index.out_edges
+        assert all(g1.gid not in posting for posting in index.postings.values())
+        assert len(index) == 2
+
+
 class TestIntersection:
     def test_example_51_path_intersection(self, example_51_index):
         """I[f2] ∩ I[f3] ∩ I[f1] = {<G1,1,7>, <G2,1,9>} (Example 5.1)."""

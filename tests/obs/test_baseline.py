@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from repro.obs.baseline import (
-    DEFAULT_TOLERANCE,
     build_baseline,
     check,
     load_baseline,
@@ -14,10 +13,19 @@ from repro.obs.baseline import (
     save_baseline,
 )
 
-REPO_RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+#: One recorded run of CI's perf-smoke bench list at the baseline's scale
+#: (REPRO_BENCH_SCALE=0.5, 2-vCPU box, a clean checkout of the commit its
+#: rows' ``git`` field names), committed so the gate below reads the same
+#: rows on every checkout.
+COMMITTED_ROWS = Path(__file__).resolve().parent / "bench_rows"
 REPO_BASELINE = (
     Path(__file__).resolve().parents[2] / "benchmarks" / "baseline.json"
 )
+#: the tolerance of CI's bench gate (.github/workflows/ci.yml).  At the
+#: default 1.5 the recorded ``obs_overhead:disabled_overhead``, a ratio
+#: near 0.06%, reads 2.5x its baseline: its spread between boxes is wider
+#: than 1.5x.
+CI_TOLERANCE = 4.0
 
 
 def write_bench(results_dir, bench, rows):
@@ -423,15 +431,20 @@ class TestScale:
 
 
 class TestCommittedBaseline:
-    """The repo's own committed baseline stays green against the
-    committed history — the exact gate CI's perf-smoke job runs."""
+    """The repo's own committed baseline stays green against a
+    committed, fixed run of CI's perf-smoke benches, at the tolerance
+    of CI's gate (``repro bench check --tolerance 4.0``).
+
+    The rows live beside this test, not in the gitignored
+    ``benchmarks/results/``, so local bench runs cannot change what
+    tier-1 checks.  A baseline refresh re-records them at its scale.
+    """
 
     def test_repo_history_passes_committed_baseline(self):
-        if not REPO_BASELINE.exists():
-            pytest.skip("no committed baseline")
         baseline = load_baseline(REPO_BASELINE)
-        results, _missing, _skipped = check(
-            REPO_RESULTS, baseline, tolerance=DEFAULT_TOLERANCE
+        results, _missing, skipped = check(
+            COMMITTED_ROWS, baseline, tolerance=CI_TOLERANCE
         )
+        assert results and not skipped
         failing = [r.describe() for r in results if not r.ok]
         assert not failing, "\n".join(failing)
