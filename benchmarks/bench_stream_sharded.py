@@ -2,12 +2,13 @@
 
 The incremental consolidator already avoids re-learning; what remains
 per batch is real CPU — graph construction and pivot search inside the
-grouping feed, and candidate-pair alignment.  ``--shards N`` fans
-exactly those stages across N persistent worker processes
-(`repro.stream.shards`), while resolution, the oracle, the replacement
-store, and publication stay in the single parent.
+grouping feed, and candidate-pair alignment.  ``--shards N`` fans the
+grouping feed across N persistent worker processes
+(`repro.stream.shards`), while resolution, candidate alignment, the
+oracle, the replacement store, and publication stay in the single
+parent.
 
-Because every parallel stage is a pure computation merged in canonical
+Because the sharded feed is a pure computation merged in canonical
 order, speed is the *only* thing sharding may change.  This benchmark
 asserts all three claims:
 

@@ -23,7 +23,7 @@ only land under *existing* replacement keys, preserving the paper's
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..align.damerau import alignment_segments
 from ..align.lcs import aligned_segments
@@ -46,11 +46,8 @@ def derive_token_segments(
     This is the *pure* (table-free, side-effect-free) core of candidate
     generation: everything :meth:`ReplacementStore.add_cell` derives
     for a cell pair is a function of the two values and the config
-    alone.  The streaming shard workers exploit that purity — value
-    pairs are aligned in parallel worker processes and the resulting
-    segments merged into the single parent store in the exact order
-    inline generation would have produced them, so sharded and
-    single-process runs build byte-identical candidate state.
+    alone, which is what lets the store memoize it per ordered value
+    pair.
 
     Returns the deduplicated ``(lhs, rhs)`` segments in derivation
     order, excluding the whole-value pair itself (the caller always
@@ -116,11 +113,7 @@ class ReplacementStore:
 
     # -- incremental generation (stream path) --------------------------------
 
-    def add_cell(
-        self,
-        cell: CellRef,
-        segments: Optional[Dict[Tuple[str, str], TokenSegments]] = None,
-    ) -> int:
+    def add_cell(self, cell: CellRef) -> int:
         """Index one new cell: pair it against the already-indexed cells
         of its cluster, allowing new candidate keys.
 
@@ -128,12 +121,6 @@ class ReplacementStore:
         cell of a table (in any order) derives exactly the pairs the
         batch form derives, but a record batch arriving later only pays
         for pairs touching its own cells.
-
-        ``segments`` optionally supplies precomputed
-        :func:`derive_token_segments` results keyed by ordered value
-        pair — the sharded streaming path computes them in worker
-        processes and merges here; pairs absent from the map are
-        derived inline, so a partial map is always safe.
 
         Returns the number of candidate keys the cell *created* — zero
         means every variation the cell introduced was already known, the
@@ -145,41 +132,9 @@ class ReplacementStore:
         for mate in self.table.cluster_cells(cell.cluster, cell.column):
             if mate == cell or mate not in self._indexed:
                 continue
-            self._generate_for_pair(
-                mate, cell, allow_new=True, segments=segments
-            )
+            self._generate_for_pair(mate, cell, allow_new=True)
         self._indexed.add(cell)
         return len(self.pair_entries) + len(self.token_entries) - before
-
-    def pending_pairs(
-        self, cells: Sequence[CellRef]
-    ) -> List[Tuple[str, str]]:
-        """The ordered distinct ``(mate value, cell value)`` pairs that
-        :meth:`add_cell` will derive segments for when the given cells
-        are indexed in order.
-
-        This mirrors :meth:`add_cell`'s own iteration exactly (mate
-        before cell, earlier cells of the batch counting as indexed for
-        later ones) and lives here so the two can never drift apart:
-        the sharded streaming path precomputes
-        :func:`derive_token_segments` for exactly these pairs on its
-        workers and hands the map back to :meth:`add_cell`.
-        """
-        pairs: List[Tuple[str, str]] = []
-        virtually_indexed = set(self._indexed)
-        for cell in cells:
-            if cell in virtually_indexed:
-                continue
-            value = self.table.value(cell)
-            for mate in self.table.cluster_cells(cell.cluster, cell.column):
-                if mate == cell or mate not in virtually_indexed:
-                    continue
-                mate_value = self.table.value(mate)
-                if mate_value == value or not mate_value or not value:
-                    continue
-                pairs.append((mate_value, value))
-            virtually_indexed.add(cell)
-        return pairs
 
     def purge_cell(self, cell: CellRef) -> None:
         """Forget a cell entirely (it moved during a cluster merge).
@@ -197,7 +152,6 @@ class ReplacementStore:
         cell_a: CellRef,
         cell_b: CellRef,
         allow_new: bool,
-        segments: Optional[Dict[Tuple[str, str], TokenSegments]] = None,
     ) -> None:
         va = self.table.value(cell_a)
         vb = self.table.value(cell_b)
@@ -207,9 +161,7 @@ class ReplacementStore:
         self._add_pair(Replacement(vb, va), (cell_b, cell_a), allow_new)
         if self.config.token_level_candidates:
             key = (va, vb)
-            derived = segments.get(key) if segments is not None else None
-            if derived is None:
-                derived = self._segments.get(key)
+            derived = self._segments.get(key)
             if derived is None:
                 derived = self._segments[key] = derive_token_segments(
                     va, vb, self.config

@@ -324,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="shard the streaming learner across this many worker "
-        "processes (candidate alignment, grouping feed; resolution "
-        "stays in the parent); published bundles and question counts "
+        help="shard the streaming learner's grouping feed across this "
+        "many worker processes (resolution and candidate alignment "
+        "stay in the parent); published bundles and question counts "
         "are identical at any shard count",
     )
     stream_p.add_argument(
@@ -381,8 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="print one machine-readable JSON line of counters per "
-        "batch (candidate pairs, bytes shipped to shards, "
-        "questions, reuse)",
+        "batch (candidate pairs, questions, reuse, stage seconds)",
     )
     stream_p.add_argument(
         "--metrics",

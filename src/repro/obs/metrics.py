@@ -16,7 +16,7 @@ Design constraints, in order:
 * **deterministic where the system is** — instruments are registered as
   deterministic (counts that must be identical at any ``--shards``
   value: questions, merges, candidate pairs) or volatile (wall-clock
-  timings, IPC bytes).  :meth:`MetricsRegistry.snapshot` with
+  timings, shard request counts).  :meth:`MetricsRegistry.snapshot` with
   ``deterministic_only=True`` is the byte-comparable view the
   shard-equivalence tests diff;
 * **mergeable quantiles** — histograms bucket observations on a
@@ -240,7 +240,7 @@ class MetricsRegistry:
     Instruments are created on first use and then shared: hot paths
     should bind the instrument once (``c = registry.counter(...)``)
     and call ``c.inc()`` in the loop.  ``deterministic=False`` marks an
-    instrument as run-dependent (timings, IPC bytes); such instruments
+    instrument as run-dependent (timings, shard requests); such instruments
     are excluded from ``snapshot(deterministic_only=True)``, the view
     that must be byte-identical at any ``--shards`` value.
     """

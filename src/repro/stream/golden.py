@@ -51,13 +51,13 @@ Per-batch cost scales with the batch and the *surviving* candidate and
 decision state, never with a full re-cluster / re-generate / re-review
 of everything seen so far.
 
-**Sharding.**  The alignment and grouping stages route through one
-:class:`~repro.stream.shards.ShardPool` (the stateless ``derive``
-kernel, and one grouping ``round`` per column per batch); resolution
-always runs in this process.  Every parallel stage is a pure
-computation merged in canonical order by this (single) parent process,
-so ``--shards N`` publishes byte-identical artifacts and asks identical
-questions at any shard count, under every blocking mode.
+**Sharding.**  Only the grouping feed routes through one
+:class:`~repro.stream.shards.ShardPool` (one grouping ``round`` per
+column per batch); resolution and candidate alignment always run in
+this process.  The feed is a pure computation merged in canonical
+order by this (single) parent process, so ``--shards N`` publishes
+byte-identical artifacts and asks identical questions at any shard
+count, under every blocking mode.
 
 **Durability.**  Oracle verdicts append to per-column decision logs
 (``decisions-<column>.jsonl``) next to the published bundle, and a
@@ -178,17 +178,14 @@ def _sync_pool_metrics(obs, pool: Optional[ShardPool]) -> None:
     """Mirror a pool's parent-side aggregates into the registry.
 
     All gauges (set to the cumulative totals, so the sync is idempotent
-    per batch) and all *volatile*: IPC volume and shard compute time
-    legitimately differ across ``--shards`` values, and excluding them
-    from the deterministic snapshot is what keeps that snapshot
+    per batch) and all *volatile*: request counts and shard compute
+    time legitimately differ across ``--shards`` values, and excluding
+    them from the deterministic snapshot is what keeps that snapshot
     byte-identical at any shard count.
     """
     if pool is None or not obs.enabled:
         return
     metrics = obs.metrics
-    metrics.gauge("shards.bytes_shipped", deterministic=False).set(
-        pool.shipped_bytes
-    )
     for op in sorted(pool.op_requests):
         metrics.gauge("shards.requests", deterministic=False, op=op).set(
             pool.op_requests[op]
@@ -308,9 +305,6 @@ class BatchReport:
     merges: int = 0
     new_clusters: int = 0
     pairs_compared: int = 0
-    #: serialized bytes of the batch's alignment fan-out to shard
-    #: workers (0 without a process-backed pool)
-    bytes_shipped: int = 0
     #: cached-approved replacements re-applied without a question
     reused_replacements: int = 0
     reused_cells: int = 0
@@ -431,7 +425,6 @@ class BatchReport:
             "questions_asked": self.questions_asked,
             "questions_by_column": dict(self.questions_by_column),
             "clusters_live": self.clusters_live,
-            "bytes_shipped": self.bytes_shipped,
             "fusion_seconds": round(self.fusion_seconds, 6),
             "model_version": self.version,
             "bundle_version": self.version,
@@ -502,7 +495,7 @@ class GoldenStreamConsolidator:
         batches' worth.
     shards / shard_processes:
         One :class:`~repro.stream.shards.ShardPool` shared by every
-        column's alignment / grouping stages (``shard_processes=False``
+        column's grouping feed (``shard_processes=False``
         keeps the same partitioned code path in-process).  Sharding
         never changes published bytes or question counts.
     decision_log_dir / persist_decisions:
@@ -978,9 +971,6 @@ class GoldenStreamConsolidator:
                             report.explained_cells += 1
 
         # 2. incremental resolution, once for the whole record.
-        pool_bytes_before = (
-            self.pool.shipped_bytes if self.pool is not None else 0
-        )
         with _timed_stage(self.obs, stage, "resolve"):
             resolution = self.resolver.add_batch(records)
         report.merges = resolution.merges
@@ -1020,9 +1010,7 @@ class GoldenStreamConsolidator:
                 for rid, _, _ in resolution.appended:
                     cluster, row = self.resolver.position(rid)
                     new_cells.append(CellRef(cluster, row, column))
-                _indexed, unmatched[column] = standardizer.ingest(
-                    new_cells, pool=self.pool
-                )
+                _indexed, unmatched[column] = standardizer.ingest(new_cells)
             report.unmatched_cells += unmatched[column]
 
             with _timed_stage(self.obs, stage, "replay", column=column):
@@ -1144,12 +1132,6 @@ class GoldenStreamConsolidator:
                 batch=report.index,
                 bundle_version=report.version,
             )
-
-        if self.pool is not None:
-            # Bytes of the batch's alignment fan-out (step 3).
-            report.bytes_shipped = (
-                self.pool.shipped_bytes - pool_bytes_before
-            )
         return report
 
     def _learn(
@@ -1209,10 +1191,7 @@ class GoldenStreamConsolidator:
             metrics.counter("stream.questions", column=column).inc(asked)
         if report.version is not None:
             metrics.counter("stream.publishes").inc()
-        # Volatile: wall-clock and IPC volume vary run to run.
-        metrics.counter("stream.bytes_shipped", deterministic=False).inc(
-            report.bytes_shipped
-        )
+        # Volatile: wall-clock varies run to run.
         metrics.histogram(
             "stream.batch_seconds", deterministic=False
         ).observe(report.seconds)

@@ -33,9 +33,9 @@ Similarity mode keeps its blocks in a
 (``block_retention``): a full block rotates its oldest member out, so
 per-arrival cost stops growing with stream length.  Matching always
 runs in this process, whatever ``--shards`` says: the shard workers
-of :mod:`repro.stream.shards` serve the learner's grouping feed and
-alignment fan-out, not resolution, whose per-batch comparisons are
-too cheap to pay for a process round trip on a small machine.
+of :mod:`repro.stream.shards` serve only the learner's grouping feed,
+not resolution, whose per-batch comparisons are too cheap to pay for
+a process round trip on a small machine.
 """
 
 from __future__ import annotations

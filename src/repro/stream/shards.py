@@ -1,41 +1,34 @@
 """Sharded execution of the streaming learner (``repro stream --shards``).
 
-This module fans the streaming *learner*'s pure per-batch work across
-a pool of shard worker processes without giving up two properties
-the whole subsystem is built on:
+This module fans the streaming learner's grouping feed across a pool
+of shard worker processes without giving up two properties the whole
+subsystem is built on:
 
 * **determinism** — the same batch sequence must publish byte-identical
   models at any shard count, and
 * **oracle frugality** — sharding must not add a single question.
 
-Both hold because every parallelized stage is a pure computation whose
-results are merged in a canonical order by the single parent process:
+Both hold because the incremental grouper is a lazy top-k merge over
+independent per-structure-bucket sources.  Each learn round bin-packs
+whole buckets onto the shards, largest first
+(:meth:`ShardedGroupFeed._partition`); each shard refines only its
+*local* winner
+(:meth:`~repro.core.incremental.IncrementalGrouper.peek_best`), all
+shards refine concurrently, and the parent pops the global winner —
+``(size desc, structure key asc)``, exactly the single-process emission
+order.  The oracle, the decision cache, the replacement store, and
+publication stay in the parent; shard workers never see a question.
 
-1. **candidate delta derivation** — token-level alignment of a value
-   pair (:func:`repro.candidates.store.derive_token_segments`) is a
-   pure function of the two strings; pairs fan out across shard
-   workers, the parent merges segments into the one
-   :class:`~repro.candidates.store.ReplacementStore` in inline order;
-2. **the grouping feed** — the expensive stage.  The incremental
-   grouper is a lazy top-k merge over independent per-structure-bucket
-   sources, so each learn round bin-packs whole buckets onto the
-   shards, largest first (:meth:`ShardedGroupFeed._partition`); each
-   shard refines only its *local* winner
-   (:meth:`~repro.core.incremental.IncrementalGrouper.peek_best`), all
-   shards refine concurrently, and the parent pops the global winner —
-   ``(size desc, structure key asc)``, exactly the single-process
-   emission order.  The oracle, the decision cache, the replacement
-   store, and publication stay in the parent; shard workers never see
-   a question.
-
-Entity resolution is not sharded: the resolver
-(:class:`~repro.stream.resolver.IncrementalResolver`) matches in the
-parent at any shard count.
+Candidate alignment and entity resolution are not sharded: the
+replacement store (:class:`~repro.candidates.store.ReplacementStore`)
+and the resolver (:class:`~repro.stream.resolver.IncrementalResolver`)
+run in the parent at any shard count.
 
 Worker processes are persistent for the consolidator's lifetime (state
 ships once, batches ship deltas), mirroring the long-lived shards of a
-production learner.  An in-process backend with the same message
-protocol backs ``processes=False`` (the determinism tests),
+production learner.  A worker that dies makes the parent's next wait
+on it raise instead of block.  An in-process backend with the same
+message protocol backs ``processes=False`` (the determinism tests),
 configurations that do not pickle, and hosts that refuse to spawn
 workers.  A consolidator at ``shards=1`` builds no pool at all.
 """
@@ -44,6 +37,7 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
+import queue
 import time
 from collections import Counter
 from typing import (
@@ -56,7 +50,6 @@ from typing import (
     Tuple,
 )
 
-from ..candidates.store import TokenSegments, derive_token_segments
 from ..config import DEFAULT_CONFIG, Config
 from ..core.grouping import Group
 from ..core.incremental import IncrementalGrouper
@@ -66,10 +59,6 @@ from ..core.terms import DEFAULT_VOCABULARY, TermVocabulary
 from ..obs import NULL_OBS
 from ..obs.trace import RemoteSpan, TraceContext
 
-#: Below this many alignment pairs a batch is handled inline: IPC
-#: would cost more than the work.
-MIN_PARALLEL_PAIRS = 64
-
 #: Parent-side reply callback: ``observer(shard, op, seconds, spans)``
 #: is invoked once per reply with the shard's compute time for that
 #: request (shipped back alongside the result; queue wait excluded)
@@ -78,17 +67,21 @@ MIN_PARALLEL_PAIRS = 64
 #: pool re-attaches under the parent's active span.
 Observer = Callable[[int, str, float, Optional[List[RemoteSpan]]], None]
 
+#: Longest single wait on a worker's reply: between waits the parent
+#: checks that the worker is still alive, so a dead worker raises
+#: within this many seconds instead of blocking the parent forever.
+REPLY_POLL_SECONDS = 1.0
+
 
 class ShardStandardizer:
     """The shard-local half of the streaming learner.
 
     One instance runs inside each shard (worker process or inline) and
-    owns the shard's partition of the grouping feed and the stateless
-    pair-alignment kernel.  It speaks a small ``(op, payload, ctx) ->
-    reply`` protocol so the process and inline backends stay
-    byte-for-byte equivalent (``ctx`` is the parent's trace context —
-    ``(trace id, parent span id)`` — or ``None`` when nobody is
-    recording; a live context makes the op time itself as a
+    owns the shard's partition of the grouping feed.  It speaks a small
+    ``(op, payload, ctx) -> reply`` protocol so the process and inline
+    backends stay byte-for-byte equivalent (``ctx`` is the parent's
+    trace context — ``(trace id, parent span id)`` — or ``None`` when
+    nobody is recording; a live context makes the op time itself as a
     ``shard.<op>`` remote-span record that rides back with the reply,
     see :func:`_serve_op`):
 
@@ -99,7 +92,6 @@ class ShardStandardizer:
     ``peek``     ``None``                                      ``None`` or ``(size, skey)``
     ``pop``      ``None``                                      :class:`~repro.core.grouping.Group`
     ``remove``   ``[Replacement, ...]``                        ``True``
-    ``derive``   ``[(va, vb), ...]``                           ``[TokenSegments, ...]``
     ===========  ============================================  =========
     """
 
@@ -137,11 +129,6 @@ class ShardStandardizer:
             if self.grouper is not None:
                 self.grouper.remove_replacements(payload)
             return True
-        if op == "derive":
-            return [
-                derive_token_segments(va, vb, self.config)
-                for va, vb in payload
-            ]
         raise ValueError(f"unknown shard op: {op!r}")
 
 
@@ -293,11 +280,32 @@ class _ProcessBackend:
             raise RuntimeError(f"shard worker failed: {value}")
         return value
 
+    def _receive(
+        self, shard: int
+    ) -> Tuple[bool, Any, float, Optional[List[RemoteSpan]]]:
+        """The shard's next reply, waited for in bounded slices.
+
+        Liveness is read *before* each wait, so a reply the worker
+        queued just before it exited is still drained; only a dead
+        worker with nothing queued raises.
+        """
+        process = self._processes[shard]
+        while True:
+            alive = process.is_alive()
+            try:
+                return self._responses[shard].get(alive, REPLY_POLL_SECONDS)
+            except queue.Empty:
+                if not alive:
+                    raise RuntimeError(
+                        f"shard worker {shard} died "
+                        f"(exit code {process.exitcode})"
+                    ) from None
+
     def request(
         self, shard: int, op: str, payload: Any, ctx: TraceContext = None
     ) -> Any:
         self._requests[shard].put((op, payload, ctx))
-        return self._unwrap(shard, op, self._responses[shard].get())
+        return self._unwrap(shard, op, self._receive(shard))
 
     def broadcast(
         self, op: str, payloads: Sequence[Any], ctx: TraceContext = None
@@ -307,8 +315,8 @@ class _ProcessBackend:
         for requests, payload in zip(self._requests, payloads):
             requests.put((op, payload, ctx))
         return [
-            self._unwrap(shard, op, responses.get())
-            for shard, responses in enumerate(self._responses)
+            self._unwrap(shard, op, self._receive(shard))
+            for shard in range(len(self._responses))
         ]
 
     def close(self) -> None:
@@ -321,6 +329,7 @@ class _ProcessBackend:
             process.join(timeout=5)
             if process.is_alive():
                 process.terminate()
+                process.join()
         self._processes = []
         self._requests = []
         self._responses = []
@@ -355,7 +364,6 @@ class ShardPool:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         self.shards = shards
-        self.config = config
         #: observability facade — when its tracer records rows, every
         #: request ships trace context to the workers and the returned
         #: ``shard.<op>`` spans re-attach under the parent's active
@@ -366,7 +374,8 @@ class ShardPool:
         #: reply ships back, so the totals exist at any shard count and
         #: on both backends.  The stream layer mirrors them into the
         #: metrics registry (as *volatile* instruments: wall-clock and
-        #: IPC volume legitimately differ across ``--shards`` values).
+        #: request counts legitimately differ across ``--shards``
+        #: values).
         self.op_requests: Dict[str, int] = {}
         self.op_seconds: Dict[str, float] = {}
         self.shard_seconds: List[float] = [0.0] * shards
@@ -385,12 +394,6 @@ class ShardPool:
                 shards, config, vocabulary, observer=self._observe
             )
         self.uses_processes = isinstance(self._backend, _ProcessBackend)
-        #: cumulative serialized bytes of the alignment fan-out
-        #: (``derive``), backing ``repro stream --stats`` and the IPC
-        #: benchmarks.  It counts only *actual* IPC — it stays 0 on the
-        #: inline backend, where nothing is serialized (and where
-        #: pickling purely for accounting would cost real time).
-        self.shipped_bytes = 0
 
     def _observe(
         self,
@@ -425,33 +428,6 @@ class ShardPool:
         candidates — a drop-in
         :class:`~repro.pipeline.standardize.GroupFeed`."""
         return ShardedGroupFeed(self, replacements, counts)
-
-    # -- pure kernels ------------------------------------------------------
-
-    def derive_segments(
-        self, pairs: Sequence[Tuple[str, str]]
-    ) -> Dict[Tuple[str, str], TokenSegments]:
-        """Token-segment alignments for distinct value pairs, computed
-        across the shards; small workloads stay inline."""
-        pairs = list(dict.fromkeys(pairs))
-        if not pairs:
-            return {}
-        if not self.uses_processes or len(pairs) < MIN_PARALLEL_PAIRS:
-            segments = [
-                derive_token_segments(va, vb, self.config)
-                for va, vb in pairs
-            ]
-            return dict(zip(pairs, segments))
-        chunks = [pairs[shard :: self.shards] for shard in range(self.shards)]
-        for chunk in chunks:
-            self.shipped_bytes += len(
-                pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL)
-            )
-        replies = self.broadcast("derive", chunks)
-        out: Dict[Tuple[str, str], TokenSegments] = {}
-        for chunk, reply in zip(chunks, replies):
-            out.update(zip(chunk, reply))
-        return out
 
     # -- plumbing ----------------------------------------------------------
 

@@ -22,22 +22,20 @@ batches:
   confirmations, the exact shape :func:`repro.serve.model.build_model`
   consumes, so each publish extends the previous model version.
 
-With a :class:`~repro.stream.shards.ShardPool`, the two compute-heavy
-stages run on the shard workers: candidate delta *derivation* (value
-pairs aligned in parallel, merged into the single store in inline
-order) and the grouping *feed* (per-structure-bucket sources
-partitioned across shards, winners max-merged).  Both are
-order-preserving merges of pure computations, so a sharded learner
-publishes byte-identical models and asks byte-identical questions —
-see :mod:`repro.stream.shards`.
+With a :class:`~repro.stream.shards.ShardPool`, the grouping *feed*
+runs on the shard workers (per-structure-bucket sources partitioned
+across shards, winners max-merged); candidate derivation stays in this
+process.  The merge is order-preserving over pure computations, so a
+sharded learner publishes byte-identical models and asks
+byte-identical questions — see :mod:`repro.stream.shards`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
-from ..candidates.store import ReplacementStore, TokenSegments
+from ..candidates.store import ReplacementStore
 from ..config import DEFAULT_CONFIG, Config
 from ..core.incremental import IncrementalGrouper
 from ..core.replacement import Replacement
@@ -105,32 +103,18 @@ class IncrementalStandardizer:
 
     # -- ingestion ---------------------------------------------------------
 
-    def ingest(
-        self, cells: Iterable[CellRef], pool=None
-    ) -> Tuple[int, int]:
+    def ingest(self, cells: Iterable[CellRef]) -> Tuple[int, int]:
         """Delta-index new cells into the candidate store.
 
         Returns ``(cells indexed, cells unexplained)`` — a cell is
         *unexplained* when indexing it created at least one candidate
         key nothing in the current state had seen before (the drift
         monitor's unmatched signal).
-
-        With a :class:`~repro.stream.shards.ShardPool`, the alignment
-        of the batch's distinct value pairs is computed by the shard
-        workers first; the cells are then indexed inline in arrival
-        order using the precomputed segments, so the resulting store is
-        identical to the unsharded one.
         """
-        cells = list(cells)
-        segments: Optional[Dict[Tuple[str, str], TokenSegments]] = None
-        if pool is not None and self.config.token_level_candidates:
-            segments = pool.derive_segments(
-                self.store.pending_pairs(cells)
-            )
         indexed = unexplained = 0
         for cell in cells:
             indexed += 1
-            if self.store.add_cell(cell, segments=segments) > 0:
+            if self.store.add_cell(cell) > 0:
                 unexplained += 1
         return indexed, unexplained
 

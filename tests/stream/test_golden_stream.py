@@ -120,6 +120,16 @@ def make_consolidator(stream, blocking=None, registry=None, **kwargs):
     )
 
 
+#: The ``--stats`` keys that measure wall-clock, not work.
+TIMINGS = ("fusion_seconds", "seconds", "stage_seconds")
+
+
+def untimed_stats(report):
+    """A batch's ``--stats`` row without its timings: what must not
+    depend on the shard count."""
+    return {k: v for k, v in report.stats().items() if k not in TIMINGS}
+
+
 def layout(table):
     """Record ids per cluster slot, table order."""
     return [[record.rid for record in c.records] for c in table.clusters]
@@ -295,13 +305,14 @@ class TestShardCountInvariance:
     def test_worker_process_backend_matches(
         self, stream, tmp_path, frozen_clock
     ):
-        """The real multiprocessing backend, same guarantee."""
-        c1, _ = streamed(
+        """The real multiprocessing backend, same guarantee — and the
+        same ``--stats`` rows, timings aside."""
+        c1, reports1 = streamed(
             stream,
             registry=BundleRegistry(tmp_path / "proc-s1"),
             shards=1,
         )
-        c3, _ = streamed(
+        c3, reports3 = streamed(
             stream,
             registry=BundleRegistry(tmp_path / "proc-s3"),
             shards=3,
@@ -310,21 +321,13 @@ class TestShardCountInvariance:
         assert c1.registry.path("golden").read_bytes() == (
             c3.registry.path("golden").read_bytes()
         )
+        assert [untimed_stats(r) for r in reports1] == [
+            untimed_stats(r) for r in reports3
+        ]
 
     def test_batch_after_close_matches_unsharded(self, stream):
         """close() releases the shard pool; a batch after it matches
         inline and lands exactly where an unsharded run puts it."""
-        volatile = (
-            "bytes_shipped",
-            "fusion_seconds",
-            "seconds",
-            "stage_seconds",
-        )
-
-        def counts(report):
-            stats = report.stats()
-            return {k: v for k, v in stats.items() if k not in volatile}
-
         first, second, third = stream.batches
         base, base_reports = streamed(stream, blocking="token")
         sharded = make_consolidator(
@@ -335,8 +338,8 @@ class TestShardCountInvariance:
         sharded.close()
         assert sharded.pool is None
         sharded.process_batch(third)
-        assert [counts(r) for r in sharded.reports] == [
-            counts(r) for r in base_reports
+        assert [untimed_stats(r) for r in sharded.reports] == [
+            untimed_stats(r) for r in base_reports
         ]
         assert layout(sharded.table) == layout(base.table)
 

@@ -184,7 +184,7 @@ class TestRecordedRows:
         run_single(stream, obs, shards=2)
         snap = obs.metrics.snapshot()
         # Shard traffic is accounted per op, with compute time riding
-        # back on each reply...
+        # back on each reply.
         requests = {
             key: value
             for key, value in snap.items()
@@ -197,8 +197,6 @@ class TestRecordedRows:
         assert {
             f"shards.busy_seconds{{shard={i}}}" for i in range(2)
         } <= set(snap)
-        # ...and the shipping gauge exists.
-        assert snap["shards.bytes_shipped"] >= 0
 
 
 class TestBatchCountMirror:

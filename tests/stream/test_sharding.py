@@ -11,11 +11,13 @@ level against the single-process grouper.
 
 import json
 import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.candidates.store import derive_token_segments
-from repro.config import DEFAULT_CONFIG
 from repro.core.incremental import IncrementalGrouper
 from repro.core.replacement import Replacement
 from repro.core.terms import TermVocabulary
@@ -269,19 +271,6 @@ class TestShardedGroupFeedUnit:
 
 
 class TestShardPoolKernels:
-    def test_derive_segments_matches_inline(self):
-        pairs = [
-            ("5 Main St", "5 Main Street"),
-            ("9th Ave", "9 Avenue"),
-            ("Apt 4B", "Apartment 4B"),
-        ]
-        with ShardPool(2, processes=False) as pool:
-            derived = pool.derive_segments(pairs)
-        for va, vb in pairs:
-            assert derived[(va, vb)] == derive_token_segments(
-                va, vb, DEFAULT_CONFIG
-            )
-
     def test_unpicklable_vocabulary_degrades_to_inline(self):
         class LocalVocabulary(TermVocabulary):  # local: does not pickle
             pass
@@ -291,6 +280,63 @@ class TestShardPoolKernels:
             assert not pool.uses_processes  # degraded, not broken
         finally:
             pool.close()
+
+
+DEAD_WORKER_SCRIPT = """
+from repro.stream import ShardPool
+
+pool = ShardPool(2, processes=True)
+assert pool.uses_processes
+backend = pool._backend
+backend._processes[0].kill()
+backend._processes[0].join()
+try:
+    pool.request(0, "remove", [])
+except RuntimeError as exc:
+    print(exc)
+# A worker that replied and then exited: its queued reply is drained
+# before its death is reported.
+backend._requests[1].put(("remove", [], None))
+backend._requests[1].put(None)
+backend._processes[1].join()
+print("drained", backend._receive(1)[:2])
+try:
+    backend._receive(1)
+except RuntimeError as exc:
+    print(exc)
+pool.close()
+print("closed")
+"""
+
+
+class TestDeadWorker:
+    def test_dead_worker_raises_instead_of_hanging(self):
+        # A child interpreter in its own session, so a regression fails
+        # on the timeout instead of hanging the suite, and the hung
+        # child's surviving worker dies with it.
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", DEAD_WORKER_SCRIPT],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            stdout, stderr = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the parent hung on a dead shard worker")
+        assert proc.returncode == 0, stderr
+        assert stdout.splitlines() == [
+            "shard worker 0 died (exit code -9)",
+            "drained (True, True)",
+            "shard worker 1 died (exit code 0)",
+            "closed",
+        ]
 
 
 class TestSimilarityModeSharded:

@@ -356,7 +356,6 @@ def test_docs_cover_the_tracing_release():
         "repro bench check",
         "shard.peek",
         "shard.pop",
-        "shard.derive",
         "parent_id",
     ):
         assert needle in obs_text, f"{needle} undocumented"
